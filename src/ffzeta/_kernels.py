@@ -1,32 +1,40 @@
 """Fast internal representations for polynomials in theta over F_q.
 
-The public ring type is APoly; these kernels back the hot enumeration
-loops (power-sum shells, Pellarin coefficients, scan oracles) with a
-compact integer encoding per characteristic:
+The public ring type is APoly; these kernels back the hot loops
+(power-sum shells, Pellarin coefficients, scan oracles, the quotient
+rings A/(m)).  A raw value is a tuple of e ints, one per F_p-coordinate
+plane, with the coefficient of theta^i at digit i:
 
-* p = 2: a polynomial is a tuple of e bitmask ints, one plane per
-  F_p-coordinate; addition is XOR, multiplication is carry-less.
-* p odd: a tuple of e ints packing the coordinate planes in base 2^24,
-  so addition and convolution ride on Python's big-int arithmetic and
-  digits are reduced mod p only when a value is read back.
+* p = 2: one bit per digit; addition is XOR, multiplication carry-less.
+* p odd: 24-bit digits, so addition and convolution ride on Python's
+  big-int arithmetic; `normalize` reduces every digit mod p in one
+  numpy pass over the 3-byte digits.
 
-Results are bit-identical to APoly arithmetic; tests cross-check the
-two routes.
+Packed digits never carry into their neighbours, so a digit must stay
+below 2^24.  `from_codes`, `mul`, `pow`, `normalize`, `frob_spread` and
+QuotientKernel return normalized values (digits < p); `add` and `scale`
+do not, and a sum must be normalized before it reaches `mul`.  A product
+digit of normalized operands is at most (p-1)^2 * w * L, with L the
+shorter operand's length and w the field's plane-reduction weight
+(w = 1 for e = 1); `mul` raises DigitOverflowError when that bound
+reaches 2^24 (p = 251, e = 1: at L = 269).  Normalized digits are single
+bytes, so p <= 251.  Codes convert through per-field tables.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .fields import FieldSpec
+from .fields import FieldError, FieldSpec
 
 _PACK_BITS = 24
-_PACK_MASK = (1 << _PACK_BITS) - 1
-# packed digits stay below 2^24: products of normalized inputs add at
-# most len * (p-1)^2 per digit and accumulation loops stay far shorter
-# than 2^24 / (p-1) steps for the grid sizes this library targets.
+_DIGIT_LIMIT = 1 << _PACK_BITS
+_MAX_PACKED_P = 251
+_BIN_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class DigitOverflowError(ArithmeticError):
+    """A packed product digit could reach 2^24 and corrupt its neighbours."""
 
 
 def _clmul(a: int, b: int) -> int:
@@ -38,67 +46,99 @@ def _clmul(a: int, b: int) -> int:
     return r
 
 
-class _BitKernel:
-    """Characteristic-2 kernel: planes of bitmask integers."""
+def _generic_pow(kernel, x, n: int):
+    """x^n by base-q digits: Frobenius spreads are exact and cheap."""
+    if n == 0:
+        return kernel.from_codes((1,))
+    q = kernel.q
+    result = None
+    factor = x
+    while n:
+        d = n % q
+        if d:
+            piece = factor
+            for _ in range(d - 1):
+                piece = kernel.mul(piece, factor)
+            result = piece if result is None else kernel.mul(result, piece)
+        n //= q
+        if n:
+            factor = kernel.frob_spread(factor)
+    return result
 
-    def __init__(self, spec: FieldSpec):
+
+class _Planes:
+    """What both kernels share: the plane layout and the codec tables."""
+
+    digit_bits: int
+
+    def __init__(self, spec: FieldSpec, table_offset: int):
         self.spec = spec
-        self.e = spec.e
-        self.q = spec.q
-        # scale_rows[c][j] = bitmask of source planes XORed into plane j
-        # when multiplying by the element with code c
-        self.scale_rows = []
-        for c in range(spec.q):
-            rows = []
-            for j in range(self.e):
-                mask = 0
-                for i in range(self.e):
-                    prod = spec.mul_code(c, 1 << i)
-                    if spec.coords(prod)[j]:
-                        mask |= 1 << i
-                rows.append(mask)
-            self.scale_rows.append(rows)
-        # plane-product reduction: xi^(i+j) written in coordinates
-        self.red = []
-        for k in range(2 * self.e - 1):
-            code = spec.pow_code(2, k) if self.e > 1 else 1
-            self.red.append(spec.coords(code) if self.e > 1 else [1])
+        self.p, self.e, self.q = spec.p, spec.e, spec.q
+        # plane-product reduction: xi^k in coordinates, k <= 2e - 2
+        self.red = [spec.coords(spec.pow_code(spec.p, k))
+                    for k in range(2 * self.e - 1)] if self.e > 1 else []
+        if self.p > _MAX_PACKED_P:  # coordinates do not fit the byte tables
+            return
+        # per plane: code -> coordinate + table_offset; and the code of
+        # each coordinate index sum_j c_j p^j
+        coords = [spec.coords(c) for c in range(self.q)]
+        self._planes = [bytes(row[j] + table_offset for row in coords) for j in range(self.e)]
+        if self.q <= 256:  # bytes.translate needs a full 256-entry table
+            self._planes = [t.ljust(256, b"\0") for t in self._planes]
+        self._code_of = np.zeros(self.q, dtype=np.int64)
+        for c, row in enumerate(coords):
+            self._code_of[sum(d * self.p ** j for j, d in enumerate(row))] = c
+
+    def _code_planes(self, codes):
+        """One bytes object per plane: the table entry of every code."""
+        if self.q <= 256:
+            src = bytes(codes)
+            return [src.translate(t) for t in self._planes]
+        return [bytes(map(t.__getitem__, codes)) for t in self._planes]
 
     def zero(self):
         return (0,) * self.e
+
+    def shift(self, x, k):
+        """Multiply by theta^k."""
+        return tuple(v << (self.digit_bits * k) for v in x)
+
+
+class _BitKernel(_Planes):
+    """Characteristic-2 kernel: planes of bitmask integers."""
+
+    digit_bits = 1
+
+    def __init__(self, spec: FieldSpec):
+        super().__init__(spec, ord("0"))  # plane tables hold "0"/"1" for int(.., 2)
+        # scale_rows[c][j] = bitmask of source planes XORed into plane j
+        # when multiplying by the element with code c
+        self.scale_rows = [[sum(1 << i for i in range(self.e)
+                                if spec.coords(spec.mul_code(c, 1 << i))[j])
+                            for j in range(self.e)] for c in range(self.q)]
 
     def is_zero(self, x):
         return not any(x)
 
     def from_codes(self, codes):
-        planes = [0] * self.e
-        for i, c in enumerate(codes):
-            for j, bit in enumerate(self.spec.coords(c)):
-                if bit:
-                    planes[j] |= 1 << i
-        return tuple(planes)
+        if not codes:
+            return self.zero()
+        return tuple(int(chars[::-1], 2) for chars in self._code_planes(codes))
 
     def to_codes(self, x):
         if not any(x):
             return ()
         if self.e == 1:
-            bits = bin(x[0])[:1:-1]  # ascending bit characters
-            return tuple(1 if ch == "1" else 0 for ch in bits)
+            return tuple(bin(x[0])[:1:-1].encode().translate(_BIN_DIGITS))
         n = max(v.bit_length() for v in x)
-        planes = [bin(v)[:1:-1].ljust(n, "0") for v in x]
-        out = []
-        for i in range(n):
-            out.append(self.spec.from_coords([1 if pl[i] == "1" else 0 for pl in planes]))
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        idx = np.zeros(n, dtype=np.int64)
+        for j, v in enumerate(x):
+            bits = np.frombuffer(v.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+            idx += np.unpackbits(bits, count=n, bitorder="little").astype(np.int64) << j
+        return tuple(self._code_of[idx].tolist())
 
     def add(self, x, y):
         return tuple(a ^ b for a, b in zip(x, y))
-
-    def shift(self, x, k):
-        """Multiply by theta^k."""
-        return tuple(v << k for v in x)
 
     def scale(self, x, code):
         if code == 0:
@@ -141,119 +181,99 @@ class _BitKernel:
 
     def frob_spread(self, x):
         """x(theta) -> x(theta)^q, i.e. exponent spread by q."""
-        q = self.q
-        out = []
-        for plane in x:
-            spread = 0
-            while plane:
-                low = plane & -plane
-                spread |= 1 << ((low.bit_length() - 1) * q)
-                plane ^= low
-            out.append(spread)
-        return tuple(out)
+        gap = "0" * (self.q - 1)
+        return tuple(int(gap.join(bin(v)[2:]), 2) for v in x)
 
-    def pow(self, x, n: int):
-        return _generic_pow(self, x, n)
+    pow = _generic_pow
 
 
-class _PackedKernel:
+class _PackedKernel(_Planes):
     """Odd-characteristic kernel: base-2^24 packed coordinate planes."""
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p = spec.p
-        self.e = spec.e
-        self.q = spec.q
-        self.red = []
-        if self.e > 1:
-            for k in range(2 * self.e - 1):
-                self.red.append(spec.coords(spec.pow_code(spec.p, k)))
+    digit_bits = _PACK_BITS
 
-    def zero(self):
-        return (0,) * self.e
+    def __init__(self, spec: FieldSpec):
+        super().__init__(spec, 0)
+        # worst plane-reduction weight: sum over k of red[k][j] times the
+        # number of plane pairs (i, i') with i + i' = k
+        weight = max(sum(row[j] * min(k + 1, 2 * self.e - 1 - k)
+                         for k, row in enumerate(self.red)) for j in range(self.e)) or 1
+        self.max_mul_len = (_DIGIT_LIMIT - 1) // ((self.p - 1) ** 2 * weight)
+        self._reduced = bytes(range(min(self.p, 256)))
 
     def is_zero(self, x):
-        return not any(self.to_codes(self.normalize(x)))
+        return not any(self.normalize(x))
 
     def from_codes(self, codes):
-        if self.e == 1:
-            buf = bytearray(3 * len(codes))
-            for i, c in enumerate(codes):
-                buf[3 * i] = c
-            return (int.from_bytes(bytes(buf), "little"),)
-        planes = [bytearray(3 * len(codes)) for _ in range(self.e)]
-        for i, c in enumerate(codes):
-            for j, digit in enumerate(self.spec.coords(c)):
-                planes[j][3 * i] = digit
-        return tuple(int.from_bytes(bytes(b), "little") for b in planes)
+        if self.p > _MAX_PACKED_P:
+            raise FieldError(f"packed kernel digits are bytes: needs p <= {_MAX_PACKED_P}, "
+                             f"got p = {self.p}")
+        out = []
+        for digits in [bytes(codes)] if self.e == 1 else self._code_planes(codes):
+            buf = bytearray(3 * len(digits))
+            buf[::3] = digits
+            out.append(int.from_bytes(buf, "little"))
+        return tuple(out)
 
-    def _digits(self, v):
-        # 24-bit packing = 3 bytes: one linear pass via the byte string
-        nbytes = (v.bit_length() + 7) // 8
-        nbytes += (-nbytes) % 3
-        raw = v.to_bytes(nbytes, "little")
-        p = self.p
-        if nbytes > 96:
-            arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
-            return ((arr @ self._BYTE_WEIGHTS) % p).tolist()
-        return [int.from_bytes(raw[i:i + 3], "little") % p
-                for i in range(0, nbytes, 3)]
-
-    _BYTE_WEIGHTS = np.array([1, 256, 65536], dtype=np.int64)
+    def _digits(self, v, raw=None):
+        """Digits of one plane, reduced mod p, as a numpy array."""
+        n = -(-v.bit_length() // _PACK_BITS)
+        # an unaligned little-endian uint32 read at every 3-byte digit
+        words = np.ndarray((n,), dtype="<u4", buffer=raw or v.to_bytes(3 * n + 1, "little"),
+                           strides=(3,))
+        return (words & (_DIGIT_LIMIT - 1)) % self.p
 
     def normalize(self, x):
         out = []
         for v in x:
-            digs = self._digits(v)
-            buf = bytearray(3 * len(digs))
-            for i, d in enumerate(digs):
-                if d:
-                    buf[3 * i] = d
-            out.append(int.from_bytes(bytes(buf), "little"))
+            raw = v.to_bytes(-(-v.bit_length() // _PACK_BITS) * 3 + 1, "little")
+            # already reduced: high digit bytes zero, low bytes below p
+            if not (raw[1::3].strip(b"\0") or raw[2::3].strip(b"\0")
+                    or raw[::3].translate(None, self._reduced)):
+                out.append(v)
+                continue
+            digits = self._digits(v, raw)
+            buf = bytearray(3 * len(digits))
+            buf[::3] = digits.astype(np.uint8).tobytes()
+            out.append(int.from_bytes(buf, "little"))
         return tuple(out)
 
     def to_codes(self, x):
-        digit_lists = [self._digits(v) for v in x]
-        n = max((len(d) for d in digit_lists), default=0)
-        if self.e == 1:
-            out = digit_lists[0] if digit_lists else []
-        else:
-            out = []
-            for i in range(n):
-                coords = [d[i] if i < len(d) else 0 for d in digit_lists]
-                out.append(self.spec.from_coords(coords))
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        planes = [self._digits(v) for v in x]
+        idx = np.zeros(max(len(d) for d in planes), dtype=np.int64)
+        for j, d in enumerate(planes):
+            idx[:len(d)] += d * self.p ** j
+        nonzero = np.flatnonzero(idx)
+        if not nonzero.size:
+            return ()
+        return tuple(self._code_of[idx[:nonzero[-1] + 1]].tolist())
 
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
-    def shift(self, x, k):
-        """Multiply by theta^k."""
-        return tuple(v << (_PACK_BITS * k) for v in x)
-
     def scale(self, x, code):
         if code == 0:
             return self.zero()
-        coords = self.spec.coords(code)
+        spec = self.spec
         if self.e == 1:
-            return (x[0] * coords[0],)
-        # multiply plane vector by the e x e matrix of `code`
+            return (x[0] * spec.coords(code)[0],)
+        # multiply the plane vector by the e x e matrix of `code`
         out = [0] * self.e
-        for i in range(self.e):
-            if not x[i]:
-                continue
-            prod_coords = self.spec.coords(self.spec.mul_code(code, self.spec.from_coords(
-                [1 if t == i else 0 for t in range(self.e)])))
-            for j, m in enumerate(prod_coords):
-                if m:
-                    out[j] += m * x[i]
+        for i, v in enumerate(x):
+            if v:
+                unit = spec.from_coords([1 if t == i else 0 for t in range(self.e)])
+                for j, m in enumerate(spec.coords(spec.mul_code(code, unit))):
+                    out[j] += m * v
         return tuple(out)
 
     def mul(self, x, y):
-        # inputs must carry small digits (outputs of mul/from_codes do);
-        # keeping them below ~2^10 leaves the 2^24 packing carry-free
+        """Product of two normalized values, normalized."""
+        shorter = min(max(v.bit_length() for v in x), max(v.bit_length() for v in y))
+        length = -(-shorter // _PACK_BITS)
+        if length > self.max_mul_len:
+            raise DigitOverflowError(
+                f"packed product digits would reach 2^{_PACK_BITS}: shorter operand has "
+                f"{length} coefficients, limit {self.max_mul_len} for p = {self.p}, e = {self.e}")
         if self.e == 1:
             return self.normalize((x[0] * y[0],))
         partial = [0] * (2 * self.e - 1)
@@ -272,91 +292,78 @@ class _PackedKernel:
         return self.normalize(tuple(out))
 
     def frob_spread(self, x):
-        codes = self.to_codes(self.normalize(x))
-        planes = [0] * self.e
-        for i, c in enumerate(codes):
-            for j, digit in enumerate(self.spec.coords(c)):
-                if digit:
-                    planes[j] += digit << (_PACK_BITS * i * self.q)
-        return tuple(planes)
+        """x(theta) -> x(theta)^q: digit i moves to digit i*q."""
+        stride = 3 * self.q
+        out = []
+        for v in x:
+            digits = self._digits(v)
+            buf = bytearray(stride * (len(digits) - 1) + 3 if len(digits) else 0)
+            buf[::stride] = digits.astype(np.uint8).tobytes()
+            out.append(int.from_bytes(buf, "little"))
+        return tuple(out)
 
-    def pow(self, x, n: int):
-        return _generic_pow(self, x, n)
-
-
-def _generic_pow(kernel, x, n: int):
-    """x^n by base-q digits: Frobenius spreads are exact and cheap."""
-    if n == 0:
-        return kernel.from_codes((1,))
-    q = kernel.q
-    result = None
-    factor = x
-    while n:
-        d = n % q
-        if d:
-            piece = factor
-            for _ in range(d - 1):
-                piece = kernel.mul(piece, factor)
-            result = piece if result is None else kernel.mul(result, piece)
-        n //= q
-        if n:
-            factor = kernel.frob_spread(factor)
-    return result
+    pow = _generic_pow
 
 
 class QuotientKernel:
-    """Arithmetic in F_q[theta]/(m) with kernel products and Barrett reduction.
+    """Arithmetic in F_q[theta]/(m), m monic of degree D, on raw values.
 
-    The reciprocal of the reversed modulus is precomputed by Newton
-    iteration, so a reduction costs two kernel multiplications instead
-    of a quadratic-time division loop.  Raw values are kernel (plane)
-    encodings of representatives of degree < deg(m).
+    Values are normalized raw values of degree < D.  Reduction is
+    Barrett's with mu = floor(theta^N / m) precomputed, N = max(2D-2, D).
+    For deg a <= N the quotient is exactly
+    floor(floor(a / theta^D) * mu / theta^(N-D)): polynomial floor
+    division is linear and the dropped terms have negative degree, so no
+    correction step is needed.  The remainder a - quotient*m is formed on
+    the low D digits only.  Every step is a shift, mask, kernel product
+    or normalize; nothing converts to codes.  Products of reduced values
+    have degree <= 2D-2 <= N; an operand above degree N raises ValueError.
     """
 
     def __init__(self, kernel, modulus_codes):
         self.k = kernel
-        self.mod_codes = tuple(modulus_codes)
-        self.D = len(self.mod_codes) - 1
-        self.mod_raw = kernel.from_codes(self.mod_codes)
-        rev = tuple(reversed(self.mod_codes))
-        self.recip = self._series_inverse(kernel.from_codes(rev), self.D + 1)
+        self.D = len(modulus_codes) - 1
+        self.N = max(2 * self.D - 2, self.D)
+        self.mod_raw = kernel.from_codes(modulus_codes)
+        self._neg_one = kernel.spec.neg_code(1)
+        self._low_mask = (1 << (kernel.digit_bits * self.D)) - 1
+        self.mu = self._floor_reciprocal()
 
-    def _truncate(self, raw, length):
-        codes = self.k.to_codes(self.k.normalize(raw))
-        return self.k.from_codes(codes[:length])
+    def _shift_down(self, x, n):
+        """floor(x / theta^n)."""
+        return tuple(v >> (self.k.digit_bits * n) for v in x)
 
-    def _series_inverse(self, f, length):
-        """1/f mod theta^length for f with unit constant term (Newton)."""
-        codes = self.k.to_codes(self.k.normalize(f))
-        inv0 = self.k.spec.inv_code(codes[0])
-        g = self.k.from_codes((inv0,))
-        reach = 1
-        two = self.k.from_codes((self.k.spec.add_code(1, 1),))
-        while reach < length:
-            reach = min(2 * reach, length)
-            fg = self._truncate(self.k.mul(f, g), reach)
-            # g <- g(2 - f g) truncated
-            corr = self.k.add(two, self.k.scale(fg, self.k.spec.neg_code(1)))
-            g = self._truncate(self.k.mul(g, corr), reach)
-        return g
+    def _floor_reciprocal(self):
+        """floor(theta^N / m) by Newton iteration on raw values.
+
+        mu_t = floor(theta^(D+t) / m) starts at mu_0 = 1 (m is monic); the
+        step s -> s(2 - m s) towards 1/m gives
+        mu_(2t+1) = 2 mu_t theta^(t+1) - floor(m mu_t^2 / theta^(D-1)).
+        """
+        k, D = self.k, self.D
+        two = k.spec.add_code(1, 1)
+        mu, t = k.from_codes((1,)), 0
+        while t < self.N - D:
+            tail = self._shift_down(k.mul(self.mod_raw, k.mul(mu, mu)), D - 1)
+            mu = k.normalize(k.add(k.scale(k.shift(mu, t + 1), two),
+                                   k.scale(tail, self._neg_one)))
+            t = 2 * t + 1
+        return self._shift_down(mu, t - (self.N - D))
 
     def reduce(self, raw):
-        """raw mod m for deg(raw) <= 2(D-1)."""
-        codes = self.k.to_codes(self.k.normalize(raw))
-        if len(codes) <= self.D:
-            return self.k.from_codes(codes)
-        n = len(codes) - 1
-        rev_f = self.k.from_codes(tuple(reversed(codes)))
-        qlen = n - self.D + 1
-        q_rev = self._truncate(self.k.mul(rev_f, self.recip), qlen)
-        q_codes = list(self.k.to_codes(q_rev))
-        q_codes += [0] * (qlen - len(q_codes))
-        quot = self.k.from_codes(tuple(reversed(q_codes)))
-        prod = self.k.mul(quot, self.mod_raw)
-        rem = self.k.add(self.k.normalize(raw),
-                         self.k.scale(prod, self.k.spec.neg_code(1)))
-        rem_codes = self.k.to_codes(self.k.normalize(rem))
-        return self.k.from_codes(rem_codes[:self.D])
+        """raw mod m, for deg(raw) <= N = max(2D - 2, D)."""
+        k = self.k
+        a = k.normalize(raw)
+        high = self._shift_down(a, self.D)
+        if not any(high):
+            return a
+        if any(self._shift_down(high, self.N - self.D + 1)):
+            raise ValueError(f"operand degree exceeds {self.N}, the Barrett range "
+                             f"of a degree-{self.D} modulus")
+        quot = self._shift_down(k.mul(high, self.mu), self.N - self.D)
+        low = self._low_mask
+        prod = k.mul(quot, self.mod_raw)
+        return k.normalize(k.add(tuple(v & low for v in a),
+                                 k.scale(tuple(v & low for v in prod), self._neg_one)))
 
     def mul(self, x, y):
         return self.reduce(self.k.mul(x, y))
@@ -384,31 +391,21 @@ class QuotientKernel:
         steps = max((digits if digits is not None else self.D) - 1, 1).bit_length()
         for _ in range(steps):
             ag = self.mul(x, g)
-            corr = self.k.add(two, self.k.scale(ag, self.k.spec.neg_code(1)))
+            corr = self.k.add(two, self.k.scale(ag, self._neg_one))
             g = self.mul(g, self.reduce(corr))
         return g
 
 
-@lru_cache(maxsize=None)
-def _kernel_for_key(key):
-    spec = _SPEC_REGISTRY[key]
-    return _BitKernel(spec) if spec.p == 2 else _PackedKernel(spec)
-
-
-_SPEC_REGISTRY: dict = {}
+_KERNELS: dict = {}
 
 
 def get_kernel(spec: FieldSpec):
     key = spec._key()
-    _SPEC_REGISTRY[key] = spec
-    return _kernel_for_key(key)
-
-
-def apoly_raw(kernel, a):
-    """Raw value of an APoly."""
-    return kernel.from_codes(a.coeff_codes)
+    if key not in _KERNELS:
+        _KERNELS[key] = _BitKernel(spec) if spec.p == 2 else _PackedKernel(spec)
+    return _KERNELS[key]
 
 
 def raw_to_apoly(kernel, raw):
     from .polyring import APoly
-    return APoly(kernel.spec, kernel.to_codes(kernel.normalize(raw)))
+    return APoly(kernel.spec, kernel.to_codes(raw))

@@ -57,6 +57,16 @@ def _parse_apoly(spec, text) -> APoly:
     return APoly(spec, doc)
 
 
+def _parse_x(spec, text) -> LaurentSeries:
+    doc = _load_doc(text)
+    if not (isinstance(doc, dict) and {"val", "prec", "coeffs"} <= doc.keys()
+            and isinstance(doc["coeffs"], list)
+            and all(isinstance(c, list) for c in doc["coeffs"])):
+        raise SystemExit2('--x expects a JSON object {"val": int or null, "prec": int, '
+                          f'"coeffs": [[F_p coordinates], ...]}}, got {json.dumps(doc)}')
+    return LaurentSeries.from_json(spec, doc)
+
+
 def _parse_digits(text):
     return [int(x) for x in text.split(",") if x != ""]
 
@@ -224,7 +234,7 @@ def _run(args) -> int:
         _emit(args, _mpoly_doc(poly))
     elif cmd == "zeta-eval":
         _require(args, "x", "neg-y-digits")
-        x = LaurentSeries.from_json(spec, _load_doc(args.x))
+        x = _parse_x(spec, args.x)
         digits = _parse_digits(args.neg_y_digits)
         pt = SInftyPoint(x, ZpExp(spec.p, digits))
         value = zeta_mod.goss_zeta_eval(pt, args.prec)

@@ -137,7 +137,7 @@ def enumerated_power_sum(spec: FieldSpec, d: int, n: int) -> APoly:
     total = kernel.zero()
     for vec in monic_coeff_vectors(spec, d):
         total = kernel.add(total, kernel.pow(kernel.from_codes(vec + (1,)), n))
-    return APoly(spec, kernel.to_codes(kernel.normalize(total)))
+    return APoly(spec, kernel.to_codes(total))
 
 
 # ---------------------------------------------------------------------------

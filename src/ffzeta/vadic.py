@@ -70,7 +70,7 @@ def prime_to_p_power_sum(spec: FieldSpec, d: int, n: int, P: APoly) -> APoly:
         if (a % P).is_zero():
             continue
         total = kernel.add(total, kernel.pow(kernel.from_codes(a.coeff_codes), n))
-    return APoly(spec, kernel.to_codes(kernel.normalize(total)))
+    return APoly(spec, kernel.to_codes(total))
 
 
 def vadic_degree_bound(spec: FieldSpec, n: int, s: int, dP: int) -> int:
@@ -114,7 +114,7 @@ def vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly,
                 contrib = kernel.scale(apow, prod_code)
                 shell[key] = kernel.add(shell[key], contrib) if key in shell else contrib
         for ms_key, raw in shell.items():
-            coeff = APoly(spec, kernel.to_codes(kernel.normalize(raw)))
+            coeff = APoly(spec, kernel.to_codes(raw))
             if not coeff:
                 continue
             for perm in set(itertools.permutations(ms_key)):
@@ -187,12 +187,16 @@ def mk_sequence(n1, k: int, dP: int, q: int) -> int:
         residue = (neg_n1 - prefix) % order
         delta = residue if residue != 0 else order
     neg_mk = prefix + delta * q ** ((k + 1) * dP)
-    # re-verify every condition before trusting the construction
-    assert (neg_mk - neg_n1) % qk1 == 0
-    if order > 1:
-        assert (neg_mk - neg_n1) % order == 0
-    assert lq_digit_sum(neg_mk, q) <= (k + 1 + dP) * (q - 1)
-    assert neg_mk >= qk1
+    # re-verify every condition before trusting the construction; explicit
+    # raises, because `python -O` strips asserts
+    checks = (("(i) -m_k = -n_1 mod q^(k+1)", (neg_mk - neg_n1) % qk1 == 0),
+              ("(ii) -m_k = -n_1 mod q^dP - 1", order <= 1 or (neg_mk - neg_n1) % order == 0),
+              ("(iii) lq(-m_k) <= (k + 1 + dP)(q - 1)",
+               lq_digit_sum(neg_mk, q) <= (k + 1 + dP) * (q - 1)),
+              ("(iv) -m_k >= q^(k+1)", neg_mk >= qk1))
+    for name, ok in checks:
+        if not ok:
+            raise ArithmeticError(f"interpolation exponent m_k fails check {name}")
     return -neg_mk
 
 
@@ -232,7 +236,7 @@ class _LocalRing:
         return self._theta_powers[k]
 
     def v_of_raw(self, raw):
-        codes = self.kernel.to_codes(self.kernel.normalize(raw))
+        codes = self.kernel.to_codes(raw)
         if not codes:
             return None
         a = APoly(self.spec, codes)
@@ -246,6 +250,8 @@ class _LocalRing:
         return v
 
     def from_apoly(self, a: APoly, exp: int = 0):
+        if a.degree > self.qk.N:
+            a = a % self.modulus
         return _LocalValue(self, exp, self.qk.reduce(self.kernel.from_codes(a.coeff_codes)))
 
     def zero(self):
@@ -299,11 +305,12 @@ class _LocalValue:
         e = min(self.exp, other.exp)
         rx = self.raw if self.exp == e else ring.qk.mul(self.raw, ring.p_power(self.exp - e))
         ry = other.raw if other.exp == e else ring.qk.mul(other.raw, ring.p_power(other.exp - e))
-        return _LocalValue(ring, e, ring.kernel.add(rx, ry))
+        return _LocalValue(ring, e, ring.kernel.normalize(ring.kernel.add(rx, ry)))
 
     def __neg__(self):
+        kernel = self.ring.kernel
         return _LocalValue(self.ring, self.exp,
-                           self.ring.kernel.scale(self.raw, self.ring.spec.neg_code(1)))
+                           kernel.normalize(kernel.scale(self.raw, self.ring.spec.neg_code(1))))
 
     def __sub__(self, other):
         return self + (-other)

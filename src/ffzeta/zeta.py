@@ -205,7 +205,7 @@ def _power_sum_raw(spec, kernel, d, n, memo, cache):
     total = kernel.zero()
     if n > 0:
         for k, b in _lucas_support(n, spec.p):
-            if k >= n or (n - k) % (q - 1) != 0:
+            if k >= n or (n - k) % (q - 1) != 0 or power_sum_vanishes(spec, d - 1, k):
                 continue
             child = _power_sum_raw(spec, kernel, d - 1, k, memo, cache)
             if kernel.is_zero(child):

@@ -46,6 +46,13 @@ def test_validation_error_exits_2(capsys):
     assert code == 2  # positive n is a series, not a polynomial
 
 
+def test_wrong_json_shape_names_the_flag(capsys):
+    code, _, err = run_cli(capsys, "zeta-eval", "--p", "3", "--x", "[1]",
+                           "--neg-y-digits", "1", "--prec", "5")
+    assert code == 2
+    assert "--x expects a JSON object" in err and '"coeffs"' in err
+
+
 def test_precision_error_exits_3(capsys):
     x = LaurentSeries.theta(FieldSpec.default(2), 60)
     code, _, err = run_cli(capsys, "zeta-eval", "--p", "2",

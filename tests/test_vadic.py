@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -199,6 +202,26 @@ def test_mk_sequence_zpexp_input():
         mk_sequence(ZpExp(2, (1,)), 3, 1, 2)
 
 
+def test_mk_sequence_check_raises_even_under_optimize(monkeypatch):
+    from ffzeta import vadic
+    monkeypatch.setattr(vadic, "lq_digit_sum", lambda n, q: 10 ** 9)
+    with pytest.raises(ArithmeticError, match=r"\(iii\)"):
+        mk_sequence(-5, 1, 1, 3)
+    # the same check with asserts stripped
+    script = ("from ffzeta import vadic\n"
+              "vadic.lq_digit_sum = lambda n, q: 10 ** 9\n"
+              "try:\n"
+              "    vadic.mk_sequence(-5, 1, 1, 3)\n"
+              "except ArithmeticError:\n"
+              "    print('raised')\n")
+    src = os.path.dirname(os.path.dirname(vadic.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
+
+
 def test_mk_digit_sums_can_exceed_the_naive_cap():
     # lq(-m_k) genuinely needs the k+1+dP allowance: with all prefix
     # digits nonzero no admissible m_k stays within (k+dP)(q-1)
@@ -216,6 +239,14 @@ def test_power_sum_mod_matches_exact():
                 got = _power_sum_mod(spec, ring, d, n, memo)
                 got_poly = APoly(spec, ring.kernel.to_codes(ring.kernel.normalize(got)))
                 assert got_poly == power_sum(spec, d, n) % mod
+
+
+def test_local_ring_reduces_operands_past_the_barrett_range():
+    P = APoly(F3, (1, 0, 1))
+    ring = _LocalRing(F3, P, 3)
+    a = APoly(F3, [(i * i + 1) % 3 for i in range(3 * ring.qk.N)])
+    raw = ring.from_apoly(a).raw
+    assert APoly(F3, ring.kernel.to_codes(raw)) == a % P ** 3
 
 
 def test_mk_limit_stabilizes_vadic_values():
