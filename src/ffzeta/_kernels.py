@@ -13,11 +13,13 @@ plane, with the coefficient of theta^i at digit i:
 Packed digits never carry into their neighbours, so a digit must stay
 below 2^24.  `from_codes`, `mul`, `pow`, `normalize`, `frob_spread` and
 QuotientKernel return normalized values (digits < p); `add` and `scale`
-do not, and a sum must be normalized before it reaches `mul`.  A product
-digit of normalized operands is at most (p-1)^2 * w * L, with L the
-shorter operand's length and w the field's plane-reduction weight
-(w = 1 for e = 1); `mul` raises DigitOverflowError when that bound
-reaches 2^24 (p = 251, e = 1: at L = 269).  Normalized digits are single
+do not, and a sum must be normalized before it reaches `mul`.  Loops
+that add many terms accumulate through RawSum, which normalizes before
+a digit of the running sum could reach 2^24.  A product digit of
+normalized operands is at most (p-1)^2 * w * L, with L the shorter
+operand's length and w the field's plane-reduction weight (w = 1 for
+e = 1); `mul` raises DigitOverflowError when that bound reaches 2^24
+(p = 251, e = 1: at L = 269).  Normalized digits are single
 bytes, so p <= 251.  Codes convert through per-field tables.
 """
 
@@ -29,7 +31,7 @@ from .fields import FieldError, FieldSpec
 
 _PACK_BITS = 24
 _DIGIT_LIMIT = 1 << _PACK_BITS
-_MAX_PACKED_P = 251
+MAX_PACKED_P = 251
 _BIN_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -74,10 +76,12 @@ class _Planes:
     def __init__(self, spec: FieldSpec, table_offset: int):
         self.spec = spec
         self.p, self.e, self.q = spec.p, spec.e, spec.q
+        # digit bound of `scale` applied to a normalized value
+        self.scale_digit = self.e * (self.p - 1) ** 2
         # plane-product reduction: xi^k in coordinates, k <= 2e - 2
         self.red = [spec.coords(spec.pow_code(spec.p, k))
                     for k in range(2 * self.e - 1)] if self.e > 1 else []
-        if self.p > _MAX_PACKED_P:  # coordinates do not fit the byte tables
+        if self.p > MAX_PACKED_P:  # coordinates do not fit the byte tables
             return
         # per plane: code -> coordinate + table_offset; and the code of
         # each coordinate index sum_j c_j p^j
@@ -205,8 +209,8 @@ class _PackedKernel(_Planes):
         return not any(self.normalize(x))
 
     def from_codes(self, codes):
-        if self.p > _MAX_PACKED_P:
-            raise FieldError(f"packed kernel digits are bytes: needs p <= {_MAX_PACKED_P}, "
+        if self.p > MAX_PACKED_P:
+            raise FieldError(f"packed kernel digits are bytes: needs p <= {MAX_PACKED_P}, "
                              f"got p = {self.p}")
         out = []
         for digits in [bytes(codes)] if self.e == 1 else self._code_planes(codes):
@@ -394,6 +398,33 @@ class QuotientKernel:
             corr = self.k.add(two, self.k.scale(ag, self._neg_one))
             g = self.mul(g, self.reduce(corr))
         return g
+
+
+class RawSum:
+    """A running sum of raw values, for loops that `add` many terms.
+
+    Every term has digits at most `term_digit`.  The running digit bound
+    grows by that much per term, and the total is normalized (digits
+    < p) before one more term could lift a digit to 2^24, so a sum of
+    any length stays exact.  A sum that never nears the bound is never
+    normalized here.
+    """
+
+    __slots__ = ("kernel", "value", "term_digit", "bound")
+    digit_limit = _DIGIT_LIMIT
+
+    def __init__(self, kernel, term_digit: int):
+        self.kernel = kernel
+        self.value = kernel.zero()
+        self.term_digit = term_digit
+        self.bound = 0
+
+    def add(self, raw):
+        if self.bound + self.term_digit >= self.digit_limit:
+            self.value = self.kernel.normalize(self.value)
+            self.bound = self.kernel.p - 1
+        self.value = self.kernel.add(self.value, raw)
+        self.bound += self.term_digit
 
 
 _KERNELS: dict = {}

@@ -29,11 +29,39 @@ EXIT_VALIDATION = 2
 EXIT_PRECISION = 3
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_list(doc, lo=None, hi=None) -> bool:
+    return isinstance(doc, list) and all(
+        _is_int(c) and (lo is None or lo <= c < hi) for c in doc)
+
+
+def _json_arg(flag, text, shape, ok, load=json.loads):
+    """Parse a JSON flag value; one that does not parse or fails `ok`
+    is a validation error naming the flag and the shape it expects."""
+    try:
+        doc = load(text)
+    except json.JSONDecodeError:
+        raise SystemExit2(f"{flag} expects {shape}, got {text}") from None
+    if not ok(doc):
+        raise SystemExit2(f"{flag} expects {shape}, got {json.dumps(doc)}")
+    return doc
+
+
 def _field_from_args(args) -> FieldSpec:
     if args.field_json:
-        return FieldSpec.from_json(json.loads(args.field_json))
+        doc = _json_arg("--field-json", args.field_json,
+                        'a JSON object {"p": int, "e": int, "modulus": [int, ...]}',
+                        lambda d: isinstance(d, dict) and _is_int(d.get("p"))
+                        and _is_int(d.get("e")) and _int_list(d.get("modulus")))
+        return FieldSpec.from_json(doc)
     if args.modulus:
-        return FieldSpec(args.p, json.loads(args.modulus))
+        return FieldSpec(args.p, _json_arg(
+            "--modulus", args.modulus,
+            "a JSON list of F_p coefficients [c_0, ..., c_e], ascending and monic",
+            _int_list))
     q = args.p ** args.e
     if args.e == 1:
         return FieldSpec(args.p, (0, 1))
@@ -50,7 +78,14 @@ def _load_doc(text: str):
 
 
 def _parse_apoly(spec, text) -> APoly:
-    doc = _load_doc(text)
+    def ok(doc):
+        if isinstance(doc, dict):
+            return isinstance(doc.get("coeffs"), list) and all(
+                _int_list(c, 0, spec.p) and len(c) == spec.e for c in doc["coeffs"])
+        return _int_list(doc, 0, spec.q)
+
+    doc = _json_arg("--P", text, f'a JSON list of codes in [0, {spec.q}) or an object '
+                    f'{{"coeffs": [[F_p coordinates, {spec.e} each], ...]}}', ok, _load_doc)
     if isinstance(doc, dict):
         return APoly.from_json(spec, doc)
     # plain code list convenience form
@@ -58,12 +93,11 @@ def _parse_apoly(spec, text) -> APoly:
 
 
 def _parse_x(spec, text) -> LaurentSeries:
-    doc = _load_doc(text)
-    if not (isinstance(doc, dict) and {"val", "prec", "coeffs"} <= doc.keys()
-            and isinstance(doc["coeffs"], list)
-            and all(isinstance(c, list) for c in doc["coeffs"])):
-        raise SystemExit2('--x expects a JSON object {"val": int or null, "prec": int, '
-                          f'"coeffs": [[F_p coordinates], ...]}}, got {json.dumps(doc)}')
+    doc = _json_arg("--x", text, 'a JSON object {"val": int or null, "prec": int, '
+                    '"coeffs": [[F_p coordinates], ...]}',
+                    lambda d: isinstance(d, dict) and {"val", "prec", "coeffs"} <= d.keys()
+                    and isinstance(d["coeffs"], list)
+                    and all(isinstance(c, list) for c in d["coeffs"]), _load_doc)
     return LaurentSeries.from_json(spec, doc)
 
 

@@ -12,7 +12,8 @@ restricts only the first index to be prime to P and is congruent to
 the full sum modulo P^(-n_1): every omitted chain carries a_1^(-n_1)
 with P | a_1.  Positive exponents are evaluated numerically at the
 infinite place with the shell cutoff certified by the valuation bound
-v(S_d(-n)) >= n d + q^(d-2).
+v(S_d(-n)) >= n d + q^(d-2); each numeric shell sum_a a^(-n) is the
+power sum pi^(d p^M) S_d(p^M - n) mod pi^prec, for p^M >= max(prec, n).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import FieldSpec, lq_digit_sum
-from .polyring import APoly, MPoly, enumerate_monic
+from .polyring import APoly, MPoly
 from .seriesinf import LaurentSeries
-from .zeta import PowerSumCache, power_sum, infty_coeff_valuation_bound
+from .zeta import PowerSumCache, power_sum, least_p_power, shell_sum
 from .vadic import prime_to_p_power_sum
 from .polyring import is_irreducible
 
@@ -160,14 +161,12 @@ def mzv_eval_inf(spec: FieldSpec, idx: MzvIndex, prec: int, z_points=None) -> La
     s_cache: dict = {}
 
     def s_numeric(i, d):
-        key = (idx.ns[i], d)
-        if key not in s_cache:
-            total = LaurentSeries.zero(spec, prec)
-            for a in enumerate_monic(spec, d):
-                total = total + (LaurentSeries.from_apoly(a, prec).inverse()
-                                 ** idx.ns[i]).truncate(prec)
-            s_cache[key] = total
-        return s_cache[key]
+        # sum_a a^(-n) = pi^(d p^M') S_d(p^M' - n) mod pi^prec, p^M' >= max(prec, n)
+        n = idx.ns[i]
+        if (n, d) not in s_cache:
+            big = least_p_power(spec.p, max(prec, n))
+            s_cache[(n, d)] = shell_sum(spec, d, big - n, d * big, prec)
+        return s_cache[(n, d)]
 
     memo: dict = {}
 

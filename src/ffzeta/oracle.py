@@ -7,6 +7,10 @@ threshold.  threshold_scan sweeps the concrete vanishing claims
 (plain, twisted and character power sums) against enumeration and
 reports any row where a bound predicts zero but the value is not:
 such a row is a failure of the build, not of the scan.
+
+The enumerated power sums and infinite-place shells here are the
+independent side of the dual routes: the library computes the same
+values from the degree recursion, never by visiting the q^d monics.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FieldSpec, FqElem, ResidueChar, lq_digit_sum
-from ._kernels import get_kernel
+from .fields import FieldSpec, FqElem, ResidueChar, ZpExp, lq_digit_sum
+from ._kernels import RawSum, get_kernel
 from .polyring import APoly, MPoly, enumerate_monic, monic_coeff_vectors
+from .seriesinf import LaurentSeries, one_unit_pow
 from .zeta import power_sum, twisted_power_sum, char_power_sum, TwistFactor
 
 ENUMERATION_BUDGET = 10 ** 7
@@ -134,10 +139,31 @@ def random_charsum_config(rng: random.Random, p: int, dim: int, r: int,
 def enumerated_power_sum(spec: FieldSpec, d: int, n: int) -> APoly:
     """S_d(n) by plain enumeration of the q^d monic polynomials."""
     kernel = get_kernel(spec)
-    total = kernel.zero()
+    total = RawSum(kernel, spec.p - 1)
     for vec in monic_coeff_vectors(spec, d):
-        total = kernel.add(total, kernel.pow(kernel.from_codes(vec + (1,)), n))
-    return APoly(spec, kernel.to_codes(total))
+        total.add(kernel.pow(kernel.from_codes(vec + (1,)), n))
+    return APoly(spec, kernel.to_codes(total.value))
+
+
+def enumerated_bracket_shell(spec: FieldSpec, d: int, neg_y: ZpExp, prec: int) -> LaurentSeries:
+    """sum of <a>^(-y) over monic degree-d a, one one-unit power per monic.
+
+    <a> = a / theta^d; the digits of -y are used as given, so the value
+    is known mod pi^min(prec, p^M).
+    """
+    total = LaurentSeries.zero(spec, prec)
+    for vec in monic_coeff_vectors(spec, d):
+        bracket = LaurentSeries(spec, 0, (1,) + tuple(reversed(vec)), prec)
+        total = total + one_unit_pow(bracket, neg_y)
+    return total
+
+
+def enumerated_inverse_shell(spec: FieldSpec, d: int, n: int, prec: int) -> LaurentSeries:
+    """sum of a^(-n) mod pi^prec over monic degree-d a, by series inversion."""
+    total = LaurentSeries.zero(spec, prec)
+    for a in enumerate_monic(spec, d):
+        total = total + (LaurentSeries.from_apoly(a, prec).inverse() ** n).truncate(prec)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import inf
 
 from . import fields
-from ._kernels import get_kernel, QuotientKernel
+from ._kernels import RawSum, get_kernel, QuotientKernel
 from .fields import FieldSpec, ZpExp, lq_digit_sum, binom_mod_p
 from .polyring import APoly, MPoly, enumerate_monic, is_irreducible
 from .padic import PadicCtx, PadicElem, teichmuller, padic_bracket, padic_one_unit_pow
@@ -65,12 +65,12 @@ def prime_to_p_power_sum(spec: FieldSpec, d: int, n: int, P: APoly) -> APoly:
     if n < 0:
         raise ValueError("needs n >= 0")
     kernel = get_kernel(spec)
-    total = kernel.zero()
+    total = RawSum(kernel, spec.p - 1)
     for a in enumerate_monic(spec, d):
         if (a % P).is_zero():
             continue
-        total = kernel.add(total, kernel.pow(kernel.from_codes(a.coeff_codes), n))
-    return APoly(spec, kernel.to_codes(total))
+        total.add(kernel.pow(kernel.from_codes(a.coeff_codes), n))
+    return APoly(spec, kernel.to_codes(total.value))
 
 
 def vadic_degree_bound(spec: FieldSpec, n: int, s: int, dP: int) -> int:

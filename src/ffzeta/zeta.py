@@ -21,6 +21,19 @@ exponent has digit sum at most (l+1)(q-1)+1, so the inner sum vanishes
 once d(q-1) > (l+1)(q-1)+1.  Taking l+1 = d-2 certifies
 v(c_d) >= q^(d-2) for d >= 2; the test suite re-validates this bound
 against brute force before it is trusted.
+
+The shells themselves come from the same recursion, not from the q^d
+monics.  Let M' be least with p^M' >= prec and N the integer spelled
+by the digits of -y reduced mod p^M'; higher digits multiply each
+term by <a>^(p^M') = 1 mod pi^prec.  Every term is then exactly
+<a>^N mod pi^prec, and <a> = a / theta^d gives
+
+    c_d = sum_{a in A_{+,d}} <a>^N = pi^(dN) S_d(N)   (mod pi^prec).
+
+The numeric multiple zeta shells use the same identity with
+a^(-n) = pi^(d p^M') a^(p^M' - n) mod pi^prec for p^M' >= max(prec, n).
+These evaluations keep power sums in the in-process memo only and never
+touch the disk cache; `oracle.py` keeps the per-monic sums as checks.
 """
 
 from __future__ import annotations
@@ -29,14 +42,15 @@ import fcntl
 import hashlib
 import itertools
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import fields
-from ._kernels import get_kernel, raw_to_apoly
-from .fields import FieldSpec, FqElem, ZpExp, ResidueChar, lq_digit_sum, binom_mod_p
+from ._kernels import MAX_PACKED_P, RawSum, get_kernel, raw_to_apoly
+from .fields import FieldSpec, FqElem, ZpExp, ResidueChar, lq_digit_sum
 from .polyring import APoly, MPoly, enumerate_monic, monic_coeff_vectors, frobenius_twist, hyperderivative
 from .seriesinf import LaurentSeries, PrecisionError, one_unit_pow
 
@@ -172,17 +186,15 @@ def default_cache() -> PowerSumCache:
 
 
 def _lucas_support(n: int, p: int):
-    """All k with C(n, k) nonzero mod p, with the coefficient, via Lucas."""
-    digs = fields.base_digits(n, p) or [0]
-    ranges = [range(d + 1) for d in digs]
-    out = []
-    for choice in itertools.product(*ranges):
-        k = 0
-        b = 1
-        for i, (kd, nd) in enumerate(zip(choice, digs)):
-            k += kd * p ** i
-            b = b * binom_mod_p(nd, kd, p) % p
-        out.append((k, b))
+    """All k with C(n, k) nonzero mod p, with the coefficient, via Lucas.
+
+    Built digit by digit; the lowest digit varies slowest, which is the
+    order the recursion visits children in.
+    """
+    out = [(0, 1)]
+    for i, nd in enumerate(fields.base_digits(n, p) or [0]):
+        row = [(kd * p ** i, math.comb(nd, kd) % p) for kd in range(nd + 1)]
+        out = [(k + dk, b * c % p) for k, b in out for dk, c in row]
     return out
 
 
@@ -202,7 +214,7 @@ def _power_sum_raw(spec, kernel, d, n, memo, cache):
             memo[key] = raw
             return raw
     q = spec.q
-    total = kernel.zero()
+    total = RawSum(kernel, kernel.scale_digit)
     if n > 0:
         for k, b in _lucas_support(n, spec.p):
             if k >= n or (n - k) % (q - 1) != 0 or power_sum_vanishes(spec, d - 1, k):
@@ -211,9 +223,8 @@ def _power_sum_raw(spec, kernel, d, n, memo, cache):
             if kernel.is_zero(child):
                 continue
             coeff = spec.neg_code(b % spec.p)
-            term = kernel.scale(kernel.shift(child, k), coeff)
-            total = kernel.add(total, term)
-    total = kernel.normalize(total)
+            total.add(kernel.scale(kernel.shift(child, k), coeff))
+    total = kernel.normalize(total.value)
     memo[key] = total
     if cache is not None:
         cache.put(ckey, kernel.to_codes(total))
@@ -243,6 +254,37 @@ def power_sum(spec: FieldSpec, d: int, n: int, cache: PowerSumCache | None = Non
 def power_sum_vanishes(spec: FieldSpec, d: int, n: int) -> bool:
     """The digit-sum vanishing predicate d(q-1) > lq(n)."""
     return d * (spec.q - 1) > lq_digit_sum(n, spec.q)
+
+
+def least_p_power(p: int, bound: int) -> int:
+    """The least power p^M with p^M >= bound."""
+    power = 1
+    while power < bound:
+        power *= p
+    return power
+
+
+def shell_sum(spec: FieldSpec, d: int, n: int, shift: int, prec: int) -> LaurentSeries:
+    """pi^shift * S_d(n) as a Laurent series known mod pi^prec.
+
+    S_d(n) has degree at most d*n in theta, so the value has valuation at
+    least shift - d*n; it is computed from the memoized recursion, never
+    from the disk cache.  Fields the packed kernel cannot hold (p > 251)
+    sum pi^(shift - d*n) <a>^n over the monics instead.
+    """
+    low = shift - d * n
+    if power_sum_vanishes(spec, d, n) or low >= prec:
+        return LaurentSeries.zero(spec, prec)
+    if spec.p > MAX_PACKED_P:
+        total = LaurentSeries.zero(spec, prec - low)
+        for vec in monic_coeff_vectors(spec, d):
+            bracket = LaurentSeries(spec, 0, (1,) + tuple(reversed(vec)), prec - low)
+            total = total + bracket ** n
+        return total.shift(low)
+    kernel = get_kernel(spec)
+    memo = _memo_by_spec.setdefault(spec._key(), {})
+    codes = kernel.to_codes(_power_sum_raw(spec, kernel, d, n, memo, None))
+    return LaurentSeries(spec, shift - len(codes) + 1, codes[::-1], prec)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +421,10 @@ def exact_L(spec: FieldSpec, n: int, s: int, cache: PowerSumCache | None = None)
                 for _, c in ms:
                     prod_code = spec.mul_code(prod_code, c)
                 key = tuple(j for j, _ in ms)
-                contrib = kernel.scale(apow, prod_code)
-                shell[key] = kernel.add(shell[key], contrib) if key in shell else contrib
-        return shell
+                if key not in shell:
+                    shell[key] = RawSum(kernel, kernel.scale_digit)
+                shell[key].add(kernel.scale(apow, prod_code))
+        return {key: acc.value for key, acc in shell.items()}
 
     for d in range(bound + 1):
         if s == 0:
@@ -394,6 +437,7 @@ def exact_L(spec: FieldSpec, n: int, s: int, cache: PowerSumCache | None = None)
             shell = {}
             for part in parts:  # fixed chunk order: merge is deterministic
                 for key, raw in part.items():
+                    raw = kernel.normalize(raw)  # q normalized parts stay far below 2^24
                     shell[key] = kernel.add(shell[key], raw) if key in shell else raw
         else:
             shell = chunk_shell(d, None)
@@ -506,6 +550,8 @@ def goss_zeta_eval(pt: SInftyPoint, prec: int) -> LaurentSeries:
     The point stores the digits of -y; the shell sum stops once the
     certified bound v(c_d) >= q^(d-2) pushes the tail below pi^prec.
     Needs p^M >= prec digits and x known to relative precision >= prec.
+    Shell d is pi^(dN) S_d(N) with N the digits of -y mod the least
+    p^M' >= prec (see the module docstring).
     """
     x = pt.x
     spec = x.spec
@@ -520,14 +566,12 @@ def goss_zeta_eval(pt: SInftyPoint, prec: int) -> LaurentSeries:
     vx = x.valuation()
     stop = _stop_shell(q, prec, 0, 1, vx)
     x_inv = x.inverse()
+    N = pt.neg_y.as_int() % least_p_power(p, prec)
     total = LaurentSeries.one(spec, prec)  # d = 0 shell: the single a = 1
     x_pow = LaurentSeries.one(spec, prec + stop * max(-vx, vx) + stop)
     for d in range(1, stop):
         x_pow = x_pow * x_inv
-        c_d = LaurentSeries.zero(spec, prec)
-        for vec in monic_coeff_vectors(spec, d):
-            bracket = LaurentSeries(spec, 0, (1,) + tuple(reversed(vec)), prec)
-            c_d = c_d + one_unit_pow(bracket, pt.neg_y)
+        c_d = shell_sum(spec, d, N, d * N, prec)
         if c_d.is_zero():
             continue
         total = total + c_d * x_pow

@@ -10,8 +10,8 @@ import random
 import pytest
 
 from ffzeta.fields import FieldSpec, FqElem, ZpExp, lq_digit_sum
-from ffzeta.polyring import APoly, MPoly, enumerate_monic, monic_coeff_vectors
-from ffzeta.seriesinf import LaurentSeries, one_unit_pow
+from ffzeta.polyring import APoly, MPoly, enumerate_monic
+from ffzeta.seriesinf import LaurentSeries
 from ffzeta.padic import PadicCtx, teichmuller, padic_bracket, padic_one_unit_pow
 from ffzeta.zeta import (SInftyPoint, TwistFactor, power_sum, power_sum_vanishes,
                          twisted_power_sum, exact_L, exact_L_degree_bound,
@@ -22,7 +22,7 @@ from ffzeta.vadic import (VadicPoint, vadic_exact_L, vadic_zeta_eval,
                           vadic_degree_bound)
 from ffzeta.mzv import MzvIndex, mzv_exact, mzv_vadic_exact
 from ffzeta.oracle import (charsum_trial, random_charsum_config,
-                           enumerated_power_sum)
+                           enumerated_power_sum, enumerated_bracket_shell)
 
 F2 = FieldSpec.default(2)
 F3 = FieldSpec.default(3)
@@ -194,6 +194,13 @@ def test_criterion_7_cross_path_oracles():
             zsub = (theta ** n * x).inverse()
             ref = zpoly_eval_laurent(exact_L(spec, -n, 0), {"z": zsub}, prec)
             assert got.agrees_with(ref, prec=prec)
+            # both routes above use power_sum; the enumerated shells do not.
+            # v(x^-d c_d) >= d + q^(d-2), so shells d < D with q^(D-2) >= prec suffice
+            enum, x_inv, d = LaurentSeries.zero(spec, prec), x.inverse(), 0
+            while d < 2 or spec.q ** (d - 2) < prec:
+                enum = enum + enumerated_bracket_shell(spec, d, pt.neg_y, prec) * x_inv ** d
+                d += 1
+            assert got.agrees_with(enum, prec=prec)
             infty_checked += 1
     vadic_checked = 0
     quad = {2: (1, 1, 1), 3: (1, 0, 1)}
@@ -311,10 +318,7 @@ def test_criterion_11_tail_certificates():
                 while p ** digits < prec:
                     digits += 1
                 y = ZpExp(p, [rng.randrange(p) for _ in range(digits + 2)])
-                c = LaurentSeries.zero(spec, prec)
-                for vec in monic_coeff_vectors(spec, d):
-                    bracket = LaurentSeries(spec, 0, (1,) + tuple(reversed(vec)), prec)
-                    c = c + one_unit_pow(bracket, y)
+                c = enumerated_bracket_shell(spec, d, y, prec)
                 v = c.valuation()
                 measured = v if v is not None else c.prec
                 assert measured >= bound, (q, d, y.digits)

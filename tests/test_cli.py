@@ -149,3 +149,36 @@ def test_field_override_via_modulus(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"coeffs": []}  # q = 4: S_1(1) = 0 since d(q-1) = 3 > 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("vadic", "--P", "[[1],2]", "--n", "-2"), "--P expects a JSON list of codes"),
+    (("vadic", "--p", "3", "--P", '{"x":1}', "--n", "-2"), "--P expects a JSON list of codes"),
+    (("mk", "--p", "3", "--P", "[5,1]", "--n1", "0", "--k", "1"),
+     "--P expects a JSON list of codes in [0, 3)"),
+    (("powersum", "--p", "3", "--modulus", "abc", "--d", "1", "--n", "2"),
+     "--modulus expects a JSON list of F_p coefficients"),
+    (("powersum", "--p", "3", "--modulus", '{"c":1}', "--d", "1", "--n", "2"),
+     "--modulus expects a JSON list of F_p coefficients"),
+    (("powersum", "--field-json", "[3]", "--d", "1", "--n", "2"),
+     '--field-json expects a JSON object {"p": int, "e": int, "modulus"'),
+    (("powersum", "--field-json", "{", "--d", "1", "--n", "2"),
+     '--field-json expects a JSON object {"p": int, "e": int, "modulus"'),
+])
+def test_malformed_json_flags_name_themselves(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}")
+
+
+def test_well_formed_json_flags_still_parse(capsys):
+    doc = {"p": 3, "e": 2, "modulus": [2, 2, 1]}
+    code, out, _ = run_cli(capsys, "powersum", "--field-json", json.dumps(doc),
+                           "--d", "1", "--n", "8")
+    # S_1(8) over F_9 = sum_c (theta + c)^8 = sum_c c^8 = -1
+    assert code == 0 and json.loads(out) == {"coeffs": [[2, 0]]}
+    code, out, _ = run_cli(capsys, "vadic", "--p", "3", "--P", '{"coeffs": [[1], [1]]}',
+                           "--n", "-2")
+    assert code == 0
+    code2, out2, _ = run_cli(capsys, "vadic", "--p", "3", "--P", "[1,1]", "--n", "-2")
+    assert code2 == 0 and out2 == out

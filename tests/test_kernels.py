@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffzeta._kernels import DigitOverflowError, QuotientKernel, get_kernel
+from ffzeta import oracle, vadic, zeta
+from ffzeta._kernels import DigitOverflowError, QuotientKernel, RawSum, get_kernel
 from ffzeta.fields import FieldError, FieldSpec
 from ffzeta.padic import _invert_mod
 from ffzeta.polyring import APoly
@@ -106,3 +107,56 @@ def test_packed_kernel_rejects_p_above_251():
     kernel = get_kernel(FieldSpec(257, (0, 1)))
     with pytest.raises(FieldError, match="p <= 251"):
         kernel.from_codes((1, 256))
+
+
+def test_raw_sum_normalizes_just_before_a_digit_reaches_2_24():
+    # p = 11: 2^24 is not 1 mod 11, so an overflowed digit reads wrong
+    spec = FieldSpec(11, (0, 1))
+    kernel = get_kernel(spec)
+    term = kernel.from_codes((3, 10))  # digits <= 10 = p - 1
+    limit = 1 << 24
+    for start in (limit - 11, limit - 10):  # just under, just over
+        acc = RawSum(kernel, 10)
+        acc.value, acc.bound = (start << 24,), start  # digit 1 built directly
+        acc.add(term)
+        want = ((3, (start + 10) % 11))
+        assert kernel.to_codes(acc.value) == want
+        assert max(acc.value[0] >> 24, acc.value[0] & (limit - 1)) < limit
+        if start + 10 < limit:
+            assert acc.value[0] >> 24 == start + 10  # not normalized
+        else:
+            assert acc.bound == 10 + 10  # normalized to digits < p first
+            # a plain add carries into the next digit and reads wrong
+            assert kernel.to_codes(kernel.add((start << 24,), term)) != want
+
+
+def test_add_loops_keep_their_running_sums_bounded(monkeypatch):
+    """The power-sum recursion, exact_L shells, prime_to_p_power_sum and
+    enumerated_power_sum all accumulate through RawSum; a tiny digit
+    limit forces many normalizations and must not change any value."""
+    spec = FieldSpec.default(5)
+    P = APoly(spec, (1, 1))
+
+    def recursion():
+        monkeypatch.setattr(zeta, "_memo_by_spec", {})  # recompute every child
+        return zeta.shell_sum(spec, 2, 124, 248, 300)
+
+    runs = (recursion,
+            lambda: zeta.exact_L(spec, -24, 1),
+            lambda: vadic.prime_to_p_power_sum(spec, 2, 9, P),
+            lambda: oracle.enumerated_power_sum(spec, 2, 9))
+    want = [run() for run in runs]
+    seen = []
+    real_add = RawSum.add
+
+    def add(self, raw):
+        real_add(self, raw)
+        seen.append(self.bound)
+
+    monkeypatch.setattr(RawSum, "digit_limit", 60)
+    monkeypatch.setattr(RawSum, "add", add)
+    for run, value in zip(runs, want):
+        del seen[:]
+        assert run() == value
+        assert max(seen) < 60
+        assert any(b < a for a, b in zip(seen, seen[1:]))  # normalized on the way

@@ -1,0 +1,173 @@
+"""Infinite-place shells from the power-sum recursion against enumeration.
+
+The library computes c_d = sum_a <a>^N as pi^(dN) S_d(N) and the
+numeric multiple zeta shells sum_a a^(-n) as pi^(d p^M) S_d(p^M - n);
+`oracle.py` sums the same shells one monic polynomial at a time.
+"""
+
+import random
+
+import pytest
+
+from ffzeta import zeta
+from ffzeta.fields import FieldSpec, ZpExp
+from ffzeta.mzv import MzvIndex, mzv_eval_inf
+from ffzeta.oracle import enumerated_bracket_shell, enumerated_inverse_shell
+from ffzeta.polyring import APoly
+from ffzeta.seriesinf import LaurentSeries, PrecisionError
+from ffzeta.zeta import (SInftyPoint, goss_zeta_eval, infty_coeff_valuation_bound,
+                         least_p_power, shell_sum)
+
+FIELDS = [FieldSpec.default(q) for q in (2, 3, 4, 5, 9)]
+PRECS = (1, 6, 20, 80)
+
+
+def _min_digits(p, prec):
+    m = 1
+    while p ** m < prec:
+        m += 1
+    return m
+
+
+def _exponents(rng, p, prec):
+    """Random digits, all digits p - 1, and more digits than prec needs."""
+    m = _min_digits(p, prec)
+    return (ZpExp(p, [rng.randrange(p) for _ in range(m)]),
+            ZpExp(p, [p - 1] * m),
+            ZpExp(p, [rng.randrange(p) for _ in range(m + 5)]))
+
+
+def _degrees(q, budget):
+    """Shell degrees whose q^d monics the oracle can afford."""
+    d = 0
+    while q ** d <= budget:
+        yield d
+        d += 1
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=lambda s: f"q{s.q}")
+def test_bracket_shells_match_enumeration(spec):
+    rng = random.Random(spec.q)
+    for prec in PRECS:
+        big = least_p_power(spec.p, prec)
+        for y in _exponents(rng, spec.p, prec):
+            N = y.as_int() % big
+            for d in _degrees(spec.q, 300):
+                assert shell_sum(spec, d, N, d * N, prec) == \
+                    enumerated_bracket_shell(spec, d, y, prec), (prec, y.digits, d)
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=lambda s: f"q{s.q}")
+def test_inverse_power_shells_match_enumeration(spec):
+    for prec in PRECS:
+        for n in (1, 2, spec.q, 7, prec, prec + 3):
+            big = least_p_power(spec.p, max(prec, n))
+            for d in _degrees(spec.q, 100):
+                assert shell_sum(spec, d, big - n, d * big, prec) == \
+                    enumerated_inverse_shell(spec, d, n, prec), (prec, n, d)
+
+
+def _oracle_goss(spec, x, y, prec):
+    """sum_d x^(-d) c_d with enumerated shells, for v(x) = -1: shell d has
+    valuation >= d plus the certified bound (criterion 11 checks it), so
+    the shells below the first d >= 2 certified at prec carry every digit
+    below pi^prec."""
+    x_inv = x.inverse()
+    total = LaurentSeries.zero(spec, prec)
+    d = 0
+    while d < 2 or infty_coeff_valuation_bound(spec.q, d) < prec:
+        total = total + enumerated_bracket_shell(spec, d, y, prec) * x_inv ** d
+        d += 1
+    return total
+
+
+@pytest.mark.parametrize("spec", FIELDS[:4], ids=lambda s: f"q{s.q}")
+def test_goss_zeta_eval_matches_enumerated_shells(spec):
+    rng = random.Random(100 + spec.q)
+    for prec in (1, 6, 20):
+        x = LaurentSeries.from_apoly(APoly(spec, (rng.randrange(spec.q), 1)), prec + 4)
+        for y in _exponents(rng, spec.p, prec):
+            got = goss_zeta_eval(SInftyPoint(x, y), prec)
+            assert got.prec == prec
+            assert got.agrees_with(_oracle_goss(spec, x, y, prec), prec=prec), y.digits
+
+
+def test_goss_extra_digits_match_minimal_digits():
+    # digits past the least p^M >= prec only multiply terms by 1 mod pi^prec
+    spec = FieldSpec.default(2)
+    x = LaurentSeries.theta(spec, 40)
+    rng = random.Random(7)
+    for _ in range(5):
+        digits = [rng.randrange(2) for _ in range(24)]
+        full = goss_zeta_eval(SInftyPoint(x, ZpExp(2, digits)), 20)
+        assert full == goss_zeta_eval(SInftyPoint(x, ZpExp(2, digits[:5])), 20)
+
+
+def test_goss_keeps_its_errors():
+    spec = FieldSpec.default(3)
+    x = LaurentSeries.theta(spec, 40)
+    with pytest.raises(PrecisionError):
+        goss_zeta_eval(SInftyPoint(x, ZpExp(3, (2, 2))), 10)  # 3^2 < 10
+    with pytest.raises(PrecisionError):
+        goss_zeta_eval(SInftyPoint(LaurentSeries.theta(spec, 5), ZpExp(3, (2, 2, 2))), 10)
+
+
+def test_fields_past_the_packed_kernel_sum_shells_per_monic():
+    # p = 257 > 251: codes do not fit the packed kernel
+    spec = FieldSpec(257, (0, 1))
+    for prec, digits in ((2, (5,)), (9, (256, 256, 7))):
+        y = ZpExp(257, digits)
+        N = y.as_int() % least_p_power(257, prec)
+        for d in (0, 1):
+            assert shell_sum(spec, d, N, d * N, prec) == \
+                enumerated_bracket_shell(spec, d, y, prec)
+        x = LaurentSeries.from_apoly(APoly(spec, (3, 1)), prec + 4)
+        assert goss_zeta_eval(SInftyPoint(x, y), prec).agrees_with(
+            _oracle_goss(spec, x, y, prec), prec=prec)
+    for n in (1, 2, 300):
+        big = least_p_power(257, max(5, n))
+        for d in (0, 1):
+            assert shell_sum(spec, d, big - n, d * big, 5) == \
+                enumerated_inverse_shell(spec, d, n, 5)
+    assert mzv_eval_inf(spec, MzvIndex((2, 1), "weak"), 4).agrees_with(
+        _oracle_chain(spec, (2, 1), "weak", 4), prec=4)
+
+
+def _oracle_chain(spec, ns, mode, prec):
+    """Chain sum over degrees with enumerated shells; top degree d has
+    valuation >= n_1 d + q^(d-2), which bounds the degrees visited."""
+    def shell(n, d):
+        return enumerated_inverse_shell(spec, d, n, prec)
+
+    top = 0
+    while ns[0] * top + (spec.q ** (top - 2) if top >= 2 else 0) < prec:
+        top += 1
+    total = LaurentSeries.zero(spec, prec)
+    for d1 in range(top):
+        if len(ns) == 1:
+            total = total + shell(ns[0], d1)
+            continue
+        for d2 in range(d1 + (mode == "weak")):
+            total = total + shell(ns[0], d1) * shell(ns[1], d2)
+    return total
+
+
+@pytest.mark.parametrize("spec", FIELDS[:4], ids=lambda s: f"q{s.q}")
+def test_mzv_eval_inf_matches_enumerated_shells(spec):
+    for ns, prec in (((1,), 12), ((3,), 20), ((2, 1), 10), ((1, 2), 8)):
+        for mode in ("strict", "weak"):
+            got = mzv_eval_inf(spec, MzvIndex(ns, mode), prec)
+            assert got.agrees_with(_oracle_chain(spec, ns, mode, prec), prec=prec), (ns, mode)
+
+
+def test_infinite_place_evaluation_writes_no_disk_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("FFZETA_CACHE", str(tmp_path))
+    monkeypatch.setattr(zeta, "_memo_by_spec", {})  # force the recursion to run
+    spec = FieldSpec.default(3)
+    x = LaurentSeries.theta(spec, 60)
+    assert goss_zeta_eval(SInftyPoint(x, ZpExp(3, (2, 1, 2, 1))), 50)
+    assert mzv_eval_inf(spec, MzvIndex((2, 1), "strict"), 30)
+    assert zeta._memo_by_spec  # the shells did go through the recursion
+    assert not (tmp_path / "powersums.jsonl").exists()
+    zeta.power_sum(spec, 2, 8)  # control: the public entry point does write there
+    assert (tmp_path / "powersums.jsonl").exists()

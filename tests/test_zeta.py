@@ -4,9 +4,9 @@ import random
 import pytest
 
 from ffzeta.fields import FieldSpec, FqElem, ZpExp, ResidueChar
-from ffzeta.polyring import APoly, MPoly, enumerate_monic, monic_coeff_vectors
+from ffzeta.polyring import APoly, MPoly, enumerate_monic
 from ffzeta.seriesinf import LaurentSeries, PrecisionError, one_unit_pow
-from ffzeta.oracle import enumerated_power_sum
+from ffzeta.oracle import enumerated_bracket_shell, enumerated_power_sum
 from ffzeta.zeta import (PowerSumCache, SInftyPoint, TwistFactor, power_sum,
                          power_sum_vanishes, twisted_power_sum, char_power_sum,
                          exact_L, exact_L_degree_bound, pellarin_L_series,
@@ -289,10 +289,7 @@ def test_goss_coefficient_valuations_increase():
             y = ZpExp(p, digits)
             vals = []
             for d in range(2, 6):
-                c = LaurentSeries.zero(spec, prec)
-                for vec in monic_coeff_vectors(spec, d):
-                    bracket = LaurentSeries(spec, 0, (1,) + tuple(reversed(vec)), prec)
-                    c = c + one_unit_pow(bracket, y)
+                c = enumerated_bracket_shell(spec, d, y, prec)
                 v = c.valuation()
                 vals.append(v if v is not None else c.prec)
             assert all(b > a or b >= prec for a, b in zip(vals, vals[1:])), (spec.q, digits, vals)
@@ -317,10 +314,7 @@ def test_goss_zeta_certificate_against_bruteforce():
             digits = [rng.randrange(p) for _ in range(7)]
             y = ZpExp(p, digits)
             for d in range(2, 5):
-                c = LaurentSeries.zero(spec, prec)
-                for vec in monic_coeff_vectors(spec, d):
-                    bracket = LaurentSeries(spec, 0, (1,) + tuple(reversed(vec)), prec)
-                    c = c + one_unit_pow(bracket, y)
+                c = enumerated_bracket_shell(spec, d, y, prec)
                 v = c.valuation()
                 assert (v if v is not None else c.prec) >= \
                     infty_coeff_valuation_bound(spec.q, d)
