@@ -8,9 +8,10 @@ threshold.  threshold_scan sweeps the concrete vanishing claims
 reports any row where a bound predicts zero but the value is not:
 such a row is a failure of the build, not of the scan.
 
-The enumerated power sums and infinite-place shells here are the
-independent side of the dual routes: the library computes the same
-values from the degree recursion, never by visiting the q^d monics.
+The enumerated power sums, prime-to-P sums and infinite-place shells
+here are the independent side of the dual routes: the library computes
+the same values from the degree recursion and the Euler-factor
+identity, never by visiting the q^d monics.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import numpy as np
 
 from .fields import FieldSpec, FqElem, ResidueChar, ZpExp, lq_digit_sum
 from ._kernels import RawSum, get_kernel
-from .polyring import APoly, MPoly, enumerate_monic, monic_coeff_vectors
+from .polyring import APoly, MPoly, enumerate_monic, is_irreducible, monic_coeff_vectors
 from .seriesinf import LaurentSeries, one_unit_pow
 from .zeta import power_sum, twisted_power_sum, char_power_sum, TwistFactor
+from .vadic import vadic_degree_bound
 
 ENUMERATION_BUDGET = 10 ** 7
 
@@ -143,6 +145,61 @@ def enumerated_power_sum(spec: FieldSpec, d: int, n: int) -> APoly:
     for vec in monic_coeff_vectors(spec, d):
         total.add(kernel.pow(kernel.from_codes(vec + (1,)), n))
     return APoly(spec, kernel.to_codes(total.value))
+
+
+def enumerated_prime_to_p_power_sum(spec: FieldSpec, d: int, n: int, P: APoly) -> APoly:
+    """Sum of a^n over monic degree-d a not divisible by P, by enumeration."""
+    if n < 0:
+        raise ValueError("needs n >= 0")
+    kernel = get_kernel(spec)
+    total = RawSum(kernel, spec.p - 1)
+    for a in enumerate_monic(spec, d):
+        if (a % P).is_zero():
+            continue
+        total.add(kernel.pow(kernel.from_codes(a.coeff_codes), n))
+    return APoly(spec, kernel.to_codes(total.value))
+
+
+def enumerated_vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly:
+    """sum_d z^d sum_{P not| a} a(t_1)...a(t_s) a^(-n) for n <= 0, by
+    enumeration of the monics prime to P up to the z-degree bound."""
+    if n > 0:
+        raise ValueError("needs n <= 0")
+    if not is_irreducible(P):
+        raise ValueError("P is reducible")
+    nn = -n
+    names = tuple(f"t{i + 1}" for i in range(s)) + ("z",)
+    bound = vadic_degree_bound(spec, n, s, P.degree)
+    terms = {}
+    kernel = get_kernel(spec)
+    for d in range(bound + 1):
+        if s == 0:
+            coeff = enumerated_prime_to_p_power_sum(spec, d, nn, P)
+            if coeff:
+                terms[(d,)] = coeff
+            continue
+        shell = {}
+        for a in enumerate_monic(spec, d):
+            if (a % P).is_zero():
+                continue
+            codes = a.coeff_codes
+            apow = kernel.pow(kernel.from_codes(codes), nn)
+            support = [(j, c) for j, c in enumerate(codes) if c]
+            for ms in itertools.combinations_with_replacement(support, s):
+                prod_code = 1
+                for _, c in ms:
+                    prod_code = spec.mul_code(prod_code, c)
+                key = tuple(j for j, _ in ms)
+                if key not in shell:
+                    shell[key] = RawSum(kernel, kernel.scale_digit)
+                shell[key].add(kernel.scale(apow, prod_code))
+        for ms_key, acc in shell.items():
+            coeff = APoly(spec, kernel.to_codes(acc.value))
+            if not coeff:
+                continue
+            for perm in set(itertools.permutations(ms_key)):
+                terms[perm + (d,)] = coeff
+    return MPoly(names, terms)
 
 
 def enumerated_bracket_shell(spec: FieldSpec, d: int, neg_y: ZpExp, prec: int) -> LaurentSeries:

@@ -4,8 +4,7 @@ APoly is an immutable univariate polynomial over a FieldSpec with
 ascending coefficient codes.  Monic enumeration of A_{+,d} (all q^d
 monic polynomials of degree d) is the index set of every sum in this
 library; the stream order is lexicographic on the coefficient tuple
-(c_0, ..., c_{d-1}) with integer element codes, and can be split into
-q deterministic chunks by the degree-(d-1) coefficient.
+(c_0, ..., c_{d-1}) with integer element codes.
 
 MPoly is a sparse multivariate polynomial over a declared coefficient
 ring, used for symbolic t-variables, z-variables and exact outputs.
@@ -246,29 +245,15 @@ class APoly:
 # enumeration of A_{+,d}
 
 
-def enumerate_monic(spec: FieldSpec, d: int, chunk: int | None = None):
-    """Yield all monic degree-d polynomials, lexicographic in (c_0..c_{d-1}).
-
-    With chunk = j (0 <= j < q), restrict to c_{d-1} = j; the q chunks
-    partition A_{+,d} and each preserves the induced order, so chunk-wise
-    accumulation of any additive statistic reproduces the serial result
-    exactly.
-    """
+def enumerate_monic(spec: FieldSpec, d: int):
+    """Yield all monic degree-d polynomials, lexicographic in (c_0..c_{d-1})."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    q = spec.q
-    if chunk is not None and not (0 <= chunk < q):
-        raise ValueError(f"chunk must lie in [0, {q})")
     if d == 0:
-        if chunk is None or chunk == 0:
-            yield APoly.one(spec)
+        yield APoly.one(spec)
         return
-    if chunk is None:
-        for vec in itertools.product(range(q), repeat=d):
-            yield APoly(spec, vec + (1,))
-    else:
-        for low in itertools.product(range(q), repeat=d - 1):
-            yield APoly(spec, low + (chunk, 1))
+    for vec in itertools.product(range(spec.q), repeat=d):
+        yield APoly(spec, vec + (1,))
 
 
 def monic_coeff_vectors(spec: FieldSpec, d: int):

@@ -1,9 +1,14 @@
 """Zeta objects at a finite place P of A = F_q[theta].
 
 The prime-to-P zeta polynomials satisfy the Euler factor identity
-L_P = (1 - P^(-n) z^(deg P)) L for exact exponents, and positive
-exponents are reached v-adically as limits of polynomial values along
-the interpolation sequence m_k:
+L_P = (1 - P^(-n) z^(deg P)) L for exact exponents, and are computed
+from it: the monic multiples of P of degree d are exactly P*b with b
+monic of degree d - deg P, and (P b)(t_i) = P(t_i) b(t_i), so
+
+    L_P = L - z^(deg P) P^(-n) prod_i P(t_i) L.
+
+Positive exponents are reached v-adically as limits of polynomial
+values along the interpolation sequence m_k:
 
     -m_k = (digits of -n_1 below q^(k+1)) + delta_k q^((k+1) deg P)
 
@@ -27,13 +32,12 @@ import itertools
 from dataclasses import dataclass
 from math import inf
 
-from . import fields
-from ._kernels import RawSum, get_kernel, QuotientKernel
-from .fields import FieldSpec, ZpExp, lq_digit_sum, binom_mod_p
+from ._kernels import RawSum, get_kernel, raw_to_apoly, QuotientKernel
+from .fields import FieldSpec, ZpExp, lq_digit_sum
 from .polyring import APoly, MPoly, enumerate_monic, is_irreducible
-from .padic import PadicCtx, PadicElem, teichmuller, padic_bracket, padic_one_unit_pow
+from .padic import PadicCtx, PadicElem, teichmuller, padic_bracket, padic_one_unit_pow, _invert_mod
 from .seriesinf import PrecisionError
-from .zeta import PowerSumCache, power_sum, exact_L_degree_bound
+from .zeta import PowerSumCache, power_sum, exact_L, exact_L_degree_bound, _recursion_children
 
 
 @dataclass(frozen=True)
@@ -61,16 +65,20 @@ class VadicPoint:
 
 
 def prime_to_p_power_sum(spec: FieldSpec, d: int, n: int, P: APoly) -> APoly:
-    """Sum of a^n over monic degree-d polynomials not divisible by P."""
+    """Sum of a^n over monic degree-d polynomials not divisible by P.
+
+    The multiples of P among them are P*b with b monic of degree
+    d - deg P, so the sum is S_d(n) - P^n S_{d - deg P}(n).
+    """
     if n < 0:
         raise ValueError("needs n >= 0")
+    full = power_sum(spec, d, n)
+    if d < P.degree:
+        return full
     kernel = get_kernel(spec)
-    total = RawSum(kernel, spec.p - 1)
-    for a in enumerate_monic(spec, d):
-        if (a % P).is_zero():
-            continue
-        total.add(kernel.pow(kernel.from_codes(a.coeff_codes), n))
-    return APoly(spec, kernel.to_codes(total.value))
+    divisible = kernel.mul(kernel.pow(kernel.from_codes(P.coeff_codes), n),
+                           kernel.from_codes(power_sum(spec, d - P.degree, n).coeff_codes))
+    return full - raw_to_apoly(kernel, divisible)
 
 
 def vadic_degree_bound(spec: FieldSpec, n: int, s: int, dP: int) -> int:
@@ -82,44 +90,28 @@ def vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly,
     """The prime-to-P zeta polynomial sum_d z^d sum_{P not| a} a(t)a^(-n).
 
     Exact for n <= 0, with z-degree at most deg P + (s + lq(-n))/(q-1);
-    for s = 0 it equals (1 - P^(-n) z^(deg P)) exact_L(n, 0).
+    it is L - z^(deg P) P^(-n) prod_i P(t_i) L with L = exact_L(n, s).
     """
     if n > 0:
         raise ValueError("positive exponents are v-adic limits; see vadic_zeta_eval")
     if not is_irreducible(P):
         raise ValueError("P is reducible")
-    nn = -n
-    names = tuple(f"t{i + 1}" for i in range(s)) + ("z",)
-    bound = vadic_degree_bound(spec, n, s, P.degree)
-    terms = {}
+    L = exact_L(spec, n, s, cache)
     kernel = get_kernel(spec)
-    for d in range(bound + 1):
-        if s == 0:
-            coeff = prime_to_p_power_sum(spec, d, nn, P)
-            if coeff:
-                terms[(d,)] = coeff
-            continue
-        shell = {}
-        for a in enumerate_monic(spec, d):
-            if (a % P).is_zero():
-                continue
-            codes = a.coeff_codes
-            apow = kernel.pow(kernel.from_codes(codes), nn)
-            support = [(j, c) for j, c in enumerate(codes) if c]
-            for ms in itertools.combinations_with_replacement(support, s):
-                prod_code = 1
-                for _, c in ms:
-                    prod_code = spec.mul_code(prod_code, c)
-                key = tuple(j for j, _ in ms)
-                contrib = kernel.scale(apow, prod_code)
-                shell[key] = kernel.add(shell[key], contrib) if key in shell else contrib
-        for ms_key, raw in shell.items():
-            coeff = APoly(spec, kernel.to_codes(raw))
-            if not coeff:
-                continue
-            for perm in set(itertools.permutations(ms_key)):
-                terms[perm + (d,)] = coeff
-    return MPoly(names, terms)
+    Pn = kernel.pow(kernel.from_codes(P.coeff_codes), -n)
+    support = [(j, c) for j, c in enumerate(P.coeff_codes) if c]
+    terms = dict(L.terms)
+    for exp, coeff in L.terms.items():
+        PnL = kernel.mul(Pn, kernel.from_codes(coeff.coeff_codes))
+        # prod_i P(t_i) has one monomial prod_i t_i^(j_i) per choice of terms
+        for ms in itertools.product(support, repeat=s):
+            code = spec.neg_code(1)
+            for _, c in ms:
+                code = spec.mul_code(code, c)
+            key = tuple(e + j for e, (j, _) in zip(exp, ms)) + (exp[-1] + P.degree,)
+            term = raw_to_apoly(kernel, kernel.scale(PnL, code))
+            terms[key] = terms[key] + term if key in terms else term
+    return MPoly(L.vars, terms)
 
 
 def vadic_zeta_eval(ptv: VadicPoint, s: int = 0) -> MPoly:
@@ -276,7 +268,7 @@ class _LocalRing:
             rem = quo
             v += 1
         unit_raw = self.qk.reduce(self.kernel.from_codes(rem.coeff_codes))
-        res_inv = _residue_inverse(self.spec, rem, self.P)
+        res_inv = _invert_mod(self.spec, rem, self.P)
         inv_raw = self.qk.inverse(unit_raw, self.kernel.from_codes(res_inv.coeff_codes),
                                   digits=self.kappa)
         return v, inv_raw
@@ -328,18 +320,6 @@ class _LocalValue:
         return self.valuation() is not None
 
 
-def _residue_inverse(spec, a: APoly, P: APoly) -> APoly:
-    r0, r1 = list(P.coeff_codes), list((a % P).coeff_codes)
-    t0, t1 = [], [1]
-    while r1:
-        quo, rem = fields.poly_divmod(spec, r0, r1)
-        r0, r1 = r1, rem
-        tn = fields.poly_add(spec, t0, fields.poly_scale(
-            spec, fields.poly_mul(spec, quo, t1), spec.neg_code(1)))
-        t0, t1 = t1, tn
-    return APoly(spec, fields.poly_scale(spec, t0, spec.inv_code(r0[0])))
-
-
 def _power_sum_mod(spec, ring: _LocalRing, d: int, n: int, memo: dict):
     """S_d(n) reduced in A/(P^kappa) by the degree recursion."""
     key = (d, n)
@@ -350,23 +330,11 @@ def _power_sum_mod(spec, ring: _LocalRing, d: int, n: int, memo: dict):
         raw = kernel.from_codes((1,))
         memo[key] = raw
         return raw
-    q, p = spec.q, spec.p
-    total = kernel.zero()
-    if n > 0:
-        digs = fields.base_digits(n, p) or [0]
-        for choice in itertools.product(*[range(x + 1) for x in digs]):
-            k = sum(kd * p ** i for i, kd in enumerate(choice))
-            if k >= n or (n - k) % (q - 1) != 0:
-                continue
-            b = 1
-            for kd, nd in zip(choice, digs):
-                b = b * binom_mod_p(nd, kd, p) % p
-            if b == 0:
-                continue
-            child = _power_sum_mod(spec, ring, d - 1, k, memo)
-            term = kernel.scale(ring.qk.mul(ring.theta_power(k), child), spec.neg_code(b))
-            total = kernel.add(total, term)
-    total = ring.qk.reduce(total)
+    total = RawSum(kernel, kernel.scale_digit)
+    for k, b in _recursion_children(spec, d, n):
+        child = _power_sum_mod(spec, ring, d - 1, k, memo)
+        total.add(kernel.scale(ring.qk.mul(ring.theta_power(k), child), spec.neg_code(b)))
+    total = ring.qk.reduce(total.value)
     memo[key] = total
     return total
 
@@ -414,24 +382,27 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int, headroom: int = 16)
     kappa = q ** (k + 1) + bucket
     ring = _get_local_ring(spec, P, kappa)
 
+    def S_mod(d, n):
+        return _power_sum_mod(spec, ring, d, n, ring.power_sum_memo)
+
     def S_full_mk(d):
-        return _LocalValue(ring, 0, _power_sum_mod(spec, ring, d, -mk, ring.power_sum_memo))
+        return _LocalValue(ring, 0, S_mod(d, -mk))
 
     def S_local(d, n, prime_to_p):
         key = (d, n, prime_to_p)
         if key in ring.table_cache:
             return ring.table_cache[key]
-        acc = ring.zero()
         if n > 0:
+            acc = ring.zero()
             for prime, v, inv_raw in ring.shell_unit_inverses(d):
                 if prime_to_p and not prime:
                     continue
                 acc = acc + _LocalValue(ring, -v * n, ring.qk.pow(inv_raw, n))
         else:
-            for a in enumerate_monic(spec, d):
-                if prime_to_p and (a % P).is_zero():
-                    continue
-                acc = acc + ring.from_apoly(a ** (-n))
+            # the multiples of P in degree d are P*b, b monic of degree d - deg P
+            acc = _LocalValue(ring, 0, S_mod(d, -n))
+            if prime_to_p and d >= dP:
+                acc = acc - _LocalValue(ring, -n, S_mod(d - dP, -n))
         ring.table_cache[key] = acc
         return acc
 

@@ -44,7 +44,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -198,6 +197,17 @@ def _lucas_support(n: int, p: int):
     return out
 
 
+def _recursion_children(spec: FieldSpec, d: int, n: int):
+    """The terms (k, C(n, k) mod p) of the degree recursion for S_d(n).
+
+    Keeps k < n with (q-1) | n - k whose child S_{d-1}(k) is not known
+    to vanish; every recursion for S_d(n) walks these children.
+    """
+    q = spec.q
+    return [(k, b) for k, b in _lucas_support(n, spec.p)
+            if k < n and (n - k) % (q - 1) == 0 and not power_sum_vanishes(spec, d - 1, k)]
+
+
 def _power_sum_raw(spec, kernel, d, n, memo, cache):
     key = (d, n)
     if key in memo:
@@ -213,17 +223,12 @@ def _power_sum_raw(spec, kernel, d, n, memo, cache):
             raw = kernel.from_codes(hit)
             memo[key] = raw
             return raw
-    q = spec.q
     total = RawSum(kernel, kernel.scale_digit)
-    if n > 0:
-        for k, b in _lucas_support(n, spec.p):
-            if k >= n or (n - k) % (q - 1) != 0 or power_sum_vanishes(spec, d - 1, k):
-                continue
-            child = _power_sum_raw(spec, kernel, d - 1, k, memo, cache)
-            if kernel.is_zero(child):
-                continue
-            coeff = spec.neg_code(b % spec.p)
-            total.add(kernel.scale(kernel.shift(child, k), coeff))
+    for k, b in _recursion_children(spec, d, n):
+        child = _power_sum_raw(spec, kernel, d - 1, k, memo, cache)
+        if kernel.is_zero(child):
+            continue
+        total.add(kernel.scale(kernel.shift(child, k), spec.neg_code(b)))
     total = kernel.normalize(total.value)
     memo[key] = total
     if cache is not None:
@@ -370,27 +375,6 @@ def exact_L_degree_bound(spec: FieldSpec, n: int, s: int) -> int:
         else s + lq_digit_sum(-n, 2)
 
 
-def thread_count() -> int:
-    """Worker cap from FFZETA_THREADS (1 = serial, the default)."""
-    try:
-        return max(1, int(os.environ.get("FFZETA_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_chunks(fn, chunks):
-    """Evaluate fn over enumeration chunks, optionally on a thread pool.
-
-    Results come back in chunk order, so any exact additive merge is
-    bit-identical to the serial evaluation.
-    """
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, chunks))
-    return [fn(j) for j in chunks]
-
-
 def exact_L(spec: FieldSpec, n: int, s: int, cache: PowerSumCache | None = None) -> MPoly:
     """The zeta polynomial sum_d z^d sum_a a(t_1)...a(t_s) a^(-n), n <= 0.
 
@@ -407,12 +391,14 @@ def exact_L(spec: FieldSpec, n: int, s: int, cache: PowerSumCache | None = None)
     bound = exact_L_degree_bound(spec, n, s)
     terms = {}
     kernel = get_kernel(spec)
-
-    def chunk_shell(d, chunk):
+    for d in range(bound + 1):
+        if s == 0:
+            coeff = power_sum(spec, d, nn, cache)
+            if coeff:
+                terms[(d,)] = coeff
+            continue
         shell = {}
-        vectors = (monic_coeff_vectors(spec, d) if chunk is None else
-                   (low + (chunk,) for low in monic_coeff_vectors(spec, d - 1)))
-        for vec in vectors:
+        for vec in monic_coeff_vectors(spec, d):
             codes = vec + (1,)
             apow = kernel.pow(kernel.from_codes(codes), nn)
             support = [(j, c) for j, c in enumerate(codes) if c]
@@ -424,25 +410,8 @@ def exact_L(spec: FieldSpec, n: int, s: int, cache: PowerSumCache | None = None)
                 if key not in shell:
                     shell[key] = RawSum(kernel, kernel.scale_digit)
                 shell[key].add(kernel.scale(apow, prod_code))
-        return {key: acc.value for key, acc in shell.items()}
-
-    for d in range(bound + 1):
-        if s == 0:
-            coeff = power_sum(spec, d, nn, cache)
-            if coeff:
-                terms[(d,)] = coeff
-            continue
-        if d > 0 and thread_count() > 1:
-            parts = _map_chunks(lambda j: chunk_shell(d, j), range(spec.q))
-            shell = {}
-            for part in parts:  # fixed chunk order: merge is deterministic
-                for key, raw in part.items():
-                    raw = kernel.normalize(raw)  # q normalized parts stay far below 2^24
-                    shell[key] = kernel.add(shell[key], raw) if key in shell else raw
-        else:
-            shell = chunk_shell(d, None)
-        for ms_key, raw in shell.items():
-            coeff = raw_to_apoly(kernel, raw)
+        for ms_key, acc in shell.items():
+            coeff = raw_to_apoly(kernel, acc.value)
             if not coeff:
                 continue
             for perm in set(itertools.permutations(ms_key)):

@@ -22,7 +22,8 @@ from ffzeta.vadic import (VadicPoint, vadic_exact_L, vadic_zeta_eval,
                           vadic_degree_bound)
 from ffzeta.mzv import MzvIndex, mzv_exact, mzv_vadic_exact
 from ffzeta.oracle import (charsum_trial, random_charsum_config,
-                           enumerated_power_sum, enumerated_bracket_shell)
+                           enumerated_power_sum, enumerated_bracket_shell,
+                           enumerated_vadic_exact_L)
 
 F2 = FieldSpec.default(2)
 F3 = FieldSpec.default(3)
@@ -130,6 +131,8 @@ def test_criterion_5_euler_factor():
                     factor = MPoly(("z",), {(0,): APoly.one(spec),
                                             (P.degree,): -(P ** (-n))})
                     assert lhs == factor * exact_L(spec, n, 0)
+                    # the library uses the identity; enumeration is the independent side
+                    assert lhs == enumerated_vadic_exact_L(spec, n, 0, P)
                     exact_checked += 1
     numeric_checked = 0
     prec = 40

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffzeta import oracle, vadic, zeta
+from ffzeta import oracle, zeta
 from ffzeta._kernels import DigitOverflowError, QuotientKernel, RawSum, get_kernel
 from ffzeta.fields import FieldError, FieldSpec
 from ffzeta.padic import _invert_mod
@@ -131,8 +131,8 @@ def test_raw_sum_normalizes_just_before_a_digit_reaches_2_24():
 
 
 def test_add_loops_keep_their_running_sums_bounded(monkeypatch):
-    """The power-sum recursion, exact_L shells, prime_to_p_power_sum and
-    enumerated_power_sum all accumulate through RawSum; a tiny digit
+    """The power-sum recursion, exact_L shells and the enumerated power
+    sums and prime-to-P sums all accumulate through RawSum; a tiny digit
     limit forces many normalizations and must not change any value."""
     spec = FieldSpec.default(5)
     P = APoly(spec, (1, 1))
@@ -143,7 +143,8 @@ def test_add_loops_keep_their_running_sums_bounded(monkeypatch):
 
     runs = (recursion,
             lambda: zeta.exact_L(spec, -24, 1),
-            lambda: vadic.prime_to_p_power_sum(spec, 2, 9, P),
+            lambda: oracle.enumerated_prime_to_p_power_sum(spec, 2, 9, P),
+            lambda: oracle.enumerated_vadic_exact_L(spec, -9, 1, P),
             lambda: oracle.enumerated_power_sum(spec, 2, 9))
     want = [run() for run in runs]
     seen = []

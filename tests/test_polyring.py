@@ -33,33 +33,6 @@ def test_enumerate_monic_is_lexicographic_and_distinct():
     assert all(a.is_monic() and a.degree == 3 for a in seen)
 
 
-def test_enumeration_chunks_partition():
-    whole = list(enumerate_monic(F4, 2))
-    chunked = []
-    for j in range(4):
-        chunked.extend(enumerate_monic(F4, 2, chunk=j))
-    assert sorted(a.coeff_codes for a in whole) == sorted(a.coeff_codes for a in chunked)
-    with pytest.raises(ValueError):
-        list(enumerate_monic(F4, 2, chunk=4))
-
-
-def test_chunk_merge_determinism():
-    # any additive statistic merged over chunks equals the serial sum exactly
-    rng = random.Random(9)
-    weight = rand_apoly(F3, rng)
-    serial = APoly.zero(F3)
-    for a in enumerate_monic(F3, 3):
-        serial = serial + a * weight
-    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
-        merged = APoly.zero(F3)
-        for j in order:
-            part = APoly.zero(F3)
-            for a in enumerate_monic(F3, 3, chunk=j):
-                part = part + a * weight
-            merged = merged + part
-        assert merged == serial
-
-
 # -- ring operations -------------------------------------------------------
 
 

@@ -10,7 +10,8 @@ from ffzeta.fields import FieldSpec, ZpExp, lq_digit_sum
 from ffzeta.polyring import APoly, MPoly, enumerate_monic
 from ffzeta.padic import PadicCtx
 from ffzeta.seriesinf import LaurentSeries, PrecisionError
-from ffzeta.zeta import exact_L, pellarin_L_series, power_sum
+from ffzeta.zeta import PowerSumCache, exact_L, pellarin_L_series, power_sum
+from ffzeta.oracle import enumerated_prime_to_p_power_sum, enumerated_vadic_exact_L
 from ffzeta.vadic import (VadicPoint, vadic_exact_L, vadic_zeta_eval, mk_sequence,
                           interpolation_gap, interpolation_gap_bound,
                           prime_to_p_power_sum, vadic_degree_bound,
@@ -37,6 +38,12 @@ def test_vadic_exact_L_fixtures():
         vadic_exact_L(F2, 0, 0, APoly(F2, (0, 0, 1)))
 
 
+def test_vadic_exact_L_passes_its_cache_on(tmp_path):
+    cache = PowerSumCache(tmp_path)
+    vadic_exact_L(F3, -5, 0, TH3, cache)
+    assert cache.path.exists()
+
+
 def test_euler_factor_identity_exact():
     for spec, Pcs in ((F2, [(0, 1), (1, 1), (1, 1, 1), (1, 1, 0, 1)]),
                       (F3, [(0, 1), (2, 1), (1, 0, 1), (1, 2, 0, 1)])):
@@ -47,21 +54,33 @@ def test_euler_factor_identity_exact():
                 factor = MPoly(("z",), {(0,): APoly.one(spec),
                                         (P.degree,): -(P ** (-n))})
                 assert lhs == factor * exact_L(spec, n, 0)
+                assert lhs == enumerated_vadic_exact_L(spec, n, 0, P)
 
 
 def test_euler_factor_identity_with_t_variables():
     # the P-divisible part evaluates as (Pb)(t) = P(t) b(t), so the
-    # bijection factor picks up P(t_1): L_P = (1 - P(t_1) P^(-n) z^dP) L
-    P = APoly(F2, (1, 1))
-    for n in (0, -1, -2):
-        lhs = vadic_exact_L(F2, n, 1, P)
-        L = exact_L(F2, n, 1)
-        terms = {(0, 0): APoly.one(F2)}
-        for j, c in enumerate(P.coeff_codes):
-            if c:
-                terms[(j, P.degree)] = -(P ** (-n)).scale_code(c)
-        factor = MPoly(("t1", "z"), terms)
-        assert lhs == factor * L
+    # bijection factor picks up prod_i P(t_i):
+    # L_P = (1 - P(t_1)...P(t_s) P^(-n) z^dP) L
+    for spec, P in ((F2, APoly(F2, (1, 1))), (F3, APoly(F3, (1, 0, 1)))):
+        for s in (1, 2):
+            names = tuple(f"t{i + 1}" for i in range(s)) + ("z",)
+            for n in (0, -1, -2):
+                lhs = vadic_exact_L(spec, n, s, P)
+                L = exact_L(spec, n, s)
+                prod = MPoly.const(names, -(P ** (-n)))
+                for i in range(s):
+                    terms = {}
+                    for j, c in enumerate(P.coeff_codes):
+                        if c:
+                            exp = [0] * (s + 1)
+                            exp[i] = j
+                            terms[tuple(exp)] = APoly.constant(spec, c)
+                    prod = prod * MPoly(names, terms)
+                zexp = (0,) * s + (P.degree,)
+                factor = MPoly.const(names, APoly.one(spec)) + \
+                    prod * MPoly(names, {zexp: APoly.one(spec)})
+                assert lhs == factor * L
+                assert lhs == enumerated_vadic_exact_L(spec, n, s, P)
 
 
 def test_euler_identity_numeric_positive_exponents():
@@ -319,3 +338,4 @@ def test_prime_to_p_power_sum_bijection_identity():
                 divisible = (P ** n) * power_sum(spec, d - dP, n) if d >= dP \
                     else APoly.zero(spec)
                 assert full == sv + divisible
+                assert sv == enumerated_prime_to_p_power_sum(spec, d, n, P)

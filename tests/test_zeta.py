@@ -296,14 +296,6 @@ def test_goss_coefficient_valuations_increase():
             assert all(v >= spec.q ** (d - 2) for v, d in zip(vals, range(2, 6)))
 
 
-def test_exact_L_threaded_chunks_match_serial(monkeypatch):
-    serial = exact_L(F3, -4, 2)
-    monkeypatch.setenv("FFZETA_THREADS", "3")
-    threaded = exact_L(F3, -4, 2)
-    monkeypatch.delenv("FFZETA_THREADS")
-    assert threaded == serial
-
-
 def test_goss_zeta_certificate_against_bruteforce():
     # v(c_d) >= q^(d-2): the stopping rule must never overestimate
     rng = random.Random(55)
