@@ -7,8 +7,11 @@ plane, with the coefficient of theta^i at digit i:
 
 * p = 2: one bit per digit; addition is XOR, multiplication carry-less.
 * p odd: 24-bit digits, so addition and convolution ride on Python's
-  big-int arithmetic; `normalize` reduces every digit mod p in one
-  numpy pass over the 3-byte digits.
+  big-int arithmetic; `normalize` reduces every digit mod p with byte
+  tables: byte k of a digit becomes (b << 8k) mod p by one
+  `bytes.translate` per byte position that is not all zero, the residue
+  strings are added as big ints (in 16-bit lanes when they could pass
+  255) and one more translate finishes the reduction.
 
 Packed digits never carry into their neighbours, so a digit must stay
 below 2^24.  `from_codes`, `mul`, `pow`, `normalize`, `frob_spread` and
@@ -20,12 +23,12 @@ normalized operands is at most (p-1)^2 * w * L, with L the shorter
 operand's length and w the field's plane-reduction weight (w = 1 for
 e = 1); `mul` raises DigitOverflowError when that bound reaches 2^24
 (p = 251, e = 1: at L = 269).  Normalized digits are single
-bytes, so p <= 251.  Codes convert through per-field tables.
+bytes, so p <= 251.  Codes convert through per-field tables.  Only the
+standard library is used, so a process that imports ffzeta does not
+pay for numpy.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .fields import FieldError, FieldSpec
 
@@ -37,6 +40,13 @@ _BIN_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 class DigitOverflowError(ArithmeticError):
     """A packed product digit could reach 2^24 and corrupt its neighbours."""
+
+
+def _spread(digits: bytes, stride: int) -> int:
+    """The int whose byte i * stride is digits[i] and whose other bytes are 0."""
+    buf = bytearray(max(stride * (len(digits) - 1) + 1, 0))
+    buf[::stride] = digits
+    return int.from_bytes(buf, "little")
 
 
 def _clmul(a: int, b: int) -> int:
@@ -87,11 +97,16 @@ class _Planes:
         # each coordinate index sum_j c_j p^j
         coords = [spec.coords(c) for c in range(self.q)]
         self._planes = [bytes(row[j] + table_offset for row in coords) for j in range(self.e)]
-        if self.q <= 256:  # bytes.translate needs a full 256-entry table
-            self._planes = [t.ljust(256, b"\0") for t in self._planes]
-        self._code_of = np.zeros(self.q, dtype=np.int64)
+        self._code_of = [0] * self.q
         for c, row in enumerate(coords):
             self._code_of[sum(d * self.p ** j for j, d in enumerate(row))] = c
+        if self.q <= 256:  # bytes.translate needs a full 256-entry table
+            self._planes = [t.ljust(256, b"\0") for t in self._planes]
+            # plane j's digit d -> d * p^j; the weights of a position sum
+            # to its coordinate index, which the code table maps to a code
+            self._weights = [bytes(d * self.p ** j for d in range(self.p)).ljust(256, b"\0")
+                             for j in range(self.e)]
+            self._code_table = bytes(self._code_of).ljust(256, b"\0")
 
     def _code_planes(self, codes):
         """One bytes object per plane: the table entry of every code."""
@@ -99,6 +114,22 @@ class _Planes:
             src = bytes(codes)
             return [src.translate(t) for t in self._planes]
         return [bytes(map(t.__getitem__, codes)) for t in self._planes]
+
+    def _codes_of_planes(self, planes):
+        """Codes from one digit string per plane (digits < p, low first)."""
+        if self.q <= 256:
+            index = sum(int.from_bytes(d.translate(w), "little")
+                        for d, w in zip(planes, self._weights))
+            return tuple(index.to_bytes((index.bit_length() + 7) // 8, "little")
+                         .translate(self._code_table))
+        index = [0] * max(map(len, planes))
+        for j, digits in enumerate(planes):
+            weight = self.p ** j
+            for i, d in enumerate(digits):
+                index[i] += d * weight
+        while index and not index[-1]:
+            index.pop()
+        return tuple(self._code_of[i] for i in index)
 
     def zero(self):
         return (0,) * self.e
@@ -132,14 +163,10 @@ class _BitKernel(_Planes):
     def to_codes(self, x):
         if not any(x):
             return ()
+        planes = [bin(v)[:1:-1].encode().translate(_BIN_DIGITS) for v in x]
         if self.e == 1:
-            return tuple(bin(x[0])[:1:-1].encode().translate(_BIN_DIGITS))
-        n = max(v.bit_length() for v in x)
-        idx = np.zeros(n, dtype=np.int64)
-        for j, v in enumerate(x):
-            bits = np.frombuffer(v.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-            idx += np.unpackbits(bits, count=n, bitorder="little").astype(np.int64) << j
-        return tuple(self._code_of[idx].tolist())
+            return tuple(planes[0])
+        return self._codes_of_planes(planes)
 
     def add(self, x, y):
         return tuple(a ^ b for a, b in zip(x, y))
@@ -203,7 +230,11 @@ class _PackedKernel(_Planes):
         weight = max(sum(row[j] * min(k + 1, 2 * self.e - 1 - k)
                          for k, row in enumerate(self.red)) for j in range(self.e)) or 1
         self.max_mul_len = (_DIGIT_LIMIT - 1) // ((self.p - 1) ** 2 * weight)
-        self._reduced = bytes(range(min(self.p, 256)))
+        if self.p > MAX_PACKED_P:  # residues do not fit the byte tables
+            return
+        self._reduced = bytes(range(self.p))
+        # byte b at position k of a digit (or of a 16-bit lane) -> (b << 8k) mod p
+        self._byte_mod = [bytes((b << 8 * k) % self.p for b in range(256)) for k in range(3)]
 
     def is_zero(self, x):
         return not any(self.normalize(x))
@@ -212,45 +243,50 @@ class _PackedKernel(_Planes):
         if self.p > MAX_PACKED_P:
             raise FieldError(f"packed kernel digits are bytes: needs p <= {MAX_PACKED_P}, "
                              f"got p = {self.p}")
-        out = []
-        for digits in [bytes(codes)] if self.e == 1 else self._code_planes(codes):
-            buf = bytearray(3 * len(digits))
-            buf[::3] = digits
-            out.append(int.from_bytes(buf, "little"))
-        return tuple(out)
+        return tuple(_spread(digits, 3) for digits in
+                     ([bytes(codes)] if self.e == 1 else self._code_planes(codes)))
 
-    def _digits(self, v, raw=None):
-        """Digits of one plane, reduced mod p, as a numpy array."""
-        n = -(-v.bit_length() // _PACK_BITS)
-        # an unaligned little-endian uint32 read at every 3-byte digit
-        words = np.ndarray((n,), dtype="<u4", buffer=raw or v.to_bytes(3 * n + 1, "little"),
-                           strides=(3,))
-        return (words & (_DIGIT_LIMIT - 1)) % self.p
+    @staticmethod
+    def _split(v):
+        """The low bytes of v's 3-byte digits, and the (k, bytes k) positions
+        above them that are not all zero."""
+        raw = v.to_bytes(-(-v.bit_length() // _PACK_BITS) * 3, "little")
+        return raw[::3], [(k, high) for k in (1, 2) if (high := raw[k::3]).strip(b"\0")]
+
+    def _digits(self, low, highs):
+        """One byte per digit: the digit mod p, from `_split`'s byte positions."""
+        mod, n = self._byte_mod, len(low)
+        parts = [low.translate(mod[0])] + [high.translate(mod[k]) for k, high in highs]
+        if len(parts) == 1:
+            return parts[0]
+        if len(parts) * (self.p - 1) < 256:  # the residues add up inside a byte
+            total = sum(int.from_bytes(r, "little") for r in parts)
+            return total.to_bytes(n, "little").translate(mod[0])
+        # 16-bit lanes: each round replaces a lane (lo, hi) by
+        # lo mod p + (hi << 8) mod p, which is smaller while hi > 0
+        while True:
+            lanes = sum(_spread(r, 2) for r in parts).to_bytes(2 * n, "little")
+            lo, hi = lanes[::2], lanes[1::2]
+            if not hi.strip(b"\0"):
+                return lo.translate(mod[0])
+            parts = [lo.translate(mod[0]), hi.translate(mod[1])]
 
     def normalize(self, x):
         out = []
         for v in x:
-            raw = v.to_bytes(-(-v.bit_length() // _PACK_BITS) * 3 + 1, "little")
+            low, highs = self._split(v)
             # already reduced: high digit bytes zero, low bytes below p
-            if not (raw[1::3].strip(b"\0") or raw[2::3].strip(b"\0")
-                    or raw[::3].translate(None, self._reduced)):
+            if not highs and not low.translate(None, self._reduced):
                 out.append(v)
-                continue
-            digits = self._digits(v, raw)
-            buf = bytearray(3 * len(digits))
-            buf[::3] = digits.astype(np.uint8).tobytes()
-            out.append(int.from_bytes(buf, "little"))
+            else:
+                out.append(_spread(self._digits(low, highs), 3))
         return tuple(out)
 
     def to_codes(self, x):
-        planes = [self._digits(v) for v in x]
-        idx = np.zeros(max(len(d) for d in planes), dtype=np.int64)
-        for j, d in enumerate(planes):
-            idx[:len(d)] += d * self.p ** j
-        nonzero = np.flatnonzero(idx)
-        if not nonzero.size:
-            return ()
-        return tuple(self._code_of[idx[:nonzero[-1] + 1]].tolist())
+        planes = [self._digits(*self._split(v)) for v in x]
+        if self.e == 1:
+            return tuple(planes[0].rstrip(b"\0"))
+        return self._codes_of_planes(planes)
 
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
@@ -297,14 +333,7 @@ class _PackedKernel(_Planes):
 
     def frob_spread(self, x):
         """x(theta) -> x(theta)^q: digit i moves to digit i*q."""
-        stride = 3 * self.q
-        out = []
-        for v in x:
-            digits = self._digits(v)
-            buf = bytearray(stride * (len(digits) - 1) + 3 if len(digits) else 0)
-            buf[::stride] = digits.astype(np.uint8).tobytes()
-            out.append(int.from_bytes(buf, "little"))
-        return tuple(out)
+        return tuple(_spread(self._digits(*self._split(v)), 3 * self.q) for v in x)
 
     pow = _generic_pow
 

@@ -120,7 +120,7 @@ def mzv_vadic_exact(spec: FieldSpec, idx: MzvIndex, P: APoly,
     caps[0] += P.degree
     tables = [(lambda i: (lambda d: power_sum(spec, d, -idx.ns[i], cache)))(i)
               for i in range(idx.depth)]
-    tables[0] = lambda d: prime_to_p_power_sum(spec, d, -idx.ns[0], P)
+    tables[0] = lambda d: prime_to_p_power_sum(spec, d, -idx.ns[0], P, cache)
     return _chain_dp(spec, idx, tables, caps, names)
 
 

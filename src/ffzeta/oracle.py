@@ -20,8 +20,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .fields import FieldSpec, FqElem, ResidueChar, ZpExp, lq_digit_sum
 from ._kernels import RawSum, get_kernel
 from .polyring import APoly, MPoly, enumerate_monic, is_irreducible, monic_coeff_vectors
@@ -77,6 +75,8 @@ def charsum_trial(cfg: CharsumConfig):
 
 
 def _charsum_field(cfg: CharsumConfig) -> FqElem:
+    import numpy as np  # imported here so that only character-sum trials load it
+
     spec = cfg.target
     p = cfg.p
     n = p ** cfg.dim

@@ -64,20 +64,22 @@ class VadicPoint:
 # prime-to-P power sums and the exact v-adic zeta polynomial
 
 
-def prime_to_p_power_sum(spec: FieldSpec, d: int, n: int, P: APoly) -> APoly:
+def prime_to_p_power_sum(spec: FieldSpec, d: int, n: int, P: APoly,
+                         cache: PowerSumCache | None = None) -> APoly:
     """Sum of a^n over monic degree-d polynomials not divisible by P.
 
     The multiples of P among them are P*b with b monic of degree
-    d - deg P, so the sum is S_d(n) - P^n S_{d - deg P}(n).
+    d - deg P, so the sum is S_d(n) - P^n S_{d - deg P}(n); both power
+    sums go through `cache` (the default cache when None).
     """
     if n < 0:
         raise ValueError("needs n >= 0")
-    full = power_sum(spec, d, n)
+    full = power_sum(spec, d, n, cache)
     if d < P.degree:
         return full
     kernel = get_kernel(spec)
     divisible = kernel.mul(kernel.pow(kernel.from_codes(P.coeff_codes), n),
-                           kernel.from_codes(power_sum(spec, d - P.degree, n).coeff_codes))
+                           kernel.from_codes(power_sum(spec, d - P.degree, n, cache).coeff_codes))
     return full - raw_to_apoly(kernel, divisible)
 
 

@@ -117,14 +117,22 @@ def _default_cache_dir() -> Path:
 class PowerSumCache:
     """Write-through JSON-lines store for power sums, keyed by content hash.
 
-    Malformed lines are skipped and recomputed; concurrent appends are
-    serialized with an advisory file lock.
+    Every line is `{"key": "<64 hex digits>", "coeffs": [...]}`, so the
+    key sits at a fixed offset.  The file is read and indexed by key on
+    first use; a line is JSON-decoded and checked only when its key is
+    first looked up.  Malformed lines (and lines in any other layout)
+    are skipped and recomputed; concurrent appends are serialized with
+    an advisory file lock.
     """
+
+    _PREFIX = '{"key": "'
+    _KEY_END = len(_PREFIX) + 64
 
     def __init__(self, directory: Path | str | None = None):
         self.directory = Path(directory) if directory is not None else _default_cache_dir()
         self.path = self.directory / "powersums.jsonl"
         self._mem: dict[str, tuple] = {}
+        self._lines: dict[str, str] = {}  # raw lines not yet decoded
         self._loaded = False
 
     @staticmethod
@@ -134,36 +142,42 @@ class PowerSumCache:
 
     def _load(self):
         self._loaded = True
-        if not self.path.exists():
-            return
         try:
             lines = self.path.read_text().splitlines()
         except OSError:
             return
+        end = self._KEY_END
         for line in lines:
+            if line.startswith(self._PREFIX) and line[end:end + 1] == '"':
+                self._lines[line[len(self._PREFIX):end]] = line
+
+    def _lookup(self, key: str):
+        """The stored coefficients of `key`, or None; decodes its line once."""
+        if not self._loaded:
+            self._load()
+        line = self._lines.pop(key, None)
+        if line is not None:
             try:
                 doc = json.loads(line)
-                key, coeffs = doc["key"], doc["coeffs"]
-                if isinstance(key, str) and all(isinstance(c, int) for c in coeffs):
+                coeffs = doc["coeffs"]
+                if doc["key"] == key and all(isinstance(c, int) for c in coeffs):
                     self._mem[key] = tuple(coeffs)
             except (json.JSONDecodeError, TypeError, KeyError):
-                continue  # corrupt entry: recompute rather than trust
-
-    def get(self, key: str):
-        if not self._loaded:
-            self._load()
+                pass  # corrupt entry: recompute rather than trust
         return self._mem.get(key)
 
+    def get(self, key: str):
+        return self._lookup(key)
+
     def put(self, key: str, coeffs):
-        if not self._loaded:
-            self._load()
-        if key in self._mem:
+        if self._lookup(key) is not None:
             return
         self._mem[key] = tuple(coeffs)
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a") as fh:
                 fcntl.flock(fh, fcntl.LOCK_EX)
+                # json.dumps keeps insertion order, so the line starts with _PREFIX
                 fh.write(json.dumps({"key": key, "coeffs": list(coeffs)}) + "\n")
                 fcntl.flock(fh, fcntl.LOCK_UN)
         except OSError:
@@ -208,6 +222,16 @@ def _recursion_children(spec: FieldSpec, d: int, n: int):
             if k < n and (n - k) % (q - 1) == 0 and not power_sum_vanishes(spec, d - 1, k)]
 
 
+def _plausible_power_sum(spec: FieldSpec, d: int, n: int, codes) -> bool:
+    """Cheap checks on a cached S_d(n) before it is trusted.
+
+    Its codes lie in [0, q), it has at most d*n + 1 coefficients (the
+    degree bound) and it is empty when the vanishing predicate holds.
+    """
+    return (len(codes) <= d * n + 1 and all(0 <= c < spec.q for c in codes)
+            and not (codes and power_sum_vanishes(spec, d, n)))
+
+
 def _power_sum_raw(spec, kernel, d, n, memo, cache):
     key = (d, n)
     if key in memo:
@@ -219,7 +243,7 @@ def _power_sum_raw(spec, kernel, d, n, memo, cache):
     ckey = PowerSumCache.key(spec, d, n) if cache is not None else None
     if cache is not None:
         hit = cache.get(ckey)
-        if hit is not None and all(0 <= c < spec.q for c in hit):
+        if hit is not None and _plausible_power_sum(spec, d, n, hit):
             raw = kernel.from_codes(hit)
             memo[key] = raw
             return raw

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ffzeta
 from ffzeta.cli import main
 from ffzeta.fields import FieldSpec
 from ffzeta.polyring import APoly, MPoly
@@ -182,3 +186,31 @@ def test_well_formed_json_flags_still_parse(capsys):
     assert code == 0
     code2, out2, _ = run_cli(capsys, "vadic", "--p", "3", "--P", "[1,1]", "--n", "-2")
     assert code2 == 0 and out2 == out
+
+
+def test_library_import_path_leaves_numpy_out(tmp_path):
+    """Only `verify charsum` (the character-sum oracle) loads numpy."""
+    script = """
+import contextlib, io, sys
+import ffzeta, ffzeta.cli
+assert "numpy" not in sys.modules, "import"
+for argv in (
+        ["powersum", "--p", "3", "--d", "2", "--n", "26"],
+        ["zeta-eval", "--p", "3", "--x", '{"val":-1,"prec":90,"coeffs":[[1]]}',
+         "--neg-y-digits", "2,0,1,1", "--prec", "40"],
+        ["vadic-eval", "--p", "3", "--P", "[1,1]", "--k", "2", "--neg-y-digits", "1,0,2",
+         "--delta", "1"],
+        ["interp-gap", "--p", "3", "--indices", "-3,-1", "--P", "[0,1]", "--k", "2"],
+        ["verify", "charsum", "--p", "3", "--seed", "7", "--trials", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ffzeta.cli.main(argv) == 0, argv
+    print(argv[0], "numpy" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(ffzeta.__file__))
+    env = dict(os.environ, PYTHONPATH=src, FFZETA_CACHE=str(tmp_path))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:-1] == ["powersum False", "zeta-eval False",
+                                           "vadic-eval False", "interp-gap False",
+                                           "verify True"]

@@ -1,5 +1,7 @@
 """Kernel arithmetic against APoly, the quotient kernel against APoly % m."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ FIELDS = {q: FieldSpec.default(q) for q in SMALL_Q}
 # codes above 255: a packed field (p = 17, e = 2) and a bit-plane field
 FIELDS[289] = FieldSpec(17, (14, 0, 1))                  # xi^2 - 3
 FIELDS[512] = FieldSpec(2, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))  # xi^9 + xi^4 + 1
+FIELDS[729] = FieldSpec(3, (1, 0, 0, 0, 1, 1, 1))        # xi^6 + xi^5 + xi^4 + 1
 
 # (q, P, k): moduli P^k with D = k deg P from 1 to 40
 MODULI = ((2, (1, 1), 1), (2, (1, 1, 1), 7), (2, (1, 1, 0, 1), 13), (3, (1, 1), 40),
@@ -161,3 +164,73 @@ def test_add_loops_keep_their_running_sums_bounded(monkeypatch):
         assert run() == value
         assert max(seen) < 60
         assert any(b < a for a, b in zip(seen, seen[1:]))  # normalized on the way
+
+
+# -- byte-table reduction against a per-digit reference ---------------------------
+
+def _packed(digits, stride=1):
+    """The raw plane with digit i (24 bits) at theta^(i * stride)."""
+    return sum(d << (24 * stride * i) for i, d in enumerate(digits))
+
+
+def _raw_digits(rng, length, bits=24):
+    """Digits in [0, 2^bits), with every fifth one the largest."""
+    digits = [rng.randrange(1 << rng.choice((8, bits))) for _ in range(length)]
+    digits[::5] = [(1 << bits) - 1] * len(digits[::5])
+    return digits
+
+
+def _trim(codes):
+    codes = list(codes)
+    while codes and not codes[-1]:
+        codes.pop()
+    return tuple(codes)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 83, 89, 251))
+def test_byte_reduction_matches_per_digit_mod_p(p):
+    # 1, 2 or 3 nonzero bytes per digit; with 3, p <= 83 adds its
+    # residues in bytes and p >= 89 in 16-bit lanes (with 2, p <= 127)
+    kernel = get_kernel(FieldSpec(p, (0, 1)))
+    rng = random.Random(p)
+    for bits in (8, 16, 24):
+        for length in (0, 1, 2, 5, 31, 400):
+            digits = _raw_digits(rng, length, bits)
+            reduced = [d % p for d in digits]
+            x = (_packed(digits),)
+            assert kernel.normalize(x) == (_packed(reduced),)
+            assert kernel.to_codes(x) == _trim(reduced)
+            assert kernel.frob_spread(x) == (_packed(reduced, p),)
+            assert kernel.is_zero(x) == (not any(reduced))
+    # bytes (p - 1, 1, 2): at p = 251 the residues 250 + 5 + 50 pass a byte
+    digit = (p - 1) + (1 << 8) + (2 << 16)
+    assert kernel.to_codes((_packed([digit, digit]),)) == _trim([digit % p] * 2)
+    # already reduced planes come back as they are
+    done = (_packed([rng.randrange(p) for _ in range(50)]),)
+    assert kernel.normalize(done)[0] is done[0]
+
+
+@pytest.mark.parametrize("q", (9, 25, 27, 289, 729))
+def test_packed_to_codes_of_unreduced_planes(q):
+    spec = FIELDS.get(q) or FieldSpec.default(q)
+    kernel = get_kernel(spec)
+    rng = random.Random(q)
+    for length in (0, 1, 3, 60):
+        planes = [_raw_digits(rng, rng.randrange(length + 1)) for _ in range(spec.e)]
+        want = [spec.from_coords([plane[i] % spec.p if i < len(plane) else 0
+                                  for plane in planes]) for i in range(length)]
+        x = tuple(_packed(plane) for plane in planes)
+        assert kernel.to_codes(x) == _trim(want)
+        codes = tuple(rng.randrange(q) for _ in range(length))
+        assert kernel.to_codes(kernel.from_codes(codes)) == _trim(codes)
+
+
+@pytest.mark.parametrize("q", (4, 8, 16, 512))
+def test_bit_kernel_to_codes_matches_per_bit_reference(q):
+    spec = FIELDS[q]
+    kernel = get_kernel(spec)
+    rng = random.Random(q)
+    for length in (0, 1, 9, 200):
+        planes = [rng.getrandbits(rng.randrange(length + 1)) for _ in range(spec.e)]
+        want = [spec.from_coords([(v >> i) & 1 for v in planes]) for i in range(length)]
+        assert kernel.to_codes(tuple(planes)) == _trim(want)

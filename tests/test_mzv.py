@@ -5,7 +5,7 @@ import pytest
 from ffzeta.fields import FieldSpec, ZpExp, lq_digit_sum
 from ffzeta.polyring import APoly, MPoly, enumerate_monic
 from ffzeta.seriesinf import LaurentSeries
-from ffzeta.zeta import exact_L, power_sum, goss_zeta_eval, SInftyPoint
+from ffzeta.zeta import PowerSumCache, exact_L, power_sum, goss_zeta_eval, SInftyPoint
 from ffzeta.vadic import vadic_exact_L
 from ffzeta.mzv import MzvIndex, mzv_exact, mzv_vadic_exact, mzv_eval_inf
 
@@ -216,3 +216,14 @@ def test_mzv_index_validation():
         MzvIndex((), "strict")
     with pytest.raises(ValueError):
         MzvIndex((1,), "sorted")
+
+
+def test_mzv_vadic_exact_writes_only_its_own_cache(tmp_path, monkeypatch):
+    default, private = tmp_path / "default", tmp_path / "private"
+    monkeypatch.setenv("FFZETA_CACHE", str(default))
+    cache = PowerSumCache(private)
+    TH3 = APoly.theta(F3)
+    value = mzv_vadic_exact(F3, MzvIndex((-5, -2)), TH3, cache)
+    assert not (default / "powersums.jsonl").exists()
+    assert cache.path.exists()
+    assert value == chains_bruteforce(F3, MzvIndex((-5, -2)), TH3)

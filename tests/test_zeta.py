@@ -66,6 +66,51 @@ def test_power_sum_cache_roundtrip_and_corruption(tmp_path):
     assert power_sum(F3, 2, 4, cache=fresh) == value
 
 
+def test_power_sum_cache_corrupt_line_leaves_other_keys_readable(tmp_path):
+    cache = PowerSumCache(tmp_path)
+    for d, n in ((1, 2), (2, 4)):
+        power_sum(F3, d, n, cache=cache)
+    keys = [PowerSumCache.key(F3, d, n) for d, n in ((1, 2), (2, 4))]
+    lines = cache.path.read_text().splitlines()
+    assert {line[9:73] for line in lines} >= set(keys)
+    # break the line of S_1(2) after its key; S_2(4) stays intact
+    cache.path.write_text("".join((line[:80] if line[9:73] == keys[0] else line) + "\n"
+                                  for line in lines))
+    fresh = PowerSumCache(tmp_path)
+    assert fresh.get(keys[0]) is None
+    assert fresh.get(keys[1]) == tuple(power_sum(F3, 2, 4).coeff_codes)
+
+
+def test_power_sum_cache_put_of_a_stored_key_appends_nothing(tmp_path):
+    cache = PowerSumCache(tmp_path)
+    value = power_sum(F3, 2, 4, cache=cache)
+    key = PowerSumCache.key(F3, 2, 4)
+    before = cache.path.read_text()
+    fresh = PowerSumCache(tmp_path)
+    assert fresh.get(key) == tuple(value.coeff_codes)
+    fresh.put(key, value.coeff_codes)
+    # and without a read first: put decodes the stored line itself
+    PowerSumCache(tmp_path).put(key, value.coeff_codes)
+    assert cache.path.read_text() == before
+
+
+@pytest.mark.parametrize("d, n, bogus", [
+    (1, 2, (2, 0, 0, 1)),  # in range but 4 > d*n + 1 = 3 coefficients
+    (2, 3, (1,)),          # nonzero although 2(q-1) > lq(3): S_2(3) vanishes
+])
+def test_power_sum_cache_hit_failing_a_cheap_check_is_recomputed(tmp_path, monkeypatch, d, n,
+                                                                    bogus):
+    from ffzeta import zeta
+    want = enumerated_power_sum(F3, d, n)
+    key = PowerSumCache.key(F3, d, n)
+    (tmp_path / "powersums.jsonl").write_text(json.dumps({"key": key, "coeffs": list(bogus)})
+                                              + "\n")
+    cache = PowerSumCache(tmp_path)
+    assert cache.get(key) == bogus
+    monkeypatch.setattr(zeta, "_memo_by_spec", {})  # reach the disk cache
+    assert power_sum(F3, d, n, cache=cache) == want
+
+
 def test_power_sum_rejects_negative():
     with pytest.raises(ValueError):
         power_sum(F2, -1, 0)
