@@ -182,6 +182,7 @@ class FieldSpec:
         self.p = p
         self.base = base
         self.modulus = modulus
+        self._value_key = (p, modulus, base._value_key if base is not None else None)
         self.rel_degree = len(modulus) - 1
         self.e = self.rel_degree if base is None else base.e * self.rel_degree
         self.q = p ** self.e
@@ -354,14 +355,14 @@ class FieldSpec:
     # -- value semantics -------------------------------------------------------
 
     def _key(self):
-        base_key = self.base._key() if self.base is not None else None
-        return (self.p, self.modulus, base_key)
+        return self._value_key
 
     def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self._key() == other._key()
+        return self is other or (isinstance(other, FieldSpec)
+                                 and self._value_key == other._value_key)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._value_key)
 
     def __repr__(self):
         if self.base is None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .fields import FieldSpec, lq_digit_sum
 from .polyring import APoly, MPoly
 from .seriesinf import LaurentSeries
-from .zeta import PowerSumCache, power_sum, least_p_power, shell_sum
+from .zeta import power_sum, least_p_power, shell_sum
 from .vadic import prime_to_p_power_sum
 from .polyring import is_irreducible
 
@@ -87,7 +87,7 @@ def _widen(poly: MPoly, names):
     return MPoly(names, {(0,) * pad + e: c for e, c in poly.terms.items()})
 
 
-def mzv_exact(spec: FieldSpec, idx: MzvIndex, cache: PowerSumCache | None = None) -> MPoly:
+def mzv_exact(spec: FieldSpec, idx: MzvIndex) -> MPoly:
     """The exact multiple zeta polynomial for all-nonpositive indices.
 
     Coincides with exact_L(n_1, 0) for depth 1; strict and weak sums
@@ -99,13 +99,12 @@ def mzv_exact(spec: FieldSpec, idx: MzvIndex, cache: PowerSumCache | None = None
             "mixed or positive indices have no exact polynomial form; use mzv_eval_inf")
     names = tuple(f"z{i + 1}" for i in range(idx.depth))
     caps = [lq_digit_sum(-n, spec.q) // (spec.q - 1) for n in idx.ns]
-    tables = [(lambda i: (lambda d: power_sum(spec, d, -idx.ns[i], cache)))(i)
+    tables = [(lambda i: (lambda d: power_sum(spec, d, -idx.ns[i])))(i)
               for i in range(idx.depth)]
     return _chain_dp(spec, idx, tables, caps, names)
 
 
-def mzv_vadic_exact(spec: FieldSpec, idx: MzvIndex, P: APoly,
-                    cache: PowerSumCache | None = None) -> MPoly:
+def mzv_vadic_exact(spec: FieldSpec, idx: MzvIndex, P: APoly) -> MPoly:
     """The v-adic multiple zeta polynomial: first index prime to P only.
 
     Congruent to mzv_exact modulo P^(-n_1) coefficientwise.
@@ -118,9 +117,9 @@ def mzv_vadic_exact(spec: FieldSpec, idx: MzvIndex, P: APoly,
     names = tuple(f"z{i + 1}" for i in range(idx.depth))
     caps = [lq_digit_sum(-n, spec.q) // (spec.q - 1) for n in idx.ns]
     caps[0] += P.degree
-    tables = [(lambda i: (lambda d: power_sum(spec, d, -idx.ns[i], cache)))(i)
+    tables = [(lambda i: (lambda d: power_sum(spec, d, -idx.ns[i])))(i)
               for i in range(idx.depth)]
-    tables[0] = lambda d: prime_to_p_power_sum(spec, d, -idx.ns[0], P, cache)
+    tables[0] = lambda d: prime_to_p_power_sum(spec, d, -idx.ns[0], P)
     return _chain_dp(spec, idx, tables, caps, names)
 
 

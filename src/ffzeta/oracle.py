@@ -229,8 +229,7 @@ def enumerated_inverse_shell(spec: FieldSpec, d: int, n: int, prec: int) -> Laur
 
 def threshold_scan(kind: str, *, spec: FieldSpec | None = None, d_max: int = 4,
                    n_max: int = 32, s_max: int = 4, P: APoly | None = None,
-                   delta: int = 1, budget: int = ENUMERATION_BUDGET,
-                   compare_fast_path: bool = True) -> dict:
+                   delta: int = 1, budget: int = ENUMERATION_BUDGET) -> dict:
     """Sweep one family of vanishing claims and report every cell.
 
     Rows record (parameters, observed zero, predicted by the bound);
@@ -239,7 +238,7 @@ def threshold_scan(kind: str, *, spec: FieldSpec | None = None, d_max: int = 4,
     are skipped and the report is flagged incomplete.
     """
     if kind == "powersum":
-        return _scan_powersum(spec, d_max, n_max, budget, compare_fast_path)
+        return _scan_powersum(spec, d_max, n_max, budget)
     if kind == "twisted":
         return _scan_twisted(spec, d_max, s_max, budget)
     if kind == "char":
@@ -249,7 +248,7 @@ def threshold_scan(kind: str, *, spec: FieldSpec | None = None, d_max: int = 4,
     raise ValueError(f"unknown scan kind {kind!r}")
 
 
-def _scan_powersum(spec, d_max, n_max, budget, compare_fast_path):
+def _scan_powersum(spec, d_max, n_max, budget):
     rows = []
     violations = []
     mismatches = []
@@ -266,7 +265,7 @@ def _scan_powersum(spec, d_max, n_max, budget, compare_fast_path):
             rows.append({"q": q, "d": d, "n": n, "zero": zero, "predicted": predicted})
             if predicted and not zero:
                 violations.append(rows[-1])
-            if compare_fast_path and power_sum(spec, d, n) != value:
+            if power_sum(spec, d, n) != value:
                 mismatches.append({"q": q, "d": d, "n": n})
     report = {"kind": "powersum", "q": q, "rows": rows, "violations": violations,
               "fast_path_mismatches": mismatches, "complete": complete}

@@ -456,16 +456,16 @@ class MPoly:
 
     def substitute(self, name: str, value) -> "MPoly":
         """Substitute a ring value for one variable (value 1 of the ring,
-        a coefficient, or anything the coefficients can multiply)."""
+        a coefficient, or any value whose powers the coefficients can multiply)."""
         i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        out = MPoly(rest, {})
+        powers = {k: value ** k for k in {e[i] for e in self.terms} if k}
+        out = {}
         for e, c in sorted(self.terms.items()):
-            coeff = c
-            for _ in range(e[i]):
-                coeff = coeff * value
-            out = out + MPoly(rest, {e[:i] + e[i + 1:]: coeff})
-        return out
+            if e[i]:
+                c = c * powers[e[i]]
+            rest = e[:i] + e[i + 1:]
+            out[rest] = out[rest] + c if rest in out else c
+        return MPoly(self.vars[:i] + self.vars[i + 1:], out)
 
     def map_coefficients(self, fn) -> "MPoly":
         out = {}

@@ -37,7 +37,7 @@ from .fields import FieldSpec, ZpExp, lq_digit_sum
 from .polyring import APoly, MPoly, enumerate_monic, is_irreducible
 from .padic import PadicCtx, PadicElem, teichmuller, padic_bracket, padic_one_unit_pow, _invert_mod
 from .seriesinf import PrecisionError
-from .zeta import PowerSumCache, power_sum, exact_L, exact_L_degree_bound, _recursion_children
+from .zeta import power_sum, exact_L, exact_L_degree_bound, _recursion_children
 
 
 @dataclass(frozen=True)
@@ -64,22 +64,21 @@ class VadicPoint:
 # prime-to-P power sums and the exact v-adic zeta polynomial
 
 
-def prime_to_p_power_sum(spec: FieldSpec, d: int, n: int, P: APoly,
-                         cache: PowerSumCache | None = None) -> APoly:
+def prime_to_p_power_sum(spec: FieldSpec, d: int, n: int, P: APoly) -> APoly:
     """Sum of a^n over monic degree-d polynomials not divisible by P.
 
     The multiples of P among them are P*b with b monic of degree
-    d - deg P, so the sum is S_d(n) - P^n S_{d - deg P}(n); both power
-    sums go through `cache` (the default cache when None).
+    d - deg P, so the sum is S_d(n) - P^n S_{d - deg P}(n), with both
+    power sums cached by `power_sum` under FFZETA_CACHE.
     """
     if n < 0:
         raise ValueError("needs n >= 0")
-    full = power_sum(spec, d, n, cache)
+    full = power_sum(spec, d, n)
     if d < P.degree:
         return full
     kernel = get_kernel(spec)
     divisible = kernel.mul(kernel.pow(kernel.from_codes(P.coeff_codes), n),
-                           kernel.from_codes(power_sum(spec, d - P.degree, n, cache).coeff_codes))
+                           kernel.from_codes(power_sum(spec, d - P.degree, n).coeff_codes))
     return full - raw_to_apoly(kernel, divisible)
 
 
@@ -87,8 +86,7 @@ def vadic_degree_bound(spec: FieldSpec, n: int, s: int, dP: int) -> int:
     return dP + exact_L_degree_bound(spec, n, s)
 
 
-def vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly,
-                  cache: PowerSumCache | None = None) -> MPoly:
+def vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly:
     """The prime-to-P zeta polynomial sum_d z^d sum_{P not| a} a(t)a^(-n).
 
     Exact for n <= 0, with z-degree at most deg P + (s + lq(-n))/(q-1);
@@ -98,7 +96,7 @@ def vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly,
         raise ValueError("positive exponents are v-adic limits; see vadic_zeta_eval")
     if not is_irreducible(P):
         raise ValueError("P is reducible")
-    L = exact_L(spec, n, s, cache)
+    L = exact_L(spec, n, s)
     kernel = get_kernel(spec)
     Pn = kernel.pow(kernel.from_codes(P.coeff_codes), -n)
     support = [(j, c) for j, c in enumerate(P.coeff_codes) if c]
@@ -345,6 +343,7 @@ def _power_sum_mod(spec, ring: _LocalRing, d: int, n: int, memo: dict):
 # the interpolation gap
 
 
+GAP_HEADROOM = 16  # precision kept past the gap bound, in powers of P
 _local_rings: dict = {}
 
 
@@ -357,7 +356,7 @@ def _get_local_ring(spec: FieldSpec, P: APoly, kappa: int) -> _LocalRing:
     return ring
 
 
-def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int, headroom: int = 16):
+def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
     """Measured v_P of (m_k polynomial) - (v-adic partial sum to k+dP+1).
 
     ns = (n_1, ..., n_r) integer exponents; the first is interpolated by
@@ -380,7 +379,7 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int, headroom: int = 16)
     # headroom past the bound keeps alignment losses out of the verdict;
     # bucketed so calls with nearby exponent vectors share one ring
     neg_room = sum(max(n, 0) for n in ns[1:]) * max(cap - 1, 1)
-    bucket = -(-(neg_room + headroom) // 16) * 16
+    bucket = -(-(neg_room + GAP_HEADROOM) // 16) * 16
     kappa = q ** (k + 1) + bucket
     ring = _get_local_ring(spec, P, kappa)
 

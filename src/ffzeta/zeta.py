@@ -12,7 +12,7 @@ a = theta*b + c (b monic of degree d-1, c in F_q):
 
 over k < n with C(n, k) nonzero mod p and (q-1) | n - k, with
 S_0(n) = 1.  The recursion is cross-checked against plain enumeration
-by the scan oracle and the test suite, and results are cached on disk.
+by the scan oracle and the test suite; only `power_sum` caches on disk.
 
 Evaluation at a p-adic exponent y truncates the shell sum using the
 digit certificate: cutting the base-q digits of the exponent at level
@@ -32,8 +32,8 @@ term by <a>^(p^M') = 1 mod pi^prec.  Every term is then exactly
 
 The numeric multiple zeta shells use the same identity with
 a^(-n) = pi^(d p^M') a^(p^M' - n) mod pi^prec for p^M' >= max(prec, n).
-These evaluations keep power sums in the in-process memo only and never
-touch the disk cache; `oracle.py` keeps the per-monic sums as checks.
+These evaluations call the recursion directly, so they never touch the
+disk cache; `oracle.py` keeps the per-monic sums as checks.
 """
 
 from __future__ import annotations
@@ -117,12 +117,11 @@ def _default_cache_dir() -> Path:
 class PowerSumCache:
     """Write-through JSON-lines store for power sums, keyed by content hash.
 
-    Every line is `{"key": "<64 hex digits>", "coeffs": [...]}`, so the
-    key sits at a fixed offset.  The file is read and indexed by key on
-    first use; a line is JSON-decoded and checked only when its key is
-    first looked up.  Malformed lines (and lines in any other layout)
-    are skipped and recomputed; concurrent appends are serialized with
-    an advisory file lock.
+    It holds public `power_sum` results only, under FFZETA_CACHE.  Lines
+    are `{"key": "<64 hex digits>", "coeffs": [...]}`, indexed by key on
+    first use (the last line of a key wins) and decoded when first looked
+    up.  Malformed lines are skipped and recomputed, `put` rewrites a line
+    whose value differs, and appends are serialized by a file lock.
     """
 
     _PREFIX = '{"key": "'
@@ -170,7 +169,7 @@ class PowerSumCache:
         return self._lookup(key)
 
     def put(self, key: str, coeffs):
-        if self._lookup(key) is not None:
+        if self._lookup(key) == tuple(coeffs):
             return
         self._mem[key] = tuple(coeffs)
         try:
@@ -232,7 +231,7 @@ def _plausible_power_sum(spec: FieldSpec, d: int, n: int, codes) -> bool:
             and not (codes and power_sum_vanishes(spec, d, n)))
 
 
-def _power_sum_raw(spec, kernel, d, n, memo, cache):
+def _power_sum_raw(spec, kernel, d, n, memo):
     key = (d, n)
     if key in memo:
         return memo[key]
@@ -240,23 +239,14 @@ def _power_sum_raw(spec, kernel, d, n, memo, cache):
         raw = kernel.from_codes((1,))
         memo[key] = raw
         return raw
-    ckey = PowerSumCache.key(spec, d, n) if cache is not None else None
-    if cache is not None:
-        hit = cache.get(ckey)
-        if hit is not None and _plausible_power_sum(spec, d, n, hit):
-            raw = kernel.from_codes(hit)
-            memo[key] = raw
-            return raw
     total = RawSum(kernel, kernel.scale_digit)
     for k, b in _recursion_children(spec, d, n):
-        child = _power_sum_raw(spec, kernel, d - 1, k, memo, cache)
+        child = _power_sum_raw(spec, kernel, d - 1, k, memo)
         if kernel.is_zero(child):
             continue
         total.add(kernel.scale(kernel.shift(child, k), spec.neg_code(b)))
     total = kernel.normalize(total.value)
     memo[key] = total
-    if cache is not None:
-        cache.put(ckey, kernel.to_codes(total))
     return total
 
 
@@ -266,7 +256,8 @@ _memo_by_spec: dict = {}
 def power_sum(spec: FieldSpec, d: int, n: int, cache: PowerSumCache | None = None) -> APoly:
     """S_d(n) = sum of a^n over monic degree-d polynomials, exactly.
 
-    Zero whenever d(q-1) > lq(n); cached on disk keyed by (field, d, n).
+    Zero whenever d(q-1) > lq(n).  Taken from the memo, a plausible disk
+    line or the recursion, then stored on disk keyed by (field, d, n).
     """
     if d < 0 or n < 0:
         raise ValueError("power_sum needs d, n >= 0")
@@ -274,9 +265,16 @@ def power_sum(spec: FieldSpec, d: int, n: int, cache: PowerSumCache | None = Non
         cache = default_cache()
     kernel = get_kernel(spec)
     memo = _memo_by_spec.setdefault(spec._key(), {})
-    raw = _power_sum_raw(spec, kernel, d, n, memo, cache)
+    ckey = PowerSumCache.key(spec, d, n)
+    raw = memo.get((d, n))
+    if raw is None:
+        hit = cache.get(ckey) if d else None  # S_0(n) = 1 needs no lookup
+        if hit is not None and _plausible_power_sum(spec, d, n, hit):
+            raw = memo[(d, n)] = kernel.from_codes(hit)
+        else:
+            raw = _power_sum_raw(spec, kernel, d, n, memo)
     value = raw_to_apoly(kernel, raw)
-    cache.put(PowerSumCache.key(spec, d, n), value.coeff_codes)
+    cache.put(ckey, value.coeff_codes)
     return value
 
 
@@ -312,7 +310,7 @@ def shell_sum(spec: FieldSpec, d: int, n: int, shift: int, prec: int) -> Laurent
         return total.shift(low)
     kernel = get_kernel(spec)
     memo = _memo_by_spec.setdefault(spec._key(), {})
-    codes = kernel.to_codes(_power_sum_raw(spec, kernel, d, n, memo, None))
+    codes = kernel.to_codes(_power_sum_raw(spec, kernel, d, n, memo))
     return LaurentSeries(spec, shift - len(codes) + 1, codes[::-1], prec)
 
 
@@ -399,7 +397,7 @@ def exact_L_degree_bound(spec: FieldSpec, n: int, s: int) -> int:
         else s + lq_digit_sum(-n, 2)
 
 
-def exact_L(spec: FieldSpec, n: int, s: int, cache: PowerSumCache | None = None) -> MPoly:
+def exact_L(spec: FieldSpec, n: int, s: int) -> MPoly:
     """The zeta polynomial sum_d z^d sum_a a(t_1)...a(t_s) a^(-n), n <= 0.
 
     Exact output in variables (t_1..t_s, z) with coefficients in A; the
@@ -417,7 +415,7 @@ def exact_L(spec: FieldSpec, n: int, s: int, cache: PowerSumCache | None = None)
     kernel = get_kernel(spec)
     for d in range(bound + 1):
         if s == 0:
-            coeff = power_sum(spec, d, nn, cache)
+            coeff = power_sum(spec, d, nn)
             if coeff:
                 terms[(d,)] = coeff
             continue

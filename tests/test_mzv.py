@@ -219,11 +219,11 @@ def test_mzv_index_validation():
 
 
 def test_mzv_vadic_exact_writes_only_its_own_cache(tmp_path, monkeypatch):
-    default, private = tmp_path / "default", tmp_path / "private"
-    monkeypatch.setenv("FFZETA_CACHE", str(default))
-    cache = PowerSumCache(private)
+    monkeypatch.setenv("FFZETA_CACHE", str(tmp_path))
     TH3 = APoly.theta(F3)
-    value = mzv_vadic_exact(F3, MzvIndex((-5, -2)), TH3, cache)
-    assert not (default / "powersums.jsonl").exists()
-    assert cache.path.exists()
+    value = mzv_vadic_exact(F3, MzvIndex((-5, -2)), TH3)
     assert value == chains_bruteforce(F3, MzvIndex((-5, -2)), TH3)
+    # one line per power sum the chain tables ask for, none for the recursion's
+    asked = {PowerSumCache.key(F3, d, n) for d in range(3) for n in (5, 2)}
+    lines = (tmp_path / "powersums.jsonl").read_text().splitlines()
+    assert lines and {line[9:73] for line in lines} <= asked

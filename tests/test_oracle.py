@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from ffzeta.polyring import APoly, MPoly
 from ffzeta.oracle import (CharsumConfig, charsum_trial, random_charsum_config,
                            enumerated_power_sum, threshold_scan,
                            ENUMERATION_BUDGET)
+from ffzeta import oracle
 from ffzeta.zeta import power_sum
 
 F2 = FieldSpec.default(2)
@@ -134,3 +137,49 @@ def test_threshold_scan_char_observes_sharp_bound():
 def test_threshold_scan_budget_flag():
     report = threshold_scan("powersum", spec=F3, d_max=9, n_max=10, budget=1000)
     assert not report["complete"]
+
+
+# The library routes the oracles check; oracle.py may not reach any of them.
+CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_recursion_children", "_lucas_support",
+                  "prime_to_p_power_sum", "exact_L", "vadic_exact_L", "_power_sum_mod",
+                  "goss_zeta_eval", "mzv_eval_inf"}
+CHECKED_MODULES = {"zeta", "vadic", "mzv"}
+
+
+def _shared_routes(source):
+    """Imports in `source` that reach a checked route or a whole checked module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.removeprefix("ffzeta.") in CHECKED_MODULES]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("ffzeta.")
+            for a in node.names:
+                if a.name in CHECKED_ROUTES:
+                    found.append(a.name)
+                elif module in ("", "ffzeta") and a.name in CHECKED_MODULES:
+                    found.append(a.name)
+                elif module in CHECKED_MODULES and a.name == "*":
+                    found.append(f"{module}.*")
+        elif isinstance(node, ast.Attribute) and node.attr in CHECKED_ROUTES:
+            found.append(node.attr)
+    return found
+
+
+def test_oracle_shares_no_code_path_with_what_it_checks():
+    assert _shared_routes(Path(oracle.__file__).read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from .zeta import power_sum, shell_sum",
+    "from .vadic import _power_sum_mod as psm",
+    "from ffzeta.zeta import exact_L",
+    "from . import zeta",
+    "from ffzeta import mzv",
+    "import ffzeta.vadic",
+    "from .zeta import *",
+    "import ffzeta\nx = ffzeta.zeta.goss_zeta_eval",
+])
+def test_shared_route_guard_catches_each_import_form(source):
+    assert _shared_routes(source)

@@ -10,7 +10,7 @@ from ffzeta.fields import FieldSpec, ZpExp, lq_digit_sum
 from ffzeta.polyring import APoly, MPoly, enumerate_monic
 from ffzeta.padic import PadicCtx
 from ffzeta.seriesinf import LaurentSeries, PrecisionError
-from ffzeta.zeta import PowerSumCache, exact_L, pellarin_L_series, power_sum
+from ffzeta.zeta import exact_L, pellarin_L_series, power_sum
 from ffzeta.oracle import enumerated_prime_to_p_power_sum, enumerated_vadic_exact_L
 from ffzeta.vadic import (VadicPoint, vadic_exact_L, vadic_zeta_eval, mk_sequence,
                           interpolation_gap, interpolation_gap_bound,
@@ -36,12 +36,6 @@ def test_vadic_exact_L_fixtures():
         vadic_exact_L(F2, 1, 0, TH2)
     with pytest.raises(ValueError):
         vadic_exact_L(F2, 0, 0, APoly(F2, (0, 0, 1)))
-
-
-def test_vadic_exact_L_passes_its_cache_on(tmp_path):
-    cache = PowerSumCache(tmp_path)
-    vadic_exact_L(F3, -5, 0, TH3, cache)
-    assert cache.path.exists()
 
 
 def test_euler_factor_identity_exact():

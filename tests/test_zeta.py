@@ -109,6 +109,17 @@ def test_power_sum_cache_hit_failing_a_cheap_check_is_recomputed(tmp_path, monke
     assert cache.get(key) == bogus
     monkeypatch.setattr(zeta, "_memo_by_spec", {})  # reach the disk cache
     assert power_sum(F3, d, n, cache=cache) == want
+    # the rejected line is superseded: a new process reads the right value
+    assert PowerSumCache(tmp_path).get(key) == want.coeff_codes
+
+
+def test_power_sum_stores_only_the_sum_it_was_asked_for(tmp_path, monkeypatch):
+    from ffzeta import zeta
+    monkeypatch.setattr(zeta, "_memo_by_spec", {})  # the recursion runs through S_1(k)
+    cache = PowerSumCache(tmp_path)
+    power_sum(F3, 2, 8, cache=cache)
+    lines = cache.path.read_text().splitlines()
+    assert [line[9:73] for line in lines] == [PowerSumCache.key(F3, 2, 8)]
 
 
 def test_power_sum_rejects_negative():
