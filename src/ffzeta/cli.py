@@ -14,7 +14,7 @@ import random
 import re
 import sys
 
-from .fields import FieldSpec, FqElem, ZpExp, ResidueChar, FieldError
+from .fields import FieldSpec, FqElem, ZpExp, FieldError
 from .polyring import APoly, MPoly
 from .seriesinf import LaurentSeries, PrecisionError
 from .padic import PadicCtx, PadicElem
@@ -22,7 +22,7 @@ from . import zeta as zeta_mod
 from . import vadic as vadic_mod
 from . import mzv as mzv_mod
 from . import oracle as oracle_mod
-from .zeta import SInftyPoint, PowerSumCache
+from .zeta import SInftyPoint
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -302,7 +302,7 @@ def _run(args) -> int:
         _require(args, "indices")
         ns = _parse_digits(args.indices)
         P = _parse_apoly(spec, args.P) if args.P else None
-        idx = mzv_mod.MzvIndex(tuple(ns), args.mode, P)
+        idx = mzv_mod.MzvIndex(tuple(ns), args.mode)
         if all(n <= 0 for n in ns):
             poly = (mzv_mod.mzv_vadic_exact(spec, idx, P) if P is not None
                     else mzv_mod.mzv_exact(spec, idx))

@@ -2,9 +2,10 @@
 
 The strict sum Z runs over deg a_1 > deg a_2 > ... > deg a_r >= 0 and
 the weak sum Z* over >=-chains; both factor through per-degree power
-sums once the degree vector is fixed, so everything is computed by
-dynamic programming over degrees with memoized factor tables, never by
-raw tuple enumeration.
+sums once the degree vector is fixed.  The exact polynomials and the
+numeric values are both polyring.chain_sum over tables S_i(d) z_i^d, a
+dynamic program over degrees, never raw tuple enumeration;
+vadic.interpolation_gap takes the same strict sum in A/(P^kappa).
 
 For all-nonpositive exponents the sums are exact polynomials in
 z_1..z_r over A, with deg_{z_1} <= lq(-n_1)/(q-1).  The v-adic variant
@@ -21,20 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import FieldSpec, lq_digit_sum
-from .polyring import APoly, MPoly
+from .polyring import APoly, MPoly, chain_sum, is_irreducible
 from .seriesinf import LaurentSeries
 from .zeta import power_sum, least_p_power, shell_sum
 from .vadic import prime_to_p_power_sum
-from .polyring import is_irreducible
 
 
 @dataclass(frozen=True)
 class MzvIndex:
-    """A multiple zeta index: exponents, chain mode, optional prime."""
+    """A multiple zeta index: exponents and chain mode."""
 
     ns: tuple
     mode: str = "strict"
-    P: APoly | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
@@ -48,43 +47,27 @@ class MzvIndex:
         return len(self.ns)
 
 
-def _chain_dp(spec, idx: MzvIndex, s_tables, caps, names):
-    """Sum over admissible degree chains of prod S_i(d_i) z_i^(d_i)."""
-    strict = idx.mode == "strict"
+def _exact_chain_sum(spec: FieldSpec, idx: MzvIndex, P: APoly | None = None) -> MPoly:
+    """Sum over degree chains of prod_i S_(d_i)(-n_i) z_i^(d_i); with P
+    given, the first power sum runs over a_1 prime to P only."""
+    if any(n > 0 for n in idx.ns):
+        raise ValueError(
+            "mixed or positive indices have no exact polynomial form; use mzv_eval_inf")
+    if P is not None and not is_irreducible(P):
+        raise ValueError("P is reducible")
     r = idx.depth
-    memo = {}
+    names = tuple(f"z{i + 1}" for i in range(r))
+    caps = [lq_digit_sum(-n, spec.q) // (spec.q - 1) for n in idx.ns]
+    if P is not None:
+        caps[0] += P.degree
 
-    def build(i, upper):
-        # upper = exclusive bound from the previous degree (None at the top)
-        cap = caps[i]
-        hi = cap if upper is None else min(cap, upper - (1 if strict else 0))
-        key = (i, hi)
-        if key in memo:
-            return memo[key]
-        out = MPoly.zero(names[i:])
-        for d in range(hi + 1):
-            coeff = s_tables[i](d)
-            if not coeff:
-                continue
-            head = MPoly(names[i:], {(d,) + (0,) * (r - i - 1): coeff})
-            if i + 1 < r:
-                tail = build(i + 1, d)
-                if tail.is_zero():
-                    continue
-                head = head * _widen(tail, names[i:])
-            out = out + head
-        memo[key] = out
-        return out
+    def table(i, d):
+        n = -idx.ns[i]
+        coeff = (prime_to_p_power_sum(spec, d, n, P) if i == 0 and P is not None
+                 else power_sum(spec, d, n))
+        return MPoly(names, {(0,) * i + (d,) + (0,) * (r - i - 1): coeff})
 
-    return build(0, None)
-
-
-def _widen(poly: MPoly, names):
-    """Reindex an MPoly in a variable suffix into the longer roster."""
-    if poly.vars == names:
-        return poly
-    pad = len(names) - len(poly.vars)
-    return MPoly(names, {(0,) * pad + e: c for e, c in poly.terms.items()})
+    return chain_sum(table, caps, idx.mode == "strict", MPoly.zero(names))
 
 
 def mzv_exact(spec: FieldSpec, idx: MzvIndex) -> MPoly:
@@ -94,14 +77,7 @@ def mzv_exact(spec: FieldSpec, idx: MzvIndex) -> MPoly:
     differ by the diagonal terms sum_d S_d(-n_1) S_d(-n_2) (z_1 z_2)^d
     at depth 2.
     """
-    if any(n > 0 for n in idx.ns):
-        raise ValueError(
-            "mixed or positive indices have no exact polynomial form; use mzv_eval_inf")
-    names = tuple(f"z{i + 1}" for i in range(idx.depth))
-    caps = [lq_digit_sum(-n, spec.q) // (spec.q - 1) for n in idx.ns]
-    tables = [(lambda i: (lambda d: power_sum(spec, d, -idx.ns[i])))(i)
-              for i in range(idx.depth)]
-    return _chain_dp(spec, idx, tables, caps, names)
+    return _exact_chain_sum(spec, idx)
 
 
 def mzv_vadic_exact(spec: FieldSpec, idx: MzvIndex, P: APoly) -> MPoly:
@@ -109,18 +85,7 @@ def mzv_vadic_exact(spec: FieldSpec, idx: MzvIndex, P: APoly) -> MPoly:
 
     Congruent to mzv_exact modulo P^(-n_1) coefficientwise.
     """
-    if any(n > 0 for n in idx.ns):
-        raise ValueError(
-            "mixed or positive indices have no exact polynomial form; use mzv_eval_inf")
-    if not is_irreducible(P):
-        raise ValueError("P is reducible")
-    names = tuple(f"z{i + 1}" for i in range(idx.depth))
-    caps = [lq_digit_sum(-n, spec.q) // (spec.q - 1) for n in idx.ns]
-    caps[0] += P.degree
-    tables = [(lambda i: (lambda d: power_sum(spec, d, -idx.ns[i])))(i)
-              for i in range(idx.depth)]
-    tables[0] = lambda d: prime_to_p_power_sum(spec, d, -idx.ns[0], P)
-    return _chain_dp(spec, idx, tables, caps, names)
+    return _exact_chain_sum(spec, idx, P)
 
 
 def _numeric_shell_cutoff(q: int, n1: int, prec: int, hard_cap: int = 4000) -> int:
@@ -155,33 +120,16 @@ def mzv_eval_inf(spec: FieldSpec, idx: MzvIndex, prec: int, z_points=None) -> La
         if v is not None and v < 0:
             raise ValueError("z-points must have Gauss norm <= 1 (valuation >= 0)")
     cutoff = _numeric_shell_cutoff(spec.q, idx.ns[0], prec)
-    strict = idx.mode == "strict"
-
     s_cache: dict = {}
 
-    def s_numeric(i, d):
+    def table(i, d):
         # sum_a a^(-n) = pi^(d p^M') S_d(p^M' - n) mod pi^prec, p^M' >= max(prec, n)
         n = idx.ns[i]
         if (n, d) not in s_cache:
             big = least_p_power(spec.p, max(prec, n))
             s_cache[(n, d)] = shell_sum(spec, d, big - n, d * big, prec)
-        return s_cache[(n, d)]
+        return s_cache[(n, d)] * z_points[i] ** d
 
-    memo: dict = {}
-
-    def build(i, upper):
-        hi = (cutoff - 1) if upper is None else upper - (1 if strict else 0)
-        key = (i, hi)
-        if key in memo:
-            return memo[key]
-        total = LaurentSeries.zero(spec, prec)
-        for d in range(hi + 1):
-            term = s_numeric(i, d) * z_points[i] ** d
-            if i + 1 < r:
-                term = term * build(i + 1, d)
-            total = total + term
-        memo[key] = total
-        return total
-
-    value = build(0, None)
+    value = chain_sum(table, [cutoff - 1] * r, idx.mode == "strict",
+                      LaurentSeries.zero(spec, prec))
     return value.truncate(min(prec, value.prec))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fields import FieldSpec, FqElem, ResidueChar, ZpExp, lq_digit_sum
 from ._kernels import RawSum, get_kernel

@@ -11,7 +11,7 @@ exponents through the same digit product as at the infinite place.
 from __future__ import annotations
 
 from . import fields
-from .fields import FieldSpec, ZpExp
+from .fields import ZpExp
 from .polyring import APoly, is_irreducible
 from .seriesinf import PrecisionError
 

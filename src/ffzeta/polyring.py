@@ -458,10 +458,13 @@ class MPoly:
         """Substitute a ring value for one variable (value 1 of the ring,
         a coefficient, or any value whose powers the coefficients can multiply)."""
         i = self.vars.index(name)
-        powers = {k: value ** k for k in {e[i] for e in self.terms} if k}
+        # in an exact ring one's powers leave a term as it is; a series
+        # keeps the product, because it caps the term's precision
+        one = isinstance(value, (APoly, FqElem)) and value == _ring_one(value)
+        powers = {k: value ** k for k in {e[i] for e in self.terms} if k and not one}
         out = {}
         for e, c in sorted(self.terms.items()):
-            if e[i]:
+            if e[i] in powers:
                 c = c * powers[e[i]]
             rest = e[:i] + e[i + 1:]
             out[rest] = out[rest] + c if rest in out else c
@@ -507,6 +510,32 @@ class MPoly:
     def from_json(cls, doc, coeff_from_json) -> "MPoly":
         return cls(doc["vars"],
                    {tuple(t["exp"]): coeff_from_json(t["coeff"]) for t in doc["terms"]})
+
+
+def chain_sum(table, caps, strict: bool, zero):
+    """Sum over degree chains d_1 > d_2 > ... > d_r (>= when not strict),
+    with d_i <= caps[i], of table(0, d_1) * table(1, d_2) * ... * table(r-1, d_r).
+
+    r = len(caps).  The partial sums over the levels i.. are memoized on
+    (i, top degree), so each is formed once; the last level's table value
+    enters as it is.  `zero` starts every sum; a zero term is still added,
+    because a series zero carries a precision.
+    """
+    r = len(caps)
+    memo = {}
+
+    def level(i, hi):
+        if (i, hi) not in memo:
+            total = zero
+            for d in range(hi + 1):
+                term = table(i, d)
+                if i + 1 < r:
+                    term = term * level(i + 1, min(caps[i + 1], d - 1 if strict else d))
+                total = total + term
+            memo[i, hi] = total
+        return memo[i, hi]
+
+    return level(0, caps[0])
 
 
 def _ring_one(sample):

@@ -34,8 +34,8 @@ from math import inf
 
 from ._kernels import RawSum, get_kernel, raw_to_apoly, QuotientKernel
 from .fields import FieldSpec, ZpExp, lq_digit_sum
-from .polyring import APoly, MPoly, enumerate_monic, is_irreducible
-from .padic import PadicCtx, PadicElem, teichmuller, padic_bracket, padic_one_unit_pow, _invert_mod
+from .polyring import APoly, MPoly, chain_sum, enumerate_monic, is_irreducible
+from .padic import PadicCtx, teichmuller, padic_one_unit_pow, _invert_mod
 from .seriesinf import PrecisionError
 from .zeta import power_sum, exact_L, exact_L_degree_bound, _recursion_children
 
@@ -317,7 +317,7 @@ class _LocalValue:
         return None if v is None else self.exp + v
 
     def __bool__(self):
-        return self.valuation() is not None
+        return not self.ring.kernel.is_zero(self.raw)
 
 
 def _power_sum_mod(spec, ring: _LocalRing, d: int, n: int, memo: dict):
@@ -360,11 +360,13 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
     """Measured v_P of (m_k polynomial) - (v-adic partial sum to k+dP+1).
 
     ns = (n_1, ..., n_r) integer exponents; the first is interpolated by
-    m_k and the partial sums restrict the top index prime to P, exactly
-    matching the strict-chain zeta polynomial shape.  Returns the
-    coefficientwise minimum of v_P over z-monomials (inf if the
-    difference vanishes to working precision); the caller compares it
-    with q^(k+1) - (|n_2|+...+|n_r|)(deg P + k).
+    m_k and the partial sums restrict the top index prime to P.  The
+    difference is one strict polyring.chain_sum in P^e * A/(P^kappa):
+    its first table is (sum_a a^(-m_k) - sum_{P not| a} a^(-n_1)) z_1^d
+    over monic a of degree d, the others sum_a a^(-n_i) z_i^d.  Returns
+    the coefficientwise minimum of v_P over z-monomials, its Gauss
+    valuation (inf if the difference vanishes to working precision);
+    the caller compares it with q^(k+1) - (|n_2|+...+|n_r|)(deg P + k).
     """
     ns = tuple(int(n) for n in ns)
     if not ns:
@@ -386,9 +388,6 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
     def S_mod(d, n):
         return _power_sum_mod(spec, ring, d, n, ring.power_sum_memo)
 
-    def S_full_mk(d):
-        return _LocalValue(ring, 0, S_mod(d, -mk))
-
     def S_local(d, n, prime_to_p):
         key = (d, n, prime_to_p)
         if key in ring.table_cache:
@@ -407,42 +406,21 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
         ring.table_cache[key] = acc
         return acc
 
+    names = tuple(f"z{i + 1}" for i in range(len(ns)))
+
+    def table(i, d):
+        if i:
+            value = S_local(d, ns[i], False)
+        else:
+            value = _LocalValue(ring, 0, S_mod(d, -mk)) if d <= degbound else ring.zero()
+            if d <= cap:
+                value = value - S_local(d, ns[0], True)
+        return MPoly(names, {(0,) * i + (d,) + (0,) * (len(ns) - i - 1): value})
+
     top = max(degbound, cap)
-    coeffs: dict = {}
-
-    def add_coeff(key, value):
-        coeffs[key] = coeffs[key] + value if key in coeffs else value
-
-    def inner_chains(i, upper):
-        """Sum over strictly decreasing inner degrees below `upper`."""
-        if i == len(ns):
-            return {(): ring.one()}
-        out = {}
-        n_i = ns[i]
-        cap_i = lq_digit_sum(-n_i, q) // (q - 1) if n_i <= 0 else None
-        for d_i in range(upper):
-            if cap_i is not None and d_i > cap_i:
-                break
-            s_val = S_local(d_i, n_i, False)
-            for tail_key, tail_val in inner_chains(i + 1, d_i).items():
-                key = (d_i,) + tail_key
-                val = s_val * tail_val
-                out[key] = out[key] + val if key in out else val
-        return out
-
-    for d1 in range(top + 1):
-        tails = inner_chains(1, d1) if len(ns) > 1 else {(): ring.one()}
-        if d1 <= degbound:
-            lead = S_full_mk(d1)
-            for tail_key, tail_val in tails.items():
-                add_coeff((d1,) + tail_key, lead * tail_val)
-        if d1 <= cap:
-            lead = S_local(d1, ns[0], True)
-            for tail_key, tail_val in tails.items():
-                add_coeff((d1,) + tail_key, -(lead * tail_val))
-    vals = [v.valuation() for v in coeffs.values()]
-    vals = [v for v in vals if v is not None]
-    return min(vals) if vals else inf
+    caps = [top] + [lq_digit_sum(-n, q) // (q - 1) if n <= 0 else top for n in ns[1:]]
+    gap = chain_sum(table, caps, True, MPoly.zero(names)).gauss_valuation()
+    return inf if gap is None else gap
 
 
 def interpolation_gap_bound(spec: FieldSpec, ns, dP: int, k: int) -> int:

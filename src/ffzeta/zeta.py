@@ -44,7 +44,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import fields
@@ -393,8 +393,7 @@ def char_power_sum(spec: FieldSpec, d: int, chi: ResidueChar, n: int):
 
 
 def exact_L_degree_bound(spec: FieldSpec, n: int, s: int) -> int:
-    return (s + lq_digit_sum(-n, spec.q)) // (spec.q - 1) if spec.q > 2 \
-        else s + lq_digit_sum(-n, 2)
+    return (s + lq_digit_sum(-n, spec.q)) // (spec.q - 1)
 
 
 def exact_L(spec: FieldSpec, n: int, s: int) -> MPoly:

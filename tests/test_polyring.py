@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from ffzeta.fields import FieldSpec, FqElem, FieldError
-from ffzeta.polyring import (APoly, MPoly, enumerate_monic, monic_coeff_vectors,
+from ffzeta.polyring import (APoly, MPoly, chain_sum, enumerate_monic, monic_coeff_vectors,
                              frobenius_twist, hyperderivative, is_irreducible)
 from ffzeta.seriesinf import LaurentSeries
+from ffzeta.zeta import exact_L
 
 F2 = FieldSpec.default(2)
 F3 = FieldSpec.default(3)
@@ -197,6 +199,47 @@ def test_mpoly_basics():
     q = p.substitute("z", one)
     assert q.terms[(0,)].code == 1
     assert (p - p).is_zero()
+
+
+def test_substituting_one_multiplies_no_coefficient(monkeypatch):
+    L = exact_L(F3, -8, 2)
+    calls = []
+    mul = APoly.__mul__
+    monkeypatch.setattr(APoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    at_one = L.substitute("z", APoly.one(F3))
+    assert calls == []
+    expected = MPoly.zero(at_one.vars)
+    for k in range(L.degree_in("z") + 1):
+        expected = expected + L.coefficient_of("z", k)
+    assert at_one == expected
+
+
+def test_substituting_a_series_keeps_its_precision_cap():
+    p = MPoly(("z",), {(0,): LaurentSeries.one(F2, 10), (1,): LaurentSeries.theta(F2, 10)})
+    at_one = p.substitute("z", LaurentSeries.one(F2, 5))
+    # 1 + theta: the product theta * (1 + O(pi^5)) is known only to pi^4
+    assert at_one.terms[()] == LaurentSeries(F2, -1, (1, 1), 4)
+
+
+def _brute_chain_sum(table, caps, strict):
+    total = 0
+    for degs in itertools.product(*(range(c + 1) for c in caps)):
+        if all(a > b or (not strict and a == b) for a, b in zip(degs, degs[1:])):
+            term = 1
+            for i, d in enumerate(degs):
+                term *= table(i, d)
+            total += term
+    return total
+
+
+@pytest.mark.parametrize("caps", [(0,), (4,), (3, 3), (2, 5), (5, 1), (4, 4, 4),
+                                  (5, 2, 3), (3, 6, 0), (6, 3, 1)])
+def test_chain_sum_matches_brute_force(caps):
+    rng = random.Random(sum(caps) * 31 + len(caps))
+    values = {(i, d): rng.randrange(-9, 10) for i in range(len(caps)) for d in range(8)}
+    for strict in (True, False):
+        assert chain_sum(lambda i, d: values[i, d], list(caps), strict, 0) == \
+            _brute_chain_sum(lambda i, d: values[i, d], caps, strict), strict
 
 
 def test_mpoly_zero_pruning_and_arity():

@@ -5,6 +5,7 @@ numeric multiple zeta shells sum_a a^(-n) as pi^(d p^M) S_d(p^M - n);
 `oracle.py` sums the same shells one monic polynomial at a time.
 """
 
+import itertools
 import random
 
 import pytest
@@ -136,25 +137,25 @@ def test_fields_past_the_packed_kernel_sum_shells_per_monic():
 def _oracle_chain(spec, ns, mode, prec):
     """Chain sum over degrees with enumerated shells; top degree d has
     valuation >= n_1 d + q^(d-2), which bounds the degrees visited."""
-    def shell(n, d):
-        return enumerated_inverse_shell(spec, d, n, prec)
-
     top = 0
     while ns[0] * top + (spec.q ** (top - 2) if top >= 2 else 0) < prec:
         top += 1
+    shells = {(n, d): enumerated_inverse_shell(spec, d, n, prec)
+              for n in set(ns) for d in range(top)}
     total = LaurentSeries.zero(spec, prec)
-    for d1 in range(top):
-        if len(ns) == 1:
-            total = total + shell(ns[0], d1)
-            continue
-        for d2 in range(d1 + (mode == "weak")):
-            total = total + shell(ns[0], d1) * shell(ns[1], d2)
+    for degs in itertools.product(range(top), repeat=len(ns)):
+        if all(a > b or (mode == "weak" and a == b) for a, b in zip(degs, degs[1:])):
+            term = LaurentSeries.one(spec, prec)
+            for n, d in zip(ns, degs):
+                term = term * shells[n, d]
+            total = total + term
     return total
 
 
 @pytest.mark.parametrize("spec", FIELDS[:4], ids=lambda s: f"q{s.q}")
 def test_mzv_eval_inf_matches_enumerated_shells(spec):
-    for ns, prec in (((1,), 12), ((3,), 20), ((2, 1), 10), ((1, 2), 8)):
+    for ns, prec in (((1,), 12), ((3,), 20), ((2, 1), 10), ((1, 2), 8), ((1, 1, 1), 10),
+                     ((2, 1, 3), 12)):
         for mode in ("strict", "weak"):
             got = mzv_eval_inf(spec, MzvIndex(ns, mode), prec)
             assert got.agrees_with(_oracle_chain(spec, ns, mode, prec), prec=prec), (ns, mode)

@@ -305,6 +305,34 @@ def test_interpolation_gap_infinite_when_difference_empty():
     assert g == math.inf or g >= 4
 
 
+GAP_VECTORS = ((1, 1, 1), (2, -1, 1), (1, -2, -1), (-3, 1, 2), (3, 2, -1), (-1, -1, -1),
+               (2, 1, 0), (1, 3, -2))
+INF = math.inf
+# (q, P, k) -> measured gaps over GAP_VECTORS, recorded with the per-chain
+# tables that interpolation_gap had before polyring.chain_sum
+GAP_VALUES = {
+    (2, (0, 1), 0): [2, 2, 3, 2, 0, 2, 1, 0],
+    (2, (0, 1), 1): [5, 6, 7, 2, 2, 4, 5, 2],
+    (2, (1, 1, 1), 0): [1, 2, 2, 2, 4, 4, 2, -1],
+    (2, (1, 1, 1), 1): [4, 4, 4, 15, 4, 16, 3, 2],
+    (3, (0, 1), 0): [5, INF, 6, INF, 16, INF, 3, 3],
+    (3, (0, 1), 1): [11, INF, 12, INF, 16, INF, 9, 9],
+    (3, (1, 0, 1), 0): [5, INF, 5, 3, 6, INF, 4, 4],
+    (3, (1, 0, 1), 1): [10, INF, 10, INF, 15, INF, 9, 10],
+}
+
+
+@pytest.mark.parametrize("cell", sorted(GAP_VALUES), ids=str)
+def test_interpolation_gap_values_at_depth_three(cell):
+    q, Pc, k = cell
+    spec = FieldSpec.default(q)
+    P = APoly(spec, Pc)
+    got = [interpolation_gap(spec, ns, P, k) for ns in GAP_VECTORS]
+    assert got == GAP_VALUES[cell]
+    assert all(g >= interpolation_gap_bound(spec, ns, P.degree, k)
+               for g, ns in zip(got, GAP_VECTORS))
+
+
 def test_local_ring_arithmetic():
     ring = _LocalRing(F2, TH2, 8)
     a = ring.from_apoly(APoly(F2, (1, 1)))
