@@ -30,7 +30,7 @@ pay for numpy.
 
 from __future__ import annotations
 
-from .fields import FieldError, FieldSpec
+from .fields import FieldError, FieldSpec, binary_power
 
 _PACK_BITS = 24
 _DIGIT_LIMIT = 1 << _PACK_BITS
@@ -231,18 +231,21 @@ class _PackedKernel(_Planes):
                          for k, row in enumerate(self.red)) for j in range(self.e)) or 1
         self.max_mul_len = (_DIGIT_LIMIT - 1) // ((self.p - 1) ** 2 * weight)
         if self.p > MAX_PACKED_P:  # residues do not fit the byte tables
+            self.from_codes = self.to_codes = self.normalize = self.frob_spread = self._no_bytes
             return
         self._reduced = bytes(range(self.p))
         # byte b at position k of a digit (or of a 16-bit lane) -> (b << 8k) mod p
         self._byte_mod = [bytes((b << 8 * k) % self.p for b in range(256)) for k in range(3)]
 
+    def _no_bytes(self, *args):
+        """Stands in for every digit-reading method when p > 251."""
+        raise FieldError(f"packed kernel digits are bytes: needs p <= {MAX_PACKED_P}, "
+                         f"got p = {self.p}")
+
     def is_zero(self, x):
         return not any(self.normalize(x))
 
     def from_codes(self, codes):
-        if self.p > MAX_PACKED_P:
-            raise FieldError(f"packed kernel digits are bytes: needs p <= {MAX_PACKED_P}, "
-                             f"got p = {self.p}")
         return tuple(_spread(digits, 3) for digits in
                      ([bytes(codes)] if self.e == 1 else self._code_planes(codes)))
 
@@ -402,15 +405,7 @@ class QuotientKernel:
         return self.reduce(self.k.mul(x, y))
 
     def pow(self, x, n: int):
-        result = self.k.from_codes((1,))
-        base = x
-        while n > 0:
-            if n & 1:
-                result = self.mul(result, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return result
+        return binary_power(self.reduce(x), n, self.mul) if n else self.k.from_codes((1,))
 
     def inverse(self, x, unit_inverse_mod_prime, digits: int | None = None):
         """Invert a unit given its inverse modulo the prime divisor of m.

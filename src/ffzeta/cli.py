@@ -312,8 +312,10 @@ def _run(args) -> int:
                 raise SystemExit2("positive indices need --prec")
             z_points = None
             if args.z:
-                z_points = [LaurentSeries.constant(spec, c, args.prec)
-                            for c in _parse_digits(args.z)]
+                codes = _parse_digits(args.z)
+                if not all(0 <= c < spec.q for c in codes):
+                    raise SystemExit2(f"--z expects codes in [0, {spec.q}), got {args.z}")
+                z_points = [LaurentSeries.constant(spec, c, args.prec) for c in codes]
             value = mzv_mod.mzv_eval_inf(spec, idx, args.prec, z_points)
             _emit(args, value.to_json())
     elif cmd == "verify":

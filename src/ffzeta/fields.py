@@ -122,16 +122,27 @@ def poly_gcd(F, a, b):
     return a
 
 
-def poly_powmod(F, a, n, m):
-    result = [1]
-    base = poly_mod(F, a, m)
-    while n > 0:
+def binary_power(base, n: int, mul):
+    """base^n for n >= 1 by square-and-multiply with the product `mul`.
+
+    Each step multiplies the running result by the base before squaring
+    the base, the order every ring here relies on (series precisions
+    depend on it); callers handle n = 0 themselves.
+    """
+    result = None
+    while True:
         if n & 1:
-            result = poly_mod(F, poly_mul(F, result, base), m)
+            result = base if result is None else mul(result, base)
         n >>= 1
-        if n:
-            base = poly_mod(F, poly_mul(F, base, base), m)
-    return result
+        if not n:
+            return result
+        base = mul(base, base)
+
+
+def poly_powmod(F, a, n, m):
+    if n == 0:
+        return [1]
+    return binary_power(poly_mod(F, a, m), n, lambda x, y: poly_mod(F, poly_mul(F, x, y), m))
 
 
 def poly_is_irreducible(F, m) -> bool:
@@ -189,9 +200,12 @@ class FieldSpec:
         if self.q > MAX_FIELD_SIZE:
             raise FieldError(f"field size {self.q} exceeds supported maximum")
         self._ground_q = ground_q
-        if self.rel_degree > 1 and not poly_is_irreducible(
-                base if base is not None else _PrimeField(p), list(modulus)):
+        if self.rel_degree > 1 and not poly_is_irreducible(self._ground(), list(modulus)):
             raise FieldError("modulus is reducible")
+
+    def _ground(self) -> "FieldSpec":
+        """The field the modulus lives over: the base, or F_p."""
+        return self.base if self.base is not None else FieldSpec(self.p, (0, 1))
 
     # -- construction helpers ------------------------------------------------
 
@@ -251,7 +265,7 @@ class FieldSpec:
             add = [[(i + j) % p for j in range(p)] for i in range(p)]
             mul = [[(i * j) % p for j in range(p)] for i in range(p)]
         else:
-            ground = self.base if self.base is not None else _PrimeField(self.p)
+            ground = self._ground()
             mod = list(self.modulus)
             add = [[0] * q for _ in range(q)]
             mul = [[0] * q for _ in range(q)]
@@ -385,28 +399,6 @@ class FieldSpec:
         if spec.e != e:
             raise FieldError(f"declared e = {e} does not match modulus degree {spec.e}")
         return spec
-
-
-class _PrimeField:
-    """Minimal F_p arithmetic used before a FieldSpec's tables exist."""
-
-    def __init__(self, p):
-        self.p = p
-        self.q = p
-
-    def add_code(self, a, b):
-        return (a + b) % self.p
-
-    def mul_code(self, a, b):
-        return (a * b) % self.p
-
-    def neg_code(self, a):
-        return (-a) % self.p
-
-    def inv_code(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inversion of zero")
-        return pow(a, self.p - 2, self.p)
 
 
 class FqElem:

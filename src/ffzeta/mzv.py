@@ -88,15 +88,13 @@ def mzv_vadic_exact(spec: FieldSpec, idx: MzvIndex, P: APoly) -> MPoly:
     return _exact_chain_sum(spec, idx, P)
 
 
-def _numeric_shell_cutoff(q: int, n1: int, prec: int, hard_cap: int = 4000) -> int:
+def _numeric_shell_cutoff(q: int, n1: int, prec: int) -> int:
     """Exclusive top-degree cutoff: chains with d_1 >= cutoff sit below
     pi^prec, since v(S_d(-n)) >= n d + q^(d-2)."""
-    d = 0
-    while d < hard_cap:
+    for d in range(4000):
         cert = q ** (d - 2) if d >= 2 else 0
         if n1 * d + cert >= prec:
             return d
-        d += 1
     raise ValueError("no shell cutoff found; precision too large")
 
 
@@ -109,6 +107,8 @@ def mzv_eval_inf(spec: FieldSpec, idx: MzvIndex, prec: int, z_points=None) -> La
     """
     if any(n < 1 for n in idx.ns):
         raise ValueError("numeric evaluation needs all indices >= 1")
+    if prec < 1:
+        raise ValueError("need prec >= 1")
     r = idx.depth
     if z_points is None:
         z_points = [LaurentSeries.one(spec, prec) for _ in range(r)]

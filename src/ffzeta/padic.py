@@ -44,9 +44,6 @@ class PadicCtx:
     def constant(self, code: int) -> "PadicElem":
         return PadicElem(self, APoly.constant(self.field, code))
 
-    def with_precision(self, k: int) -> "PadicCtx":
-        return PadicCtx(self.P, k)
-
     def residue_order(self) -> int:
         """Order of (A/P)^x, the Teichmuller exponent group."""
         return self.field.q ** self.dP - 1
@@ -117,15 +114,7 @@ class PadicElem:
         """P-adic valuation by trial division, capped at k."""
         if self.rep.is_zero():
             return self.ctx.k
-        v = 0
-        rem = self.rep
-        while v < self.ctx.k:
-            q, r = divmod(rem, self.ctx.P)
-            if not r.is_zero():
-                break
-            rem = q
-            v += 1
-        return v
+        return split_P_power(self.rep, self.ctx.P, self.ctx.k)[0]
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
@@ -160,6 +149,18 @@ class PadicElem:
     @classmethod
     def from_json(cls, ctx, doc) -> "PadicElem":
         return cls(ctx, APoly.from_json(ctx.field, doc))
+
+
+def split_P_power(a: APoly, P: APoly, cap: int | None = None):
+    """(v, u) with a = P^v u for nonzero a, where P does not divide u
+    unless trial division stopped at v = cap."""
+    v = 0
+    while cap is None or v < cap:
+        quo, rem = divmod(a, P)
+        if rem:
+            break
+        a, v = quo, v + 1
+    return v, a
 
 
 def _invert_mod(F, a: APoly, m: APoly) -> APoly:

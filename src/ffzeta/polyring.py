@@ -13,6 +13,7 @@ ring, used for symbolic t-variables, z-variables and exact outputs.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import fields
 from .fields import FieldSpec, FqElem, FieldError, binom_mod_p
@@ -44,12 +45,6 @@ class APoly:
     @classmethod
     def constant(cls, spec, code: int) -> "APoly":
         return cls(spec, (code,))
-
-    @classmethod
-    def from_coeff_list(cls, spec, coeffs) -> "APoly":
-        """Build from FqElem coefficients or raw codes."""
-        codes = [c.code if isinstance(c, FqElem) else int(c) for c in coeffs]
-        return cls(spec, codes)
 
     # -- structure -------------------------------------------------------------
 
@@ -107,15 +102,7 @@ class APoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers leave A; use Laurent or p-adic evaluation")
-        result = APoly.one(self.spec)
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return fields.binary_power(self, n, operator.mul) if n else APoly.one(self.spec)
 
     def __divmod__(self, other):
         other = self._check(other)
@@ -143,8 +130,8 @@ class APoly:
         """Ring-homomorphic evaluation theta -> point.
 
         The target is inferred from the point: an FqElem (possibly of an
-        extension field), an MPoly variable or value, a LaurentSeries, or
-        a PadicElem.  Coefficients embed canonically when the point's
+        extension field), an MPoly variable or value, or a LaurentSeries.
+        Coefficients embed canonically when the point's
         field is the same spec or a tower extension of it; any other
         cross-field evaluation needs an explicit code-embedding table.
         """
@@ -165,10 +152,7 @@ class APoly:
                 if c:
                     result = result + power.scale(embed_c(c))
             return result
-        # Laurent and p-adic targets share the Horner pattern through duck
-        # typing: they provide .spec-compatible scalar mixing via methods.
         from .seriesinf import LaurentSeries
-        from .padic import PadicElem
         if isinstance(point, LaurentSeries):
             if embedding is None and point.spec != self.spec:
                 raise FieldError("evaluation point over a different field needs an embedding")
@@ -176,13 +160,6 @@ class APoly:
             acc = LaurentSeries.zero(point.spec, point.prec)
             for c in reversed(self.coeff_codes):
                 acc = acc * point + LaurentSeries.constant(point.spec, embed(c), acc.prec)
-            return acc
-        if isinstance(point, PadicElem):
-            if point.ctx.field != self.spec:
-                raise FieldError("p-adic evaluation point over a different field")
-            acc = point.ctx.zero()
-            for c in reversed(self.coeff_codes):
-                acc = acc * point + point.ctx.constant(c)
             return acc
         raise TypeError(f"unsupported evaluation target {type(point).__name__}")
 
@@ -425,17 +402,9 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative MPoly power")
-        result = None
-        base = self
-        while n > 0:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        if result is None:
+        if n == 0:
             raise ValueError("MPoly**0 needs a coefficient ring; use one_like")
-        return result
+        return fields.binary_power(self, n, operator.mul)
 
     def degree_in(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""

@@ -14,7 +14,9 @@ factor exact.
 
 from __future__ import annotations
 
-from .fields import FieldSpec, FqElem, FieldError, ZpExp
+import operator
+
+from .fields import FieldSpec, FqElem, FieldError, ZpExp, binary_power
 
 
 class PrecisionError(ArithmeticError):
@@ -214,15 +216,7 @@ class LaurentSeries:
             return self.inverse() ** (-n)
         if n == 0:
             return LaurentSeries.one(self.spec, self.rel_prec())
-        result = None
-        base = self
-        while n > 0:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, n, operator.mul)
 
     def p_power(self, iterations: int = 1) -> "LaurentSeries":
         """x -> x^p repeated; exact coefficient spread, O(len) per step."""

@@ -35,7 +35,7 @@ from math import inf
 from ._kernels import RawSum, get_kernel, raw_to_apoly, QuotientKernel
 from .fields import FieldSpec, ZpExp, lq_digit_sum
 from .polyring import APoly, MPoly, chain_sum, enumerate_monic, is_irreducible
-from .padic import PadicCtx, teichmuller, padic_one_unit_pow, _invert_mod
+from .padic import PadicCtx, teichmuller, padic_one_unit_pow, split_P_power, _invert_mod
 from .seriesinf import PrecisionError
 from .zeta import power_sum, exact_L, exact_L_degree_bound, _recursion_children
 
@@ -229,17 +229,7 @@ class _LocalRing:
 
     def v_of_raw(self, raw):
         codes = self.kernel.to_codes(raw)
-        if not codes:
-            return None
-        a = APoly(self.spec, codes)
-        v = 0
-        while v < self.kappa:
-            quo, rem = divmod(a, self.P)
-            if not rem.is_zero():
-                break
-            a = quo
-            v += 1
-        return v
+        return split_P_power(APoly(self.spec, codes), self.P, self.kappa)[0] if codes else None
 
     def from_apoly(self, a: APoly, exp: int = 0):
         if a.degree > self.qk.N:
@@ -259,14 +249,7 @@ class _LocalRing:
 
     def _unit_inverse(self, a: APoly):
         """Split a = P^v u and return (v, u^-1 mod P^kappa)."""
-        v = 0
-        rem = a
-        while True:
-            quo, r = divmod(rem, self.P)
-            if not r.is_zero():
-                break
-            rem = quo
-            v += 1
+        v, rem = split_P_power(a, self.P)
         unit_raw = self.qk.reduce(self.kernel.from_codes(rem.coeff_codes))
         res_inv = _invert_mod(self.spec, rem, self.P)
         inv_raw = self.qk.inverse(unit_raw, self.kernel.from_codes(res_inv.coeff_codes),

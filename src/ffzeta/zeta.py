@@ -333,8 +333,11 @@ def _symbolic_factor(a: APoly, factor: TwistFactor, var_names, index, target_spe
 def twisted_power_sum(spec: FieldSpec, d: int, factors, char: ResidueChar | None = None) -> MPoly:
     """Sum over monic degree-d a of chi(a) * prod phi^e_i(a^(m_i))(t_i).
 
-    All factor points are symbolic; with every hyperderivative order 0
-    and no character the result is exactly zero once d > s/(q-1).
+    All factor points are symbolic.  Without a character, factor i has
+    degree at most p^(e_i mod e) in the coefficients of a (q = p^e), and
+    a Frobenius power common to all factors can be divided out, so the
+    sum is exactly zero once d(q-1) > min over c of sum_i p^((e_i - c) mod e).
+    For equal orders that is d > s/(q-1); mixed orders vanish later.
     """
     factors = list(factors)
     for f in factors:
@@ -515,7 +518,7 @@ def infty_coeff_valuation_bound(q: int, d: int, s: int = 0, n_inf: int = 1) -> i
     return q ** l1 if l1 >= 0 else 0
 
 
-def _stop_shell(q, prec, s, n_inf, loss_rate, max_shells=10_000):
+def _stop_shell(q, prec, s, n_inf, loss_rate):
     """First D with every shell d >= D certified below pi^prec.
 
     loss_rate L bounds the per-shell linear valuation loss (the x-power
@@ -527,7 +530,7 @@ def _stop_shell(q, prec, s, n_inf, loss_rate, max_shells=10_000):
     keeps it >= prec.
     """
     L = max(loss_rate, 0)
-    for d in range(2, max_shells):
+    for d in range(2, 10_000):
         cert = infty_coeff_valuation_bound(q, d, s, n_inf)
         if cert >= prec + L * (d + n_inf) and cert >= L * n_inf:
             return d
@@ -543,6 +546,8 @@ def goss_zeta_eval(pt: SInftyPoint, prec: int) -> LaurentSeries:
     Shell d is pi^(dN) S_d(N) with N the digits of -y mod the least
     p^M' >= prec (see the module docstring).
     """
+    if prec < 1:
+        raise ValueError("need prec >= 1")
     x = pt.x
     spec = x.spec
     q, p = spec.q, spec.p
@@ -580,8 +585,14 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
 
     Finite factors with symbolic points produce an MPoly with Laurent
     coefficients; otherwise the value is a LaurentSeries.  With no
-    infinite factors the sum is finite (shells d <= s/(q-1)).
+    infinite factors the sum is finite: with q = p^e, shell d vanishes
+    once d(q-1) > min over c of sum_i p^((e_i - c) mod e), as for
+    twisted_power_sum.  The loop stops after shell s // (q-1), which is
+    that count only when all Frobenius orders agree; mixed orders are
+    cut early (a known open defect).
     """
+    if prec < 1:
+        raise ValueError("need prec >= 1")
     finite = list(finite)
     infinite = list(infinite)
     spec = x.spec
@@ -617,32 +628,25 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
         y_inv_d = [yi ** d for yi in y_inv]
         for a in enumerate_monic(spec, d):
             value = LaurentSeries.one(spec, prec)
-            sym_part = MPoly.const(sym_names, LaurentSeries.one(spec, prec)) if symbolic else None
+            sym_part = MPoly.const(sym_names, FqElem(spec, 1))
             sym_index = 0
-            sym_dead = False
             for f in finite:
-                b = frobenius_twist(hyperderivative(a, f.hyper), f.frob)
                 if f.point is None:
-                    terms = {}
-                    for j, code in enumerate(b.coeff_codes):
-                        if code:
-                            exp = [0] * len(sym_names)
-                            exp[sym_index] = j
-                            terms[tuple(exp)] = LaurentSeries.constant(spec, code, prec)
-                    sym_part = sym_part * MPoly(sym_names, terms)
+                    sym_part = sym_part * _symbolic_factor(a, f, sym_names, sym_index, spec)
                     sym_index += 1
                     if sym_part.is_zero():
-                        sym_dead = True  # an exactly-zero hyperderivative factor
-                        break
+                        break  # an exactly-zero hyperderivative factor
                 else:
+                    b = frobenius_twist(hyperderivative(a, f.hyper), f.frob)
                     value = value * b.eval(f.point)
-            if sym_dead:
+            if sym_part.is_zero():
                 continue
             for f, yid in zip(infinite, y_inv_d):
                 u = frobenius_twist(a, f.frob).eval(f.point) * yid
                 value = value * one_unit_pow(u, f.zexp)
             if symbolic:
-                piece = sym_part.scale(value)
+                piece = sym_part.map_coefficients(
+                    lambda c: LaurentSeries.constant(spec, c.code, prec) * value)
                 acc = piece if acc is None else acc + piece
             else:
                 acc = value if acc is None else acc + value

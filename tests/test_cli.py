@@ -137,6 +137,29 @@ def test_mzv_subcommand_numeric(capsys):
     assert code == 2  # positive indices need --prec
 
 
+def test_mzv_rejects_z_codes_outside_the_field(capsys):
+    for z in ("5", "-1", "0,2"):
+        code, out, err = run_cli(capsys, "mzv", "--p", "2", "--indices", "1",
+                                 "--prec", "10", "--z", z)
+        assert code == 2 and not out
+        assert "--z expects codes in [0, 2)" in err
+    code, _, _ = run_cli(capsys, "mzv", "--p", "2", "--indices", "1", "--prec", "10",
+                         "--z", "1")
+    assert code == 0
+
+
+def test_mzv_rejects_precision_below_one(capsys):
+    code, out, err = run_cli(capsys, "mzv", "--p", "2", "--indices", "1", "--prec", "-5")
+    assert code == 2 and not out
+    assert "prec >= 1" in err
+
+
+def test_powersum_past_the_packed_kernel_exits_2(capsys):
+    code, out, err = run_cli(capsys, "powersum", "--p", "257", "--d", "1", "--n", "3")
+    assert code == 2 and not out
+    assert "needs p <= 251" in err
+
+
 def test_verify_suites_quick(capsys):
     code, out, _ = run_cli(capsys, "verify", "charsum", "--p", "3",
                            "--seed", "1", "--trials", "25", "--budget", "20000")

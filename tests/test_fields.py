@@ -1,11 +1,13 @@
+import hashlib
 import json
 import math
+import operator
 import random
 
 import pytest
 
-from ffzeta.fields import (FieldSpec, FqElem, ZpExp, ResidueChar, FieldError,
-                           frobenius, lq_digit_sum, binom_mod_p, char_eval,
+from ffzeta.fields import (BUILTIN_MODULI, FieldSpec, FqElem, ZpExp, ResidueChar, FieldError,
+                           binary_power, frobenius, lq_digit_sum, binom_mod_p, char_eval,
                            find_embedding)
 from ffzeta.polyring import APoly
 
@@ -198,3 +200,42 @@ def test_coords_roundtrip():
     for spec in SPECS:
         for code in range(spec.q):
             assert spec.from_coords(spec.coords(code)) == code
+
+
+# sha256 of the add, mul and inverse tables as JSON: however a field
+# builds its tables, every entry must stay as recorded here
+TABLE_DIGESTS = {
+    4: "fd1d246c056d73ed24f70f85dfa5d5be6fb6dea21aa35c15c60213c192957147",
+    8: "6523d0d786f552cef1b57db851a76f7beea3d7cc8df624eac1621223f388bc45",
+    9: "2563c222813e38bf2e263341efa0ae0fd22a62839c41eb7e2c22216837c474a8",
+    16: "7a27a0424e88d45582c6ea9f41356b4f4da8f9e728361b0bd1b8d67a6a0b45c4",
+    25: "153acb319784e62e2ba394f969d778cdc053ff2b4afa23fae0617764495f23d6",
+    27: "644cd93a53400d900049ab6c53de6038cdbd4b68ecd95b54122aba40e3722359",
+}
+# the residue field F_4[x]/(x^2 + x + xi), codes base 4
+RESIDUE_DIGEST = "b8ba633816ea4345cec9f7e86f3465527c9161ed04d868f28e585d678b8a0bd4"
+
+
+def _table_digest(F):
+    tables = [[[F.add_code(a, b) for b in range(F.q)] for a in range(F.q)],
+              [[F.mul_code(a, b) for b in range(F.q)] for a in range(F.q)],
+              [F.inv_code(a) for a in range(1, F.q)]]
+    return hashlib.sha256(json.dumps(tables).encode()).hexdigest()
+
+
+def test_field_tables_are_pinned():
+    assert set(TABLE_DIGESTS) == set(BUILTIN_MODULI)
+    for q, want in TABLE_DIGESTS.items():
+        assert _table_digest(FieldSpec.default(q)) == want, q
+    residue = FieldSpec.extension(FieldSpec.default(4), (2, 1, 1))
+    assert residue.q == 16
+    assert _table_digest(residue) == RESIDUE_DIGEST
+
+
+def test_binary_power_multiplies_the_result_before_squaring():
+    # a non-commutative, non-associative product shows the order
+    word = binary_power("a", 3, lambda x, y: f"({x}{y})")
+    assert word == "(a(aa))"
+    assert binary_power("a", 6, lambda x, y: f"({x}{y})") == "((aa)((aa)(aa)))"
+    for n in range(1, 70):
+        assert binary_power(3, n, operator.mul) == 3 ** n

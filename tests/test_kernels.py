@@ -112,6 +112,20 @@ def test_packed_kernel_rejects_p_above_251():
         kernel.from_codes((1, 256))
 
 
+def test_packed_kernel_above_p_251_raises_on_every_digit_use():
+    kernel = get_kernel(FieldSpec(257, (0, 1)))
+    zero, one = kernel.zero(), (1,)
+    for use in (lambda: kernel.from_codes((1,)), lambda: kernel.to_codes(zero),
+                lambda: kernel.normalize(zero), lambda: kernel.is_zero(zero),
+                lambda: kernel.frob_spread(one), lambda: kernel.mul(one, one),
+                lambda: kernel.pow(one, 0), lambda: kernel.pow(one, 3)):
+        with pytest.raises(FieldError, match="p <= 251"):
+            use()
+    # the recursion reaches normalize without a child: S_1(3) over F_257
+    with pytest.raises(FieldError, match="p <= 251"):
+        zeta._power_sum_raw(kernel.spec, kernel, 1, 3, {})
+
+
 def test_raw_sum_normalizes_just_before_a_digit_reaches_2_24():
     # p = 11: 2^24 is not 1 mod 11, so an overflowed digit reads wrong
     spec = FieldSpec(11, (0, 1))

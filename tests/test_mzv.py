@@ -211,6 +211,12 @@ def test_mzv_eval_inf_rejects_bad_z_points():
                      [LaurentSeries.one(F2, 10)])
 
 
+def test_mzv_eval_inf_rejects_precision_below_one():
+    for prec in (0, -5):
+        with pytest.raises(ValueError, match="prec >= 1"):
+            mzv_eval_inf(F2, MzvIndex((1,), "strict"), prec)
+
+
 def test_mzv_index_validation():
     with pytest.raises(ValueError):
         MzvIndex((), "strict")

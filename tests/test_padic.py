@@ -5,7 +5,7 @@ import pytest
 from ffzeta.fields import FieldSpec, ZpExp
 from ffzeta.polyring import APoly
 from ffzeta.padic import (PadicCtx, PadicElem, teichmuller, padic_bracket,
-                          padic_one_unit_pow)
+                          padic_one_unit_pow, split_P_power)
 from ffzeta.seriesinf import PrecisionError
 
 F2 = FieldSpec.default(2)
@@ -170,3 +170,13 @@ def test_mixed_context_error_and_json():
     assert PadicCtx.from_json(F2, doc) == ctx3
     x = ctx3.reduce(APoly(F2, (1, 0, 1)))
     assert PadicElem.from_json(ctx3, x.to_json()) == x
+
+
+def test_split_P_power():
+    P = APoly(F3, (1, 0, 1))
+    u = APoly(F3, (2, 1))
+    a = P ** 3 * u
+    assert split_P_power(a, P) == (3, u)
+    assert split_P_power(a, P, 2) == (2, P * u)
+    assert split_P_power(u, P) == (0, u)
+    assert split_P_power(a, P, 0) == (0, a)

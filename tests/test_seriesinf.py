@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -157,3 +159,22 @@ def test_json_roundtrip():
     assert LaurentSeries.from_json(F3, x.to_json()) == x
     z = LaurentSeries.zero(F3, 4)
     assert LaurentSeries.from_json(F3, z.to_json()) == z
+
+
+# (q, val, coefficient codes, prec): valuations -2, 0, 1, -1, 0, 2
+POWER_BASES = ((2, -2, (1, 1, 0, 1), 12), (3, 0, (1, 2, 0, 1, 2), 15), (4, 1, (2, 3, 1), 9),
+               (9, -1, (5, 0, 7, 1), 10), (5, 0, (3, 1), 8), (8, 2, (1, 0, 6), 7))
+# sha256 of the JSON rows [q, n, val, coeff_codes, prec] of base ** n for
+# n = 1..40: the precision of a power depends on the order of its products
+POWERS_DIGEST = "2233429578a014c14bd8ba3e7868d2bc934d0adf9d9cd3a9f0488ecf4b0154fc"
+
+
+def test_powers_are_pinned():
+    rows = []
+    for q, val, codes, prec in POWER_BASES:
+        x = LaurentSeries(FieldSpec.default(q), val, codes, prec)
+        for n in range(1, 41):
+            y = x ** n
+            rows.append([q, n, y.val, list(y.coeff_codes), y.prec])
+    assert rows[39] == [2, 40, -80, [1, 0, 0, 0, 0, 0, 0, 0, 1], -66]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == POWERS_DIGEST

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import random
 
@@ -170,6 +172,27 @@ def test_twisted_power_sum_with_character():
                                for j, c in enumerate(a.coeff_codes) if c})
         expected = expected + part
     assert value == expected
+
+
+def _twist_degree_count(spec, orders):
+    """min over c of sum_i p^((f_i - c) mod e): the degree of the summand
+    in the coefficients of a, once a common Frobenius is divided out."""
+    return min(sum(spec.p ** ((f - c) % spec.e) for f in orders) for c in range(spec.e))
+
+
+@pytest.mark.parametrize("q", (4, 8, 9))
+def test_twisted_power_sum_vanishes_past_the_degree_count(q):
+    spec = FieldSpec.default(q)
+    for s in range(1, 4):
+        for orders in itertools.combinations_with_replacement(range(spec.e), s):
+            count = _twist_degree_count(spec, orders)
+            d = count // (q - 1) + 1  # the first d with d(q - 1) > count
+            factors = [TwistFactor("finite", frob=f) for f in orders]
+            assert twisted_power_sum(spec, d, factors).is_zero(), (q, orders, d)
+    # mixed orders vanish later than s/(q-1): q = 4, orders (0, 1) count 3
+    mixed = [TwistFactor("finite", frob=0), TwistFactor("finite", frob=1)]
+    assert _twist_degree_count(F4, (0, 1)) == 3
+    assert not twisted_power_sum(F4, 1, mixed).is_zero()
 
 
 def test_twisted_power_sum_rejects_concrete_points():
@@ -434,6 +457,46 @@ def test_twisted_L_eval_truncation_soundness():
     for exp, coeff in lo.terms.items():
         other = hi.terms.get(exp, LaurentSeries.zero(F2, 24))
         assert coeff.agrees_with(other, prec=min(coeff.prec, 12))
+
+
+# sha256 of the canonical JSON of twisted_L_eval over q = 3 (prec 10) and
+# q = 4 (prec 8) with symbolic, numeric and infinite factors: the Laurent
+# coefficients, precisions included, must stay as recorded here
+TWISTED_DIGEST = "8d95544f5de233767fe44245eb4d954503f7c085e96a2c36fc0e41894b5575f1"
+
+
+def test_twisted_L_eval_values_are_pinned():
+    docs = []
+    for q, prec in ((3, 10), (4, 8)):
+        spec = FieldSpec.default(q)
+        x = LaurentSeries.from_apoly(APoly(spec, (1, 1)), prec + 8)
+        point = LaurentSeries.from_apoly(APoly(spec, (2, 1)), prec + 8)
+        finite = [TwistFactor("finite", frob=1), TwistFactor("finite", hyper=1),
+                  TwistFactor("finite", point=point)]
+        infinite = [TwistFactor("infinite", point=LaurentSeries.theta(spec, prec + 8),
+                                zexp=ZpExp.from_int(5, spec.p, 6))]
+        for fin, inf in ((finite, []), (finite[:2], infinite), (finite, infinite)):
+            value = twisted_L_eval(fin, inf, x, prec)
+            assert value.terms
+            docs.append(value.to_json(lambda c: c.to_json()))
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TWISTED_DIGEST
+
+
+def test_infinite_place_evaluations_reject_precision_below_one():
+    x = LaurentSeries.theta(F2, 40)
+    for prec in (0, -5):
+        with pytest.raises(ValueError, match="prec >= 1"):
+            goss_zeta_eval(SInftyPoint(x, ZpExp.from_int(3, 2, 6)), prec)
+        with pytest.raises(ValueError, match="prec >= 1"):
+            twisted_L_eval([TwistFactor("finite")], [], x, prec)
+
+
+def test_char_power_sum_at_n_0_needs_no_packed_kernel():
+    # p = 257 > 251: n = 0 reads only character values
+    spec = FieldSpec(257, (0, 1))
+    chi = ResidueChar(spec, (0, 1), 2)
+    assert char_power_sum(spec, 1, chi, 0).code == sum(c * c for c in range(1, 257)) % 257
 
 
 def test_twist_factor_validation():
