@@ -94,10 +94,11 @@ def _parse_apoly(spec, text) -> APoly:
 
 def _parse_x(spec, text) -> LaurentSeries:
     doc = _json_arg("--x", text, 'a JSON object {"val": int or null, "prec": int, '
-                    '"coeffs": [[F_p coordinates], ...]}',
+                    f'"coeffs": [[F_p coordinates in [0, {spec.p}), {spec.e} each], ...]}}',
                     lambda d: isinstance(d, dict) and {"val", "prec", "coeffs"} <= d.keys()
                     and isinstance(d["coeffs"], list)
-                    and all(isinstance(c, list) for c in d["coeffs"]), _load_doc)
+                    and all(_int_list(c, 0, spec.p) and len(c) == spec.e
+                            for c in d["coeffs"]), _load_doc)
     return LaurentSeries.from_json(spec, doc)
 
 
@@ -301,9 +302,13 @@ def _run(args) -> int:
     elif cmd == "mzv":
         _require(args, "indices")
         ns = _parse_digits(args.indices)
+        exact = all(n <= 0 for n in ns)
+        for flag in ("prec", "z") if exact else ("P",):
+            if getattr(args, flag) is not None:
+                raise SystemExit2(f"--{flag} does not apply to indices {args.indices}")
         P = _parse_apoly(spec, args.P) if args.P else None
         idx = mzv_mod.MzvIndex(tuple(ns), args.mode)
-        if all(n <= 0 for n in ns):
+        if exact:
             poly = (mzv_mod.mzv_vadic_exact(spec, idx, P) if P is not None
                     else mzv_mod.mzv_exact(spec, idx))
             _emit(args, _mpoly_doc(poly))

@@ -139,6 +139,21 @@ def binary_power(base, n: int, mul):
         base = mul(base, base)
 
 
+def one_unit_digit_power(w, digits, one, frobenius):
+    """(1 + w)^y for y = sum_i digits[i] p^i, as prod_i (1 + w^(p^i))^digits[i];
+    `frobenius` maps w^(p^i) to w^(p^(i+1)) and the product stops once
+    that power is zero in the caller's ring."""
+    result = one
+    for i, d in enumerate(digits):
+        if i:
+            w = frobenius(w)  # w^(p^i)
+        if w.is_zero():
+            break
+        if d:
+            result = result * (one + w) ** d
+    return result
+
+
 def poly_powmod(F, a, n, m):
     if n == 0:
         return [1]

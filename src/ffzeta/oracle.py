@@ -215,11 +215,19 @@ def enumerated_bracket_shell(spec: FieldSpec, d: int, neg_y: ZpExp, prec: int) -
     return total
 
 
-def enumerated_inverse_shell(spec: FieldSpec, d: int, n: int, prec: int) -> LaurentSeries:
-    """sum of a^(-n) mod pi^prec over monic degree-d a, by series inversion."""
-    total = LaurentSeries.zero(spec, prec)
+def enumerated_inverse_shell(spec: FieldSpec, d: int, n: int, prec: int, s: int = 0) -> dict:
+    """sum of a(t_1)...a(t_s) a^(-n) mod pi^prec over monic degree-d a, by
+    series inversion: maps every t-exponent tuple (j_1..j_s), expanded
+    one coefficient position at a time, to its coefficient, zero or not
+    (s = 0 gives the single key ())."""
+    total = {}
     for a in enumerate_monic(spec, d):
-        total = total + (LaurentSeries.from_apoly(a, prec).inverse() ** n).truncate(prec)
+        inv = (LaurentSeries.from_apoly(a, prec).inverse() ** n).truncate(prec)
+        for js in itertools.product(range(d + 1), repeat=s):
+            code = 1
+            for j in js:
+                code = spec.mul_code(code, a.coeff_codes[j])
+            total[js] = total.get(js, LaurentSeries.zero(spec, prec)) + inv.scale_code(code)
     return total
 
 

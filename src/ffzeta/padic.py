@@ -5,7 +5,8 @@ as the uniformizer, so every computation stays inside A: elements are
 canonical representatives of degree < k*deg(P).  The Teichmuller part
 of a unit is the q^deg(P)-power fixed point congruent to it mod P; the
 bracket part is the complementary one-unit.  One-units admit p-adic
-exponents through the same digit product as at the infinite place.
+exponents through the digit product of the infinite place,
+`fields.one_unit_digit_power`.
 """
 
 from __future__ import annotations
@@ -217,15 +218,4 @@ def padic_one_unit_pow(u: PadicElem, y: ZpExp) -> PadicElem:
         raise PrecisionError(
             f"need p^M >= k = {ctx.k}; got p^{y.precision} = {p ** y.precision}",
             precision=p ** y.precision)
-    w = u - ctx.one()
-    result = ctx.one()
-    w_power = w
-    for i, d in enumerate(y.digits):
-        if i > 0:
-            w_power = w_power ** p
-        if w_power.is_zero() and i < len(y.digits) - 1:
-            break
-        if d:
-            factor = ctx.one() + w_power
-            result = result * factor ** d
-    return result
+    return fields.one_unit_digit_power(u - ctx.one(), y.digits, ctx.one(), lambda x: x ** p)

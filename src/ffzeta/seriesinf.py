@@ -9,14 +9,14 @@ tightening.
 
 One-units (valuation 0, constant term 1) carry Z_p-power structure via
 their base-p digit products; (1+w)^(p^i) = 1 + w^(p^i) makes each digit
-factor exact.
+factor exact (the loop is `fields.one_unit_digit_power`, shared with A/(P^k)).
 """
 
 from __future__ import annotations
 
 import operator
 
-from .fields import FieldSpec, FqElem, FieldError, ZpExp, binary_power
+from .fields import FieldSpec, FqElem, FieldError, ZpExp, binary_power, one_unit_digit_power
 
 
 class PrecisionError(ArithmeticError):
@@ -318,23 +318,9 @@ def one_unit_pow(u: LaurentSeries, y: ZpExp) -> LaurentSeries:
         raise ValueError("one_unit_pow needs valuation 0 and constant term 1")
     if y.p != u.spec.p:
         raise ValueError("exponent digit base differs from the field characteristic")
-    p = u.spec.p
     prec = u.prec
-    w = u - LaurentSeries.one(u.spec, prec)
-    if not w.coeff_codes:  # u = 1 to precision
-        return LaurentSeries.one(u.spec, prec)
-    guarantee = min(prec, p ** y.precision * w.val)
-    result = LaurentSeries.one(u.spec, prec)
-    w_power = w  # w^(p^i), exact spread then re-truncated
-    for i, d in enumerate(y.digits):
-        if i > 0:
-            w_power = w_power.p_power()
-            if w_power.prec > prec:
-                w_power = w_power.truncate(prec)
-        if w_power.val >= prec and i < len(y.digits) - 1:
-            break  # higher digit factors are 1 to precision
-        if d:
-            factor = LaurentSeries.one(u.spec, prec) + w_power
-            for _ in range(d):
-                result = result * factor
+    one = LaurentSeries.one(u.spec, prec)
+    w = u - one  # zero to precision has w.val = prec, so the guarantee is prec
+    guarantee = min(prec, u.spec.p ** y.precision * w.val)
+    result = one_unit_digit_power(w, y.digits, one, lambda x: x.p_power().truncate(prec))
     return result.truncate(min(guarantee, result.prec))

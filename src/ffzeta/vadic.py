@@ -23,7 +23,8 @@ k = 0, n_1 = -3).
 
 Gap measurements run in the localized ring P^e * A/(P^kappa), the
 finite-place analogue of a truncated Laurent series, so inner indices
-divisible by P with positive exponents stay representable.
+divisible by P with positive exponents stay representable.  Its power
+sums S_d(n) mod P^kappa come from the degree recursion of `zeta`.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ import itertools
 from dataclasses import dataclass
 from math import inf
 
-from ._kernels import RawSum, get_kernel, raw_to_apoly, QuotientKernel
+from ._kernels import get_kernel, raw_to_apoly, QuotientKernel
 from .fields import FieldSpec, ZpExp, lq_digit_sum
 from .polyring import APoly, MPoly, chain_sum, enumerate_monic, is_irreducible
 from .padic import PadicCtx, teichmuller, padic_one_unit_pow, split_P_power, _invert_mod
 from .seriesinf import PrecisionError
-from .zeta import power_sum, exact_L, exact_L_degree_bound, _recursion_children
+from .zeta import power_sum, exact_L, exact_L_degree_bound, _power_sum_raw
 
 
 @dataclass(frozen=True)
@@ -222,10 +223,16 @@ class _LocalRing:
             self._p_powers[j] = self.qk.pow(self.P_raw, j)
         return self._p_powers[j]
 
-    def theta_power(self, k):
+    def times_theta(self, raw, k):
+        """raw * theta^k in A/(P^kappa); the powers of theta are cached."""
         if k not in self._theta_powers:
             self._theta_powers[k] = self.qk.pow(self.kernel.from_codes((0, 1)), k)
-        return self._theta_powers[k]
+        return self.qk.mul(self._theta_powers[k], raw)
+
+    def reduced_power_sum(self, d, n):
+        """S_d(n) mod P^kappa as a raw value, by the degree recursion of A."""
+        return _power_sum_raw(self.spec, self.kernel, d, n, self.power_sum_memo,
+                              self.times_theta, self.qk.reduce)
 
     def v_of_raw(self, raw):
         codes = self.kernel.to_codes(raw)
@@ -303,25 +310,6 @@ class _LocalValue:
         return not self.ring.kernel.is_zero(self.raw)
 
 
-def _power_sum_mod(spec, ring: _LocalRing, d: int, n: int, memo: dict):
-    """S_d(n) reduced in A/(P^kappa) by the degree recursion."""
-    key = (d, n)
-    if key in memo:
-        return memo[key]
-    kernel = ring.kernel
-    if d == 0:
-        raw = kernel.from_codes((1,))
-        memo[key] = raw
-        return raw
-    total = RawSum(kernel, kernel.scale_digit)
-    for k, b in _recursion_children(spec, d, n):
-        child = _power_sum_mod(spec, ring, d - 1, k, memo)
-        total.add(kernel.scale(ring.qk.mul(ring.theta_power(k), child), spec.neg_code(b)))
-    total = ring.qk.reduce(total.value)
-    memo[key] = total
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the interpolation gap
 
@@ -368,9 +356,6 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
     kappa = q ** (k + 1) + bucket
     ring = _get_local_ring(spec, P, kappa)
 
-    def S_mod(d, n):
-        return _power_sum_mod(spec, ring, d, n, ring.power_sum_memo)
-
     def S_local(d, n, prime_to_p):
         key = (d, n, prime_to_p)
         if key in ring.table_cache:
@@ -383,9 +368,9 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
                 acc = acc + _LocalValue(ring, -v * n, ring.qk.pow(inv_raw, n))
         else:
             # the multiples of P in degree d are P*b, b monic of degree d - deg P
-            acc = _LocalValue(ring, 0, S_mod(d, -n))
+            acc = _LocalValue(ring, 0, ring.reduced_power_sum(d, -n))
             if prime_to_p and d >= dP:
-                acc = acc - _LocalValue(ring, -n, S_mod(d - dP, -n))
+                acc = acc - _LocalValue(ring, -n, ring.reduced_power_sum(d - dP, -n))
         ring.table_cache[key] = acc
         return acc
 
@@ -395,7 +380,7 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
         if i:
             value = S_local(d, ns[i], False)
         else:
-            value = _LocalValue(ring, 0, S_mod(d, -mk)) if d <= degbound else ring.zero()
+            value = _LocalValue(ring, 0, ring.reduced_power_sum(d, -mk)) if d <= degbound else ring.zero()
             if d <= cap:
                 value = value - S_local(d, ns[0], True)
         return MPoly(names, {(0,) * i + (d,) + (0,) * (len(ns) - i - 1): value})

@@ -13,6 +13,8 @@ a = theta*b + c (b monic of degree d-1, c in F_q):
 over k < n with C(n, k) nonzero mod p and (q-1) | n - k, with
 S_0(n) = 1.  The recursion is cross-checked against plain enumeration
 by the scan oracle and the test suite; only `power_sum` caches on disk.
+`vadic` runs the same loop in A/(P^kappa), with that ring's theta^k
+product and reduction.
 
 Evaluation at a p-adic exponent y truncates the shell sum using the
 digit certificate: cutting the base-q digits of the exponent at level
@@ -30,10 +32,11 @@ term by <a>^(p^M') = 1 mod pi^prec.  Every term is then exactly
 
     c_d = sum_{a in A_{+,d}} <a>^N = pi^(dN) S_d(N)   (mod pi^prec).
 
-The numeric multiple zeta shells use the same identity with
-a^(-n) = pi^(d p^M') a^(p^M' - n) mod pi^prec for p^M' >= max(prec, n).
-These evaluations call the recursion directly, so they never touch the
-disk cache; `oracle.py` keeps the per-monic sums as checks.
+The numeric multiple zeta shells and the Pellarin series use the same
+identity a^(-n) = pi^(d p^M') a^(p^M' - n) mod pi^prec, p^M' >= max(prec, n).
+These evaluations never touch the disk cache; `oracle.py` keeps the
+per-monic sums as checks.  The t-weights a(t_1)...a(t_s) keep a shell
+per monic: one t-shell sums them times a^N in A, for exact_L at N = -n.
 """
 
 from __future__ import annotations
@@ -231,7 +234,10 @@ def _plausible_power_sum(spec: FieldSpec, d: int, n: int, codes) -> bool:
             and not (codes and power_sum_vanishes(spec, d, n)))
 
 
-def _power_sum_raw(spec, kernel, d, n, memo):
+def _power_sum_raw(spec, kernel, d, n, memo, times_theta=None, reduce=None):
+    """S_d(n) by the degree recursion, memoized; a quotient ring A/(m)
+    passes its theta^k product `times_theta(raw, k)` and reduction for
+    the shift and normalization of A, and gets S_d(n) mod m."""
     key = (d, n)
     if key in memo:
         return memo[key]
@@ -239,13 +245,15 @@ def _power_sum_raw(spec, kernel, d, n, memo):
         raw = kernel.from_codes((1,))
         memo[key] = raw
         return raw
+    times_theta = times_theta or kernel.shift
+    reduce = reduce or kernel.normalize
     total = RawSum(kernel, kernel.scale_digit)
     for k, b in _recursion_children(spec, d, n):
-        child = _power_sum_raw(spec, kernel, d - 1, k, memo)
+        child = _power_sum_raw(spec, kernel, d - 1, k, memo, times_theta, reduce)
         if kernel.is_zero(child):
             continue
-        total.add(kernel.scale(kernel.shift(child, k), spec.neg_code(b)))
-    total = kernel.normalize(total.value)
+        total.add(kernel.scale(times_theta(child, k), spec.neg_code(b)))
+    total = reduce(total.value)
     memo[key] = total
     return total
 
@@ -399,6 +407,34 @@ def exact_L_degree_bound(spec: FieldSpec, n: int, s: int) -> int:
     return (s + lq_digit_sum(-n, spec.q)) // (spec.q - 1)
 
 
+def _t_shell(spec: FieldSpec, kernel, d: int, s: int, N: int, convert) -> dict:
+    """The z^d terms of sum_a a(t_1)...a(t_s) a^N over monic degree-d a.
+
+    All arrangements of one multiset of t-exponents share a coefficient,
+    so each is summed once, its codes go through `convert` and the
+    result is shared; zero coefficients are left out."""
+    shell = {}
+    for vec in monic_coeff_vectors(spec, d):
+        codes = vec + (1,)
+        apow = kernel.pow(kernel.from_codes(codes), N)
+        support = [(j, c) for j, c in enumerate(codes) if c]
+        for ms in itertools.combinations_with_replacement(support, s):
+            prod_code = 1
+            for _, c in ms:
+                prod_code = spec.mul_code(prod_code, c)
+            key = tuple(j for j, _ in ms)
+            if key not in shell:
+                shell[key] = RawSum(kernel, kernel.scale_digit)
+            shell[key].add(kernel.scale(apow, prod_code))
+    terms = {}
+    for ms_key, acc in shell.items():
+        coeff = convert(kernel.to_codes(acc.value))
+        if coeff:
+            for perm in set(itertools.permutations(ms_key)):
+                terms[perm + (d,)] = coeff
+    return terms
+
+
 def exact_L(spec: FieldSpec, n: int, s: int) -> MPoly:
     """The zeta polynomial sum_d z^d sum_a a(t_1)...a(t_s) a^(-n), n <= 0.
 
@@ -410,71 +446,41 @@ def exact_L(spec: FieldSpec, n: int, s: int) -> MPoly:
         raise ValueError("positive exponents are series; use pellarin_L_series")
     if s < 0:
         raise ValueError("s must be >= 0")
-    nn = -n
     names = tuple(f"t{i + 1}" for i in range(s)) + ("z",)
-    bound = exact_L_degree_bound(spec, n, s)
     terms = {}
     kernel = get_kernel(spec)
-    for d in range(bound + 1):
+    for d in range(exact_L_degree_bound(spec, n, s) + 1):
         if s == 0:
-            coeff = power_sum(spec, d, nn)
+            coeff = power_sum(spec, d, -n)
             if coeff:
                 terms[(d,)] = coeff
-            continue
-        shell = {}
-        for vec in monic_coeff_vectors(spec, d):
-            codes = vec + (1,)
-            apow = kernel.pow(kernel.from_codes(codes), nn)
-            support = [(j, c) for j, c in enumerate(codes) if c]
-            for ms in itertools.combinations_with_replacement(support, s):
-                prod_code = 1
-                for _, c in ms:
-                    prod_code = spec.mul_code(prod_code, c)
-                key = tuple(j for j, _ in ms)
-                if key not in shell:
-                    shell[key] = RawSum(kernel, kernel.scale_digit)
-                shell[key].add(kernel.scale(apow, prod_code))
-        for ms_key, acc in shell.items():
-            coeff = raw_to_apoly(kernel, acc.value)
-            if not coeff:
-                continue
-            for perm in set(itertools.permutations(ms_key)):
-                terms[perm + (d,)] = coeff
+        else:
+            terms.update(_t_shell(spec, kernel, d, s, -n, lambda codes: APoly(spec, codes)))
     return MPoly(names, terms)
 
 
 def pellarin_L_series(spec: FieldSpec, n: int, s: int, zdeg: int, prec: int) -> MPoly:
     """Truncation of the positive-exponent series sum_d z^d sum_a a(t)/a^n.
 
-    Each (t, z)-monomial coefficient is computed exactly and then cut to
-    the requested precision; the z^d coefficient has Gauss valuation at
-    least n*d, so zdeg >= prec/n certifies the tail below pi^prec for
-    evaluation points of Gauss norm <= 1.
+    Each (t, z)-monomial coefficient is exact mod pi^prec; the z^d
+    coefficient has Gauss valuation at least n*d, so zdeg >= prec/n
+    certifies the tail below pi^prec for evaluation points of Gauss
+    norm <= 1.  Shell d is the t-shell at p^M' - n times pi^(d p^M')
+    (module docstring); like exact_L, it needs p <= 251.
     """
     if n < 1:
         raise ValueError("pellarin_L_series needs n >= 1; use exact_L for n <= 0")
+    if s < 0:
+        raise ValueError("s must be >= 0")
     if zdeg < 0 or prec < 1:
         raise ValueError("need zdeg >= 0 and prec >= 1")
     names = tuple(f"t{i + 1}" for i in range(s)) + ("z",)
+    big = least_p_power(spec.p, max(prec, n))
     terms = {}
-    for d in range(zdeg + 1):
-        shell = {}
-        for a in enumerate_monic(spec, d):
-            apow = (LaurentSeries.from_apoly(a, prec).inverse() ** n).truncate(prec)
-            codes = a.coeff_codes
-            support = [(j, c) for j, c in enumerate(codes) if c]
-            for ms in itertools.combinations_with_replacement(support, s):
-                prod_code = 1
-                for _, c in ms:
-                    prod_code = spec.mul_code(prod_code, c)
-                key = tuple(j for j, _ in ms)
-                contrib = apow.scale_code(prod_code)
-                shell[key] = shell[key] + contrib if key in shell else contrib
-        for ms_key, val in shell.items():
-            if val.is_zero():
-                continue
-            for perm in set(itertools.permutations(ms_key)):
-                terms[perm + (d,)] = val
+    kernel = get_kernel(spec)
+    for d in range(min(zdeg, (prec - 1) // n) + 1):  # shells with d n >= prec vanish
+        terms.update(_t_shell(spec, kernel, d, s, big - n, lambda codes: LaurentSeries(
+            spec, d * big - len(codes) + 1, codes[::-1], prec)))
     return MPoly(names, terms)
 
 

@@ -154,8 +154,33 @@ def test_mzv_rejects_precision_below_one(capsys):
     assert "prec >= 1" in err
 
 
+X_AT = '{"val": -1, "prec": 9, "coeffs": [%s]}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("mzv", "--indices", "1", "--prec", "6", "--P", "[0,1]"), "--P does not apply"),
+    (("mzv", "--indices", "-1", "--prec", "6"), "--prec does not apply"),
+    (("mzv", "--indices", "-1,-2", "--z", "1"), "--z does not apply"),
+    (("zeta-eval", "--x", X_AT % "[3]", "--neg-y-digits", "1,0,0", "--prec", "5"),
+     "--x expects"),
+    (("zeta-eval", "--x", X_AT % "[2]", "--neg-y-digits", "1,0,0", "--prec", "5"),
+     "--x expects"),
+    (("zeta-eval", "--e", "2", "--x", X_AT % "[1]", "--neg-y-digits", "1,0,0", "--prec", "5"),
+     "--x expects"),
+    (("pellarin", "--n", "1", "--s", "-1"), "s must be >= 0"),
+])
+def test_options_a_route_would_ignore_or_misread_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith(f"error: {message}")
+
+
 def test_powersum_past_the_packed_kernel_exits_2(capsys):
     code, out, err = run_cli(capsys, "powersum", "--p", "257", "--d", "1", "--n", "3")
+    assert code == 2 and not out
+    assert "needs p <= 251" in err
+    code, out, err = run_cli(capsys, "pellarin", "--p", "257", "--n", "1", "--zdeg", "1",
+                             "--prec", "5")
     assert code == 2 and not out
     assert "needs p <= 251" in err
 

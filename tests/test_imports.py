@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,49 @@ def test_module_imports_only_what_it_uses(path):
 ])
 def test_unused_import_guard_catches_each_form(source, unused):
     assert _unused_imports(source) == unused
+
+
+def _referenced_names(node):
+    """Every identifier `node` reads, reaches as an attribute or imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def _unreferenced_private_defs(sources):
+    """Private module-level functions and classes of `sources` (file name
+    -> text) that no code outside their own body refers to."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    everywhere = Counter(n for tree in trees.values() for n in _referenced_names(tree))
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and everywhere[node.name] == Counter(_referenced_names(node))[node.name]):
+                unused.append(f"{name}: {node.name}")
+    return unused
+
+
+def test_every_private_helper_is_used():
+    package = Path(ffzeta.__file__).parent.glob("*.py")
+    assert _unreferenced_private_defs({p.name: p.read_text() for p in package}) == []
+
+
+@pytest.mark.parametrize("sources, unused", [
+    ({"a.py": "def _f(): pass"}, ["a.py: _f"]),
+    ({"a.py": "def _f(): pass\n_f()"}, []),
+    ({"a.py": "def _f(n):\n    return _f(n - 1)"}, ["a.py: _f"]),
+    ({"a.py": "class _C: pass"}, ["a.py: _C"]),
+    ({"a.py": "class _C:\n    def m(self): return _C()"}, ["a.py: _C"]),
+    ({"a.py": "def _f(): pass", "b.py": "from .a import _f"}, []),
+    ({"a.py": "def _f(): pass", "b.py": "from . import a\na._f()"}, []),
+    ({"a.py": "def _f(): pass\ndef g(fn=_f): pass"}, []),
+    ({"a.py": "def f(): pass\ndef __getattr__(name): pass"}, []),
+])
+def test_unused_private_helper_guard_catches_each_form(sources, unused):
+    assert _unreferenced_private_defs(sources) == unused

@@ -141,8 +141,8 @@ def test_threshold_scan_budget_flag():
 
 # The library routes the oracles check; oracle.py may not reach any of them.
 CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_recursion_children", "_lucas_support",
-                  "prime_to_p_power_sum", "exact_L", "vadic_exact_L", "_power_sum_mod",
-                  "goss_zeta_eval", "mzv_eval_inf"}
+                  "prime_to_p_power_sum", "exact_L", "vadic_exact_L", "reduced_power_sum",
+                  "_t_shell", "pellarin_L_series", "goss_zeta_eval", "mzv_eval_inf"}
 CHECKED_MODULES = {"zeta", "vadic", "mzv"}
 
 
@@ -173,7 +173,7 @@ def test_oracle_shares_no_code_path_with_what_it_checks():
 
 @pytest.mark.parametrize("source", [
     "from .zeta import power_sum, shell_sum",
-    "from .vadic import _power_sum_mod as psm",
+    "from .zeta import _t_shell as t",
     "from ffzeta.zeta import exact_L",
     "from . import zeta",
     "from ffzeta import mzv",

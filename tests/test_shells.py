@@ -1,8 +1,10 @@
 """Infinite-place shells from the power-sum recursion against enumeration.
 
-The library computes c_d = sum_a <a>^N as pi^(dN) S_d(N) and the
-numeric multiple zeta shells sum_a a^(-n) as pi^(d p^M) S_d(p^M - n);
-`oracle.py` sums the same shells one monic polynomial at a time.
+The library computes c_d = sum_a <a>^N as pi^(dN) S_d(N), the numeric
+multiple zeta shells sum_a a^(-n) as pi^(d p^M) S_d(p^M - n) and the
+Pellarin shells sum_a a(t_1)...a(t_s) a^(-n) from the t-shell of A at
+exponent p^M - n; `oracle.py` sums the same shells one monic polynomial
+at a time.
 """
 
 import itertools
@@ -11,13 +13,13 @@ import random
 import pytest
 
 from ffzeta import zeta
-from ffzeta.fields import FieldSpec, ZpExp
+from ffzeta.fields import FieldError, FieldSpec, ZpExp
 from ffzeta.mzv import MzvIndex, mzv_eval_inf
 from ffzeta.oracle import enumerated_bracket_shell, enumerated_inverse_shell
 from ffzeta.polyring import APoly
 from ffzeta.seriesinf import LaurentSeries, PrecisionError
 from ffzeta.zeta import (SInftyPoint, goss_zeta_eval, infty_coeff_valuation_bound,
-                         least_p_power, shell_sum)
+                         least_p_power, pellarin_L_series, shell_sum)
 
 FIELDS = [FieldSpec.default(q) for q in (2, 3, 4, 5, 9)]
 PRECS = (1, 6, 20, 80)
@@ -65,7 +67,24 @@ def test_inverse_power_shells_match_enumeration(spec):
             big = least_p_power(spec.p, max(prec, n))
             for d in _degrees(spec.q, 100):
                 assert shell_sum(spec, d, big - n, d * big, prec) == \
-                    enumerated_inverse_shell(spec, d, n, prec), (prec, n, d)
+                    enumerated_inverse_shell(spec, d, n, prec)[()], (prec, n, d)
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=lambda s: f"q{s.q}")
+def test_pellarin_series_matches_enumerated_shells(spec):
+    # every (t, z) coefficient against per-monic inversion; a zero one must be absent
+    for s in (0, 1, 2):
+        zdeg = max(_degrees(spec.q, 100))
+        for prec in (5, 12):
+            for n in (1, 2, spec.q + 1, prec + 3):
+                expected = {js + (d,): c for d in range(zdeg + 1) for js, c in
+                            enumerated_inverse_shell(spec, d, n, prec, s).items() if c}
+                assert pellarin_L_series(spec, n, s, zdeg, prec).terms == expected, (s, prec, n)
+
+
+def test_pellarin_series_past_the_packed_kernel_raises():
+    with pytest.raises(FieldError, match="p <= 251"):
+        pellarin_L_series(FieldSpec(257, (0, 1)), 1, 0, 1, 5)
 
 
 def _oracle_goss(spec, x, y, prec):
@@ -129,7 +148,7 @@ def test_fields_past_the_packed_kernel_sum_shells_per_monic():
         big = least_p_power(257, max(5, n))
         for d in (0, 1):
             assert shell_sum(spec, d, big - n, d * big, 5) == \
-                enumerated_inverse_shell(spec, d, n, 5)
+                enumerated_inverse_shell(spec, d, n, 5)[()]
     assert mzv_eval_inf(spec, MzvIndex((2, 1), "weak"), 4).agrees_with(
         _oracle_chain(spec, (2, 1), "weak", 4), prec=4)
 
@@ -140,7 +159,7 @@ def _oracle_chain(spec, ns, mode, prec):
     top = 0
     while ns[0] * top + (spec.q ** (top - 2) if top >= 2 else 0) < prec:
         top += 1
-    shells = {(n, d): enumerated_inverse_shell(spec, d, n, prec)
+    shells = {(n, d): enumerated_inverse_shell(spec, d, n, prec)[()]
               for n in set(ns) for d in range(top)}
     total = LaurentSeries.zero(spec, prec)
     for degs in itertools.product(range(top), repeat=len(ns)):

@@ -14,8 +14,7 @@ from ffzeta.zeta import exact_L, pellarin_L_series, power_sum
 from ffzeta.oracle import enumerated_prime_to_p_power_sum, enumerated_vadic_exact_L
 from ffzeta.vadic import (VadicPoint, vadic_exact_L, vadic_zeta_eval, mk_sequence,
                           interpolation_gap, interpolation_gap_bound,
-                          prime_to_p_power_sum, vadic_degree_bound,
-                          _LocalRing, _power_sum_mod)
+                          prime_to_p_power_sum, vadic_degree_bound, _LocalRing)
 
 F2 = FieldSpec.default(2)
 F3 = FieldSpec.default(3)
@@ -245,11 +244,10 @@ def test_mk_digit_sums_can_exceed_the_naive_cap():
 def test_power_sum_mod_matches_exact():
     for spec, P in ((F2, TH2), (F3, APoly(F3, (1, 0, 1)))):
         ring = _LocalRing(spec, P, 6)
-        memo = {}
         mod = P ** 6
         for d in range(4):
             for n in (0, 1, 3, 7, 12):
-                got = _power_sum_mod(spec, ring, d, n, memo)
+                got = ring.reduced_power_sum(d, n)
                 got_poly = APoly(spec, ring.kernel.to_codes(ring.kernel.normalize(got)))
                 assert got_poly == power_sum(spec, d, n) % mod
 

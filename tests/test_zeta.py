@@ -315,6 +315,8 @@ def test_pellarin_fixture_and_valuations():
                 assert coeff.valuation() >= n * exp[-1]
     with pytest.raises(ValueError):
         pellarin_L_series(F2, 0, 0, 3, 10)
+    with pytest.raises(ValueError, match="s must be >= 0"):
+        pellarin_L_series(F2, 1, -1, 3, 10)
 
 
 def test_pellarin_with_t_variables():
