@@ -11,7 +11,9 @@ such a row is a failure of the build, not of the scan.
 The enumerated power sums, prime-to-P sums and infinite-place shells
 here are the independent side of the dual routes: the library computes
 the same values from the degree recursion and the Euler-factor
-identity, never by visiting the q^d monics.
+identity, never by visiting the q^d monics.  The twisted evaluation
+keeps the library's per-monic loop without its merged factors and
+per-shell one-unit basis.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from dataclasses import dataclass
 
 from .fields import FieldSpec, FqElem, ResidueChar, ZpExp, lq_digit_sum
 from ._kernels import RawSum, get_kernel
-from .polyring import APoly, MPoly, enumerate_monic, is_irreducible, monic_coeff_vectors
-from .seriesinf import LaurentSeries, one_unit_pow
-from .zeta import power_sum, twisted_power_sum, char_power_sum, TwistFactor
+from .polyring import (APoly, MPoly, enumerate_monic, frobenius_twist, hyperderivative,
+                       is_irreducible, monic_coeff_vectors)
+from .seriesinf import LaurentSeries, PrecisionError, one_unit_pow
+from .zeta import (power_sum, twisted_power_sum, twisted_stop_shell, char_power_sum,
+                   TwistFactor, _symbolic_factor)
 from .vadic import vadic_degree_bound
 
 ENUMERATION_BUDGET = 10 ** 7
@@ -162,7 +166,9 @@ def enumerated_prime_to_p_power_sum(spec: FieldSpec, d: int, n: int, P: APoly) -
 
 def enumerated_vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly:
     """sum_d z^d sum_{P not| a} a(t_1)...a(t_s) a^(-n) for n <= 0, by
-    enumeration of the monics prime to P up to the z-degree bound."""
+    enumeration of the monics prime to P up to the z-degree bound; each
+    t-exponent tuple (j_1..j_s) gets its own sum, one coefficient position
+    at a time."""
     if n > 0:
         raise ValueError("needs n <= 0")
     if not is_irreducible(P):
@@ -184,21 +190,19 @@ def enumerated_vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly
                 continue
             codes = a.coeff_codes
             apow = kernel.pow(kernel.from_codes(codes), nn)
-            support = [(j, c) for j, c in enumerate(codes) if c]
-            for ms in itertools.combinations_with_replacement(support, s):
-                prod_code = 1
-                for _, c in ms:
-                    prod_code = spec.mul_code(prod_code, c)
-                key = tuple(j for j, _ in ms)
-                if key not in shell:
-                    shell[key] = RawSum(kernel, kernel.scale_digit)
-                shell[key].add(kernel.scale(apow, prod_code))
-        for ms_key, acc in shell.items():
+            for js in itertools.product(range(d + 1), repeat=s):
+                code = 1
+                for j in js:
+                    code = spec.mul_code(code, codes[j])
+                if code:
+                    key = js + (d,)
+                    if key not in shell:
+                        shell[key] = RawSum(kernel, kernel.scale_digit)
+                    shell[key].add(kernel.scale(apow, code))
+        for key, acc in shell.items():
             coeff = APoly(spec, kernel.to_codes(acc.value))
-            if not coeff:
-                continue
-            for perm in set(itertools.permutations(ms_key)):
-                terms[perm + (d,)] = coeff
+            if coeff:
+                terms[key] = coeff
     return MPoly(names, terms)
 
 
@@ -229,6 +233,68 @@ def enumerated_inverse_shell(spec: FieldSpec, d: int, n: int, prec: int, s: int 
                 code = spec.mul_code(code, a.coeff_codes[j])
             total[js] = total.get(js, LaurentSeries.zero(spec, prec)) + inv.scale_code(code)
     return total
+
+
+def enumerated_twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
+    """twisted_L_eval's sum over the same shells, monic by monic: every
+    factor is evaluated by Horner's rule at its point, and every infinite
+    factor takes its own one-unit power, merged with no other factor."""
+    finite = list(finite)
+    infinite = list(infinite)
+    stop = twisted_stop_shell(finite, infinite, x, prec)
+    spec = x.spec
+    sym_names = tuple(f"t{i + 1}" for i, f in enumerate(finite) if f.point is None)
+    symbolic = bool(sym_names)
+    x_inv = x.inverse()
+    y_inv = [f.point.inverse() for f in infinite]
+
+    def shell_value(d):
+        acc = None
+        y_inv_d = [yi ** d for yi in y_inv]
+        for a in enumerate_monic(spec, d):
+            value = LaurentSeries.one(spec, prec)
+            sym_part = MPoly.const(sym_names, FqElem(spec, 1))
+            sym_index = 0
+            for f in finite:
+                if f.point is None:
+                    sym_part = sym_part * _symbolic_factor(a, f, sym_names, sym_index, spec)
+                    sym_index += 1
+                    if sym_part.is_zero():
+                        break
+                else:
+                    b = frobenius_twist(hyperderivative(a, f.hyper), f.frob)
+                    value = value * b.eval(f.point)
+            if sym_part.is_zero():
+                continue
+            for f, yid in zip(infinite, y_inv_d):
+                u = frobenius_twist(a, f.frob).eval(f.point) * yid
+                value = value * one_unit_pow(u, f.zexp)
+            if symbolic:
+                piece = sym_part.map_coefficients(
+                    lambda c: LaurentSeries.constant(spec, c.code, prec) * value)
+                acc = piece if acc is None else acc + piece
+            else:
+                acc = value if acc is None else acc + value
+        if acc is None:
+            acc = MPoly.zero(sym_names) if symbolic else LaurentSeries.zero(spec, prec)
+        return acc
+
+    x_pow = LaurentSeries.one(spec, prec + stop * (abs(x.valuation()) + 1))
+    total = None
+    for d in range(stop):
+        if d:
+            x_pow = x_pow * x_inv
+        shell = shell_value(d)
+        term = shell.scale(x_pow) if symbolic else shell * x_pow
+        total = term if total is None else total + term
+    if symbolic:
+        return total.map_coefficients(
+            lambda c: c.truncate(min(prec, c.prec)) if c.prec > prec else c)
+    if total.prec < prec:
+        raise PrecisionError(
+            f"propagated precision {total.prec} fell below the requested {prec}",
+            precision=total.prec)
+    return total.truncate(prec)
 
 
 # ---------------------------------------------------------------------------

@@ -249,11 +249,6 @@ class _LocalRing:
     def one(self):
         return _LocalValue(self, 0, self.kernel.from_codes((1,)))
 
-    def inv_power(self, a: APoly, n: int):
-        """a^(-n) for n >= 1 as a localized value (a may be divisible by P)."""
-        v, inv_raw = self._unit_inverse(a)
-        return _LocalValue(self, -v * n, self.qk.pow(inv_raw, n))
-
     def _unit_inverse(self, a: APoly):
         """Split a = P^v u and return (v, u^-1 mod P^kappa)."""
         v, rem = split_P_power(a, self.P)
@@ -272,6 +267,27 @@ class _LocalRing:
                 rows.append((v == 0, v, inv_raw))
             self._shell_units[d] = rows
         return self._shell_units[d]
+
+    def local_power_sum(self, d: int, n: int, prime_to_p: bool):
+        """sum of a^(-n) over monic degree-d a (prime to P only if asked),
+        cached: n >= 1 sums the powers of the cached unit inverses, n <= 0
+        takes the reduced power sums, and the multiples of P in degree d are
+        P*b with b monic of degree d - deg P."""
+        key = (d, n, prime_to_p)
+        if key in self.table_cache:
+            return self.table_cache[key]
+        if n > 0:
+            acc = self.zero()
+            for prime, v, inv_raw in self.shell_unit_inverses(d):
+                if prime_to_p and not prime:
+                    continue
+                acc = acc + _LocalValue(self, -v * n, self.qk.pow(inv_raw, n))
+        else:
+            acc = _LocalValue(self, 0, self.reduced_power_sum(d, -n))
+            if prime_to_p and d >= self.P.degree:
+                acc = acc - _LocalValue(self, -n, self.reduced_power_sum(d - self.P.degree, -n))
+        self.table_cache[key] = acc
+        return acc
 
 
 class _LocalValue:
@@ -356,33 +372,15 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
     kappa = q ** (k + 1) + bucket
     ring = _get_local_ring(spec, P, kappa)
 
-    def S_local(d, n, prime_to_p):
-        key = (d, n, prime_to_p)
-        if key in ring.table_cache:
-            return ring.table_cache[key]
-        if n > 0:
-            acc = ring.zero()
-            for prime, v, inv_raw in ring.shell_unit_inverses(d):
-                if prime_to_p and not prime:
-                    continue
-                acc = acc + _LocalValue(ring, -v * n, ring.qk.pow(inv_raw, n))
-        else:
-            # the multiples of P in degree d are P*b, b monic of degree d - deg P
-            acc = _LocalValue(ring, 0, ring.reduced_power_sum(d, -n))
-            if prime_to_p and d >= dP:
-                acc = acc - _LocalValue(ring, -n, ring.reduced_power_sum(d - dP, -n))
-        ring.table_cache[key] = acc
-        return acc
-
     names = tuple(f"z{i + 1}" for i in range(len(ns)))
 
     def table(i, d):
         if i:
-            value = S_local(d, ns[i], False)
+            value = ring.local_power_sum(d, ns[i], False)
         else:
             value = _LocalValue(ring, 0, ring.reduced_power_sum(d, -mk)) if d <= degbound else ring.zero()
             if d <= cap:
-                value = value - S_local(d, ns[0], True)
+                value = value - ring.local_power_sum(d, ns[0], True)
         return MPoly(names, {(0,) * i + (d,) + (0,) * (len(ns) - i - 1): value})
 
     top = max(degbound, cap)

@@ -37,6 +37,14 @@ identity a^(-n) = pi^(d p^M') a^(p^M' - n) mod pi^prec, p^M' >= max(prec, n).
 These evaluations never touch the disk cache; `oracle.py` keeps the
 per-monic sums as checks.  The t-weights a(t_1)...a(t_s) keep a shell
 per monic: one t-shell sums them times a^N in A, for exact_L at N = -n.
+
+The twisted evaluation still visits the monics of each shell, with no
+series product before a monic's one-unit power.  Infinite factors at
+one point whose Frobenius orders agree mod e share the base
+<phi^l(a)(y) / y^d> and merge into one factor with the Z_p sum of their
+exponents.  Each remaining factor forms B_j = y^j y^(-d), j = 0..d,
+once per shell, and a monic's one-unit sum_j phi^l(c_j) B_j is added
+up with field-code arithmetic.
 """
 
 from __future__ import annotations
@@ -466,7 +474,9 @@ def pellarin_L_series(spec: FieldSpec, n: int, s: int, zdeg: int, prec: int) -> 
     coefficient has Gauss valuation at least n*d, so zdeg >= prec/n
     certifies the tail below pi^prec for evaluation points of Gauss
     norm <= 1.  Shell d is the t-shell at p^M' - n times pi^(d p^M')
-    (module docstring); like exact_L, it needs p <= 251.
+    (module docstring), so it vanishes past
+    exact_L_degree_bound(spec, n - p^M', s) and the loop stops there; like
+    exact_L, it needs p <= 251.
     """
     if n < 1:
         raise ValueError("pellarin_L_series needs n >= 1; use exact_L for n <= 0")
@@ -478,7 +488,8 @@ def pellarin_L_series(spec: FieldSpec, n: int, s: int, zdeg: int, prec: int) -> 
     big = least_p_power(spec.p, max(prec, n))
     terms = {}
     kernel = get_kernel(spec)
-    for d in range(min(zdeg, (prec - 1) // n) + 1):  # shells with d n >= prec vanish
+    # shells with d n >= prec vanish mod pi^prec, and so do those past the degree count
+    for d in range(min(zdeg, (prec - 1) // n, exact_L_degree_bound(spec, n - big, s)) + 1):
         terms.update(_t_shell(spec, kernel, d, s, big - n, lambda codes: LaurentSeries(
             spec, d * big - len(codes) + 1, codes[::-1], prec)))
     return MPoly(names, terms)
@@ -583,24 +594,19 @@ def goss_zeta_eval(pt: SInftyPoint, prec: int) -> LaurentSeries:
     return total.truncate(prec)
 
 
-def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
-    """General twisted evaluation over monic polynomials.
+def twisted_stop_shell(finite, infinite, x: LaurentSeries, prec: int) -> int:
+    """Check the factors of a twisted sum and return its number of shells.
 
-    sum_d x^(-d) sum_a prod_i phi^(e_i)(a^(m_i))(x_i)
-                       prod_j <phi^(l_j)(a)(y_j) / y_j^d> ^ (z_j)
-
-    Finite factors with symbolic points produce an MPoly with Laurent
-    coefficients; otherwise the value is a LaurentSeries.  With no
-    infinite factors the sum is finite: with q = p^e, shell d vanishes
-    once d(q-1) > min over c of sum_i p^((e_i - c) mod e), as for
-    twisted_power_sum.  The loop stops after shell s // (q-1), which is
-    that count only when all Frobenius orders agree; mixed orders are
-    cut early (a known open defect).
+    With infinite factors, the certified stop of `_stop_shell` for
+    s = len(finite) linear factors and one exponent per infinite factor.
+    With none the sum is finite: with q = p^e, shell d vanishes once
+    d(q-1) > min over c of sum_i p^((e_i - c) mod e), as for
+    twisted_power_sum.  The count used, s // (q-1) + 1 shells, is that
+    bound only when all Frobenius orders agree; mixed orders are cut
+    early (a known open defect).
     """
     if prec < 1:
         raise ValueError("need prec >= 1")
-    finite = list(finite)
-    infinite = list(infinite)
     spec = x.spec
     q, p = spec.q, spec.p
     for f in finite:
@@ -612,26 +618,104 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
         if p ** f.zexp.precision < prec:
             raise PrecisionError(
                 f"need p^M >= prec = {prec} for every exponent", precision=p ** f.zexp.precision)
-    s, n_inf = len(finite), len(infinite)
-    sym_names = tuple(f"t{i + 1}" for i, f in enumerate(finite) if f.point is None)
-    symbolic = bool(sym_names)
-
     vx = x.valuation()
     if vx is None:
         raise ValueError("x must be nonzero")
+    if not infinite:
+        return len(finite) // (q - 1) + 1
     point_loss = sum(-f.point.valuation() for f in finite
                      if f.point is not None and f.point.valuation() is not None
                      and f.point.valuation() < 0)
-    if n_inf == 0:
-        stop = s // (q - 1) + 1
-    else:
-        stop = _stop_shell(q, prec, s, n_inf, vx + point_loss)
+    return _stop_shell(q, prec, len(finite), len(infinite), vx + point_loss)
+
+
+def _merge_infinite(spec: FieldSpec, infinite):
+    """(point, Frobenius order, exponent) per distinct base of the infinite
+    factors: factors at one point whose orders agree mod e share the base
+    <phi^l(a)(y) / y^d>, so they merge into one factor whose exponent is
+    the sum of theirs in Z_p, known to the fewest digits among them."""
+    groups = {}
+    for f in infinite:
+        key = (f.point, f.frob % spec.e)
+        total, digits = groups.get(key, (0, f.zexp.precision))
+        groups[key] = (total + f.zexp.as_int(), min(digits, f.zexp.precision))
+    return [(point, frob, ZpExp.from_int(total, spec.p, digits))
+            for (point, frob), (total, digits) in groups.items()]
+
+
+class _OneUnitBasis:
+    """The one-units <phi^l(a)(y) / y^d> of one infinite factor, shell by shell.
+
+    `start_shell(d)` forms B_j = y^j y^(-d) for j = 0..d, with the powers
+    y^j kept across shells, and scales each B_j by every phi^l(c).  The
+    one-unit of a monic a = sum_j c_j theta^j is then sum_j phi^l(c_j) B_j,
+    added up with code arithmetic and no series product.  It is known mod
+    pi^N, N = min(prec(y) + v(y), d v(y) + prec(y^(-d))): the precision
+    that Horner's rule at y followed by the product by y^(-d) tracks.
+    Every B_j is known at least that far, so the value is that of the
+    per-monic evaluation (`oracle.enumerated_twisted_L_eval`) byte for
+    byte.
+    """
+
+    def __init__(self, point: LaurentSeries, frob: int):
+        self.spec = point.spec
+        self.point = point
+        self.frob_codes = [self.spec.frob_code(c, frob) for c in range(self.spec.q)]
+        self.y_inv = point.inverse()
+        self.y_pows = [None, point]  # y^j for j >= 1; B_0 is y^(-d) itself
+        self.prec = 0
+        self.rows = []
+
+    def start_shell(self, d: int):
+        y, mul = self.point, self.spec.mul_code
+        while len(self.y_pows) <= d:
+            self.y_pows.append(self.y_pows[-1] * y)
+        y_inv_d = self.y_inv ** d
+        self.prec = min(d * y.val + y_inv_d.prec, y.prec + y.val)
+        self.rows = []
+        for j in range(d + 1):
+            b = y_inv_d if j == 0 else self.y_pows[j] * y_inv_d
+            coeffs = b.coeff_codes[:max(self.prec - b.val, 0)]
+            self.rows.append((b.val, [[mul(fc, c) for c in coeffs] for fc in self.frob_codes]))
+
+    def one_unit(self, codes) -> LaurentSeries:
+        add = self.spec.add_table
+        out = [0] * max(self.prec, 0)
+        for (offset, scaled), c in zip(self.rows, codes):
+            if c:
+                for i, b in enumerate(scaled[c], offset):
+                    out[i] = add[out[i]][b]
+        return LaurentSeries(self.spec, 0, out, self.prec)
+
+
+def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
+    """General twisted evaluation over monic polynomials.
+
+    sum_d x^(-d) sum_a prod_i phi^(e_i)(a^(m_i))(x_i)
+                       prod_j <phi^(l_j)(a)(y_j) / y_j^d> ^ (z_j)
+
+    Finite factors with symbolic points produce an MPoly with Laurent
+    coefficients; otherwise the value is a LaurentSeries.  The shells
+    run to `twisted_stop_shell`.  Infinite factors at one point whose
+    Frobenius orders agree mod e merge into one factor with the Z_p sum
+    of their exponents.  Each remaining factor builds its one-units from
+    the per-shell basis y^j y^(-d) (`_OneUnitBasis`) and raises them with
+    one `one_unit_pow` per monic.
+    """
+    finite = list(finite)
+    infinite = list(infinite)
+    stop = twisted_stop_shell(finite, infinite, x, prec)
+    spec = x.spec
+    sym_names = tuple(f"t{i + 1}" for i, f in enumerate(finite) if f.point is None)
+    symbolic = bool(sym_names)
     x_inv = x.inverse()
-    y_inv = [f.point.inverse() for f in infinite]
+    bases = [(_OneUnitBasis(point, frob), zexp)
+             for point, frob, zexp in _merge_infinite(spec, infinite)]
 
     def shell_value(d):
         acc = None
-        y_inv_d = [yi ** d for yi in y_inv]
+        for basis, _ in bases:
+            basis.start_shell(d)
         for a in enumerate_monic(spec, d):
             value = LaurentSeries.one(spec, prec)
             sym_part = MPoly.const(sym_names, FqElem(spec, 1))
@@ -647,9 +731,8 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
                     value = value * b.eval(f.point)
             if sym_part.is_zero():
                 continue
-            for f, yid in zip(infinite, y_inv_d):
-                u = frobenius_twist(a, f.frob).eval(f.point) * yid
-                value = value * one_unit_pow(u, f.zexp)
+            for basis, zexp in bases:
+                value = value * one_unit_pow(basis.one_unit(a.coeff_codes), zexp)
             if symbolic:
                 piece = sym_part.map_coefficients(
                     lambda c: LaurentSeries.constant(spec, c.code, prec) * value)
@@ -660,7 +743,7 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
             acc = MPoly.zero(sym_names) if symbolic else LaurentSeries.zero(spec, prec)
         return acc
 
-    x_pow = LaurentSeries.one(spec, prec + stop * (abs(vx) + 1))
+    x_pow = LaurentSeries.one(spec, prec + stop * (abs(x.valuation()) + 1))
     total = None
     for d in range(stop):
         if d:

@@ -332,19 +332,24 @@ def test_interpolation_gap_values_at_depth_three(cell):
 
 
 def test_local_ring_arithmetic():
+    # the gap's shell tables at P = theta: theta^-2 + (theta+1)^-2 and,
+    # prime to P, (theta+1)^-2 alone
     ring = _LocalRing(F2, TH2, 8)
     a = ring.from_apoly(APoly(F2, (1, 1)))
-    b = ring.inv_power(APoly(F2, (0, 1, 1)), 2)  # (theta(theta+1))^-2
+    b = ring.local_power_sum(1, 2, False)
     prod = a * b
     assert prod.valuation() == -2
     s = a + (-a)
     assert s.valuation() is None
     # (theta + 1)^-2 * (theta+1)^2 = 1
-    c = ring.inv_power(APoly(F2, (1, 1)), 2)
+    c = ring.local_power_sum(1, 2, True)
     d = ring.from_apoly(APoly(F2, (1, 1)) ** 2)
     unit = c * d
     one = ring.one()
     assert (unit + (-one)).valuation() is None
+    # n <= 0: S_1(1) = theta + (theta + 1) = 1, and theta + 1 prime to P
+    assert (ring.local_power_sum(1, -1, False) + (-one)).valuation() is None
+    assert (ring.local_power_sum(1, -1, True) + (-a)).valuation() is None
 
 
 def test_prime_to_p_power_sum_bijection_identity():

@@ -8,12 +8,15 @@ import pytest
 from ffzeta.fields import FieldSpec, FqElem, ZpExp, ResidueChar
 from ffzeta.polyring import APoly, MPoly, enumerate_monic
 from ffzeta.seriesinf import LaurentSeries, PrecisionError, one_unit_pow
-from ffzeta.oracle import enumerated_bracket_shell, enumerated_power_sum
+from ffzeta._kernels import get_kernel
+from ffzeta.oracle import (enumerated_bracket_shell, enumerated_power_sum,
+                           enumerated_twisted_L_eval)
+from ffzeta import polyring, seriesinf, zeta
 from ffzeta.zeta import (PowerSumCache, SInftyPoint, TwistFactor, power_sum,
                          power_sum_vanishes, twisted_power_sum, char_power_sum,
                          exact_L, exact_L_degree_bound, pellarin_L_series,
                          goss_zeta_eval, twisted_L_eval, zpoly_eval_laurent,
-                         infty_coeff_valuation_bound)
+                         infty_coeff_valuation_bound, least_p_power, twisted_stop_shell)
 
 F2 = FieldSpec.default(2)
 F3 = FieldSpec.default(3)
@@ -327,6 +330,30 @@ def test_pellarin_with_t_variables():
         assert coeff.valuation() >= 2 * exp[-1]
 
 
+@pytest.mark.parametrize("q, n, s, prec", [(2, 1, 1, 14), (3, 1, 0, 12), (4, 2, 1, 12)])
+def test_pellarin_computes_no_shell_past_the_degree_count(monkeypatch, q, n, s, prec):
+    # at the certified depth zdeg = ceil(prec/n) the loop stops at the
+    # degree count of the t-shell at p^M' - n, below (prec - 1) // n
+    spec = FieldSpec.default(q)
+    big = least_p_power(spec.p, max(prec, n))
+    bound = exact_L_degree_bound(spec, n - big, s)
+    zdeg = -(-prec // n)
+    assert bound < min(zdeg, (prec - 1) // n)
+    real = zeta._t_shell
+    shells = []
+
+    def counted(spec_, kernel, d, s_, N, convert):
+        shells.append(d)
+        return real(spec_, kernel, d, s_, N, convert)
+
+    monkeypatch.setattr(zeta, "_t_shell", counted)
+    L = pellarin_L_series(spec, n, s, zdeg, prec)
+    assert shells == list(range(bound + 1))
+    assert max(exp[-1] for exp in L.terms) <= bound
+    # the first shell it skips is zero
+    assert real(spec, get_kernel(spec), bound + 1, s, big - n, lambda codes: codes) == {}
+
+
 # -- evaluation at p-adic exponents -------------------------------------------
 
 
@@ -459,6 +486,70 @@ def test_twisted_L_eval_truncation_soundness():
     for exp, coeff in lo.terms.items():
         other = hi.terms.get(exp, LaurentSeries.zero(F2, 24))
         assert coeff.agrees_with(other, prec=min(coeff.prec, 12))
+
+
+TWISTED_ORACLE_PREC = {2: 8, 3: 8, 4: 6, 5: 6, 9: 4}
+
+
+def _twisted_oracle_cases(q):
+    spec = FieldSpec.default(q)
+    p, e = spec.p, spec.e
+    prec = TWISTED_ORACLE_PREC[q]
+    theta = LaurentSeries.theta(spec, prec + 8)
+    other = LaurentSeries(spec, -1, (1, 1, 1), prec + 8)  # theta + 1 + pi
+
+    def inf(point, frob, n, digits=6):
+        return TwistFactor("infinite", frob=frob, point=point, zexp=ZpExp.from_int(n, p, digits))
+
+    cases = {
+        "distinct points": ([], [inf(theta, 0, 5), inf(other, e - 1, 7)]),
+        "orders l and l + e merge": ([], [inf(other, 1, 5), inf(other, 1 + e, 9, digits=5)]),
+        "finite and infinite": ([TwistFactor("finite", frob=1), TwistFactor("finite", point=other)],
+                                [inf(other, 0, 5)]),
+    }
+    if e > 1:
+        cases["one point, orders not merged"] = ([], [inf(other, 0, 5), inf(other, 1, 9)])
+    x = LaurentSeries.from_apoly(APoly(spec, (1, 1)), prec + 8)
+    return x, prec, cases
+
+
+@pytest.mark.parametrize("q", sorted(TWISTED_ORACLE_PREC))
+def test_twisted_L_eval_matches_the_per_monic_oracle(q):
+    # values, symbolic coefficients and their precisions all agree
+    x, prec, cases = _twisted_oracle_cases(q)
+    for name, (finite, infinite) in cases.items():
+        value = twisted_L_eval(finite, infinite, x, prec)
+        assert value == enumerated_twisted_L_eval(finite, infinite, x, prec), name
+        if isinstance(value, MPoly):
+            assert value.terms, name
+
+
+def test_twisted_L_eval_builds_one_units_without_series_evaluation(monkeypatch):
+    # q = 3, prec 20, two factors at theta + 1 + pi with orders 0 and 1:
+    # they merge, so one one-unit power per monic, no APoly.eval, and
+    # 9,172 series products where the per-monic loop took 81,647
+    spec, prec = F3, 20
+    point = LaurentSeries(spec, -1, (1, 1, 1), prec + 8)
+    infinite = [TwistFactor("infinite", point=point, zexp=ZpExp.from_int(7, 3, 3)),
+                TwistFactor("infinite", frob=1, point=point, zexp=ZpExp.from_int(11, 3, 4))]
+    x = LaurentSeries.from_apoly(APoly(spec, (1, 1)), prec + 8)
+    calls = {"mul": 0, "eval": 0, "pow": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(seriesinf.LaurentSeries, "__mul__",
+                        counting("mul", seriesinf.LaurentSeries.__mul__))
+    monkeypatch.setattr(polyring.APoly, "eval", counting("eval", polyring.APoly.eval))
+    monkeypatch.setattr(zeta, "one_unit_pow", counting("pow", zeta.one_unit_pow))
+    twisted_L_eval([], infinite, x, prec)
+    stop = twisted_stop_shell([], infinite, x, prec)
+    assert calls["eval"] == 0
+    assert calls["pow"] == sum(spec.q ** d for d in range(stop))
+    assert calls["mul"] <= 9172
 
 
 # sha256 of the canonical JSON of twisted_L_eval over q = 3 (prec 10) and
