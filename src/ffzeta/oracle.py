@@ -27,8 +27,8 @@ from ._kernels import RawSum, get_kernel
 from .polyring import (APoly, MPoly, enumerate_monic, frobenius_twist, hyperderivative,
                        is_irreducible, monic_coeff_vectors)
 from .seriesinf import LaurentSeries, PrecisionError, one_unit_pow
-from .zeta import (power_sum, twisted_power_sum, twisted_stop_shell, char_power_sum,
-                   TwistFactor, _symbolic_factor)
+from .zeta import (power_sum, twisted_power_sum, twisted_stop_shell, twist_degree_weight,
+                   char_power_sum, TwistFactor, _symbolic_factor)
 from .vadic import vadic_degree_bound
 
 ENUMERATION_BUDGET = 10 ** 7
@@ -353,17 +353,20 @@ def _scan_twisted(spec, d_max, s_max, budget):
     complete = True
     q = spec.q
     for s in range(s_max + 1):
-        factors = [TwistFactor("finite") for _ in range(s)]
-        for d in range(d_max + 1):
-            if q ** d * (d + 1) ** s > budget:
-                complete = False
-                continue
-            value = twisted_power_sum(spec, d, factors)
-            zero = value.is_zero()
-            predicted = d * (q - 1) > s
-            rows.append({"q": q, "s": s, "d": d, "zero": zero, "predicted": predicted})
-            if predicted and not zero:
-                violations.append(rows[-1])
+        for orders in dict.fromkeys(((0,) * s, tuple(i % spec.e for i in range(s)))):
+            factors = [TwistFactor("finite", frob=f) for f in orders]
+            weight = twist_degree_weight(spec, factors)
+            for d in range(d_max + 1):
+                if q ** d * (d + 1) ** s > budget:
+                    complete = False
+                    continue
+                value = twisted_power_sum(spec, d, factors)
+                zero = value.is_zero()
+                predicted = d * (q - 1) > weight
+                rows.append({"q": q, "s": s, "orders": list(orders), "d": d, "zero": zero,
+                             "predicted": predicted})
+                if predicted and not zero:
+                    violations.append(rows[-1])
     return {"kind": "twisted", "q": q, "rows": rows, "violations": violations,
             "complete": complete}
 

@@ -21,19 +21,22 @@ that degree for the gap bound q^(k+1) - (|n_2|+...)(deg P + k) to
 hold (a degree cap of k + deg P provably fails, e.g. q = 2, P = theta,
 k = 0, n_1 = -3).
 
-Gap measurements run in the localized ring P^e * A/(P^kappa), the
+Gap tables live in the localized ring P^e * A/(P^kappa), the
 finite-place analogue of a truncated Laurent series, so inner indices
 divisible by P with positive exponents stay representable.  Its power
-sums S_d(n) mod P^kappa come from the degree recursion of `zeta`.
+sums S_d(n) mod P^kappa come from the degree recursion of `zeta`, its
+sums of a^(-n), n > 0, from the Euler split, and the gap is a (min, +)
+chain sum of the tables' valuations (see `interpolation_gap`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import inf
 
-from ._kernels import get_kernel, raw_to_apoly, QuotientKernel
+from ._kernels import RawSum, get_kernel, raw_to_apoly, QuotientKernel
 from .fields import FieldSpec, ZpExp, lq_digit_sum
 from .polyring import APoly, MPoly, chain_sum, enumerate_monic, is_irreducible
 from .padic import PadicCtx, teichmuller, padic_one_unit_pow, split_P_power, _invert_mod
@@ -115,14 +118,12 @@ def vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly:
     return MPoly(L.vars, terms)
 
 
-def vadic_zeta_eval(ptv: VadicPoint, s: int = 0) -> MPoly:
+def vadic_zeta_eval(ptv: VadicPoint) -> MPoly:
     """sum_{d <= zdeg} z^d sum_{P not| a} omega(a)^delta <a>_P^(-y) in A/(P^k).
 
     For an integer exponent y = -n with delta = -n mod q^dP - 1 this
     reduces to vadic_exact_L(n, 0, P) mod P^k.
     """
-    if s != 0:
-        raise NotImplementedError("only the plain (s = 0) v-adic series is supported")
     ctx = ptv.ctx
     spec = ctx.field
     order = ctx.residue_order()
@@ -200,8 +201,8 @@ def mk_sequence(n1, k: int, dP: int, q: int) -> int:
 class _LocalRing:
     """P^e * (A/(P^kappa)): finite-place values with an exponent shift.
 
-    Relative precision kappa is fixed; addition aligns exponents and
-    multiplication adds them, exactly as for truncated Laurent series.
+    Relative precision kappa is fixed, and addition aligns exponents,
+    exactly as for truncated Laurent series.
     """
 
     def __init__(self, spec: FieldSpec, P: APoly, kappa: int):
@@ -234,58 +235,44 @@ class _LocalRing:
         return _power_sum_raw(self.spec, self.kernel, d, n, self.power_sum_memo,
                               self.times_theta, self.qk.reduce)
 
-    def v_of_raw(self, raw):
-        codes = self.kernel.to_codes(raw)
-        return split_P_power(APoly(self.spec, codes), self.P, self.kappa)[0] if codes else None
-
-    def from_apoly(self, a: APoly, exp: int = 0):
+    def from_apoly(self, a: APoly):
         if a.degree > self.qk.N:
             a = a % self.modulus
-        return _LocalValue(self, exp, self.qk.reduce(self.kernel.from_codes(a.coeff_codes)))
+        return _LocalValue(self, 0, self.qk.reduce(self.kernel.from_codes(a.coeff_codes)))
 
     def zero(self):
         return _LocalValue(self, 0, self.kernel.zero())
 
-    def one(self):
-        return _LocalValue(self, 0, self.kernel.from_codes((1,)))
-
-    def _unit_inverse(self, a: APoly):
-        """Split a = P^v u and return (v, u^-1 mod P^kappa)."""
-        v, rem = split_P_power(a, self.P)
-        unit_raw = self.qk.reduce(self.kernel.from_codes(rem.coeff_codes))
-        res_inv = _invert_mod(self.spec, rem, self.P)
-        inv_raw = self.qk.inverse(unit_raw, self.kernel.from_codes(res_inv.coeff_codes),
-                                  digits=self.kappa)
-        return v, inv_raw
-
     def shell_unit_inverses(self, d: int):
-        """Per monic degree-d a: (prime_to_P, v, u^-1) with a = P^v u, cached."""
+        """u^-1 mod P^kappa for every monic degree-d u prime to P, cached."""
         if d not in self._shell_units:
-            rows = []
-            for a in enumerate_monic(self.spec, d):
-                v, inv_raw = self._unit_inverse(a)
-                rows.append((v == 0, v, inv_raw))
-            self._shell_units[d] = rows
+            self._shell_units[d] = [
+                self.qk.inverse(self.qk.reduce(self.kernel.from_codes(u.coeff_codes)),
+                                self.kernel.from_codes(_invert_mod(self.spec, u, self.P).coeff_codes),
+                                digits=self.kappa)
+                for u in enumerate_monic(self.spec, d) if u % self.P]
         return self._shell_units[d]
 
     def local_power_sum(self, d: int, n: int, prime_to_p: bool):
         """sum of a^(-n) over monic degree-d a (prime to P only if asked),
-        cached: n >= 1 sums the powers of the cached unit inverses, n <= 0
-        takes the reduced power sums, and the multiples of P in degree d are
-        P*b with b monic of degree d - deg P."""
+        cached.  n >= 1 sums the n-th powers of the unit inverses (prime to
+        P), n <= 0 takes the reduced power sum S_d(-n) (all monics); the
+        multiples of P, P*b with b monic of degree d - deg P, add P^(-n)
+        times the full sum of degree d - deg P to the first."""
         key = (d, n, prime_to_p)
         if key in self.table_cache:
             return self.table_cache[key]
         if n > 0:
-            acc = self.zero()
-            for prime, v, inv_raw in self.shell_unit_inverses(d):
-                if prime_to_p and not prime:
-                    continue
-                acc = acc + _LocalValue(self, -v * n, self.qk.pow(inv_raw, n))
+            units = RawSum(self.kernel, self.spec.p - 1)
+            for inv_raw in self.shell_unit_inverses(d):
+                units.add(self.qk.pow(inv_raw, n))
+            acc = _LocalValue(self, 0, self.kernel.normalize(units.value))
         else:
             acc = _LocalValue(self, 0, self.reduced_power_sum(d, -n))
-            if prime_to_p and d >= self.P.degree:
-                acc = acc - _LocalValue(self, -n, self.reduced_power_sum(d - self.P.degree, -n))
+        if (n > 0) != prime_to_p and d >= self.P.degree:
+            rest = self.local_power_sum(d - self.P.degree, n, False)
+            rest = _LocalValue(self, rest.exp - n, rest.raw)
+            acc = acc + rest if n > 0 else acc - rest
         self.table_cache[key] = acc
         return acc
 
@@ -313,17 +300,11 @@ class _LocalValue:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        return _LocalValue(self.ring, self.exp + other.exp,
-                           self.ring.qk.mul(self.raw, other.raw))
-
     def valuation(self):
         """v_P, or None when the value vanishes to its relative precision."""
-        v = self.ring.v_of_raw(self.raw)
-        return None if v is None else self.exp + v
-
-    def __bool__(self):
-        return not self.ring.kernel.is_zero(self.raw)
+        ring = self.ring
+        codes = ring.kernel.to_codes(self.raw)
+        return self.exp + split_P_power(APoly(ring.spec, codes), ring.P, ring.kappa)[0] if codes else None
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +312,23 @@ class _LocalValue:
 
 
 GAP_HEADROOM = 16  # precision kept past the gap bound, in powers of P
-_local_rings: dict = {}
+# bounded, so a long-lived process keeps at most this many rings and their memos
+_local_ring = functools.lru_cache(maxsize=64)(_LocalRing)
 
 
-def _get_local_ring(spec: FieldSpec, P: APoly, kappa: int) -> _LocalRing:
-    key = (spec._key(), P.coeff_codes, kappa)
-    ring = _local_rings.get(key)
-    if ring is None:
-        ring = _LocalRing(spec, P, kappa)
-        _local_rings[key] = ring
-    return ring
+class _MinPlus:
+    """A valuation in the (min, +) semiring: + is min, * is +, inf is zero."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def __add__(self, other):
+        return _MinPlus(min(self.v, other.v))
+
+    def __mul__(self, other):
+        return _MinPlus(self.v + other.v)
 
 
 def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
@@ -348,12 +336,14 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
 
     ns = (n_1, ..., n_r) integer exponents; the first is interpolated by
     m_k and the partial sums restrict the top index prime to P.  The
-    difference is one strict polyring.chain_sum in P^e * A/(P^kappa):
-    its first table is (sum_a a^(-m_k) - sum_{P not| a} a^(-n_1)) z_1^d
-    over monic a of degree d, the others sum_a a^(-n_i) z_i^d.  Returns
-    the coefficientwise minimum of v_P over z-monomials, its Gauss
-    valuation (inf if the difference vanishes to working precision);
-    the caller compares it with q^(k+1) - (|n_2|+...+|n_r|)(deg P + k).
+    difference is a strict chain sum whose first table is
+    (sum_a a^(-m_k) - sum_{P not| a} a^(-n_1)) z_1^d over monic a of
+    degree d, the others sum_a a^(-n_i) z_i^d, taken in P^e * A/(P^kappa).
+    Each strict chain is its own z-monomial and v_P is additive, so its
+    Gauss valuation is one polyring.chain_sum in (min, +) over the
+    tables' valuations (inf if every chain has a table that vanishes to
+    working precision); the caller compares it with
+    q^(k+1) - (|n_2|+...+|n_r|)(deg P + k).
     """
     ns = tuple(int(n) for n in ns)
     if not ns:
@@ -365,15 +355,14 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
     mk = mk_sequence(ns[0], k, dP, q)
     cap = k + dP + 1
     degbound = lq_digit_sum(-mk, q) // (q - 1)
-    # headroom past the bound keeps alignment losses out of the verdict;
-    # bucketed so calls with nearby exponent vectors share one ring
+    # headroom past the bound keeps alignment losses out of the verdict; the
+    # rounding sets where a gap reads inf (q = 4, k = 0, ns = (2, 1, 0): 25 at
+    # kappa = 36, inf at the unrounded 21) and lets nearby calls share a ring
     neg_room = sum(max(n, 0) for n in ns[1:]) * max(cap - 1, 1)
     bucket = -(-(neg_room + GAP_HEADROOM) // 16) * 16
-    kappa = q ** (k + 1) + bucket
-    ring = _get_local_ring(spec, P, kappa)
+    ring = _local_ring(spec, P, q ** (k + 1) + bucket)
 
-    names = tuple(f"z{i + 1}" for i in range(len(ns)))
-
+    @functools.cache
     def table(i, d):
         if i:
             value = ring.local_power_sum(d, ns[i], False)
@@ -381,12 +370,12 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
             value = _LocalValue(ring, 0, ring.reduced_power_sum(d, -mk)) if d <= degbound else ring.zero()
             if d <= cap:
                 value = value - ring.local_power_sum(d, ns[0], True)
-        return MPoly(names, {(0,) * i + (d,) + (0,) * (len(ns) - i - 1): value})
+        v = value.valuation()
+        return _MinPlus(inf if v is None else v)
 
     top = max(degbound, cap)
     caps = [top] + [lq_digit_sum(-n, q) // (q - 1) if n <= 0 else top for n in ns[1:]]
-    gap = chain_sum(table, caps, True, MPoly.zero(names)).gauss_valuation()
-    return inf if gap is None else gap
+    return chain_sum(table, caps, True, _MinPlus(inf)).v
 
 
 def interpolation_gap_bound(spec: FieldSpec, ns, dP: int, k: int) -> int:

@@ -349,11 +349,9 @@ def _symbolic_factor(a: APoly, factor: TwistFactor, var_names, index, target_spe
 def twisted_power_sum(spec: FieldSpec, d: int, factors, char: ResidueChar | None = None) -> MPoly:
     """Sum over monic degree-d a of chi(a) * prod phi^e_i(a^(m_i))(t_i).
 
-    All factor points are symbolic.  Without a character, factor i has
-    degree at most p^(e_i mod e) in the coefficients of a (q = p^e), and
-    a Frobenius power common to all factors can be divided out, so the
-    sum is exactly zero once d(q-1) > min over c of sum_i p^((e_i - c) mod e).
-    For equal orders that is d > s/(q-1); mixed orders vanish later.
+    All factor points are symbolic.  Without a character, the sum is
+    exactly zero once d(q-1) > twist_degree_weight(factors); for equal
+    Frobenius orders that is d > s/(q-1), and mixed orders vanish later.
     """
     factors = list(factors)
     for f in factors:
@@ -594,16 +592,22 @@ def goss_zeta_eval(pt: SInftyPoint, prec: int) -> LaurentSeries:
     return total.truncate(prec)
 
 
+def twist_degree_weight(spec: FieldSpec, finite) -> int:
+    """min over c of sum_i p^((e_i - c) mod e), q = p^e: the degree in a's
+    coefficients of a product of finite factors, each an F_p-linear form
+    in phi^(e_i) of them, once a common Frobenius (which permutes the
+    monics) is divided out."""
+    return min(sum(spec.p ** ((f.frob - c) % spec.e) for f in finite) for c in range(spec.e))
+
+
 def twisted_stop_shell(finite, infinite, x: LaurentSeries, prec: int) -> int:
     """Check the factors of a twisted sum and return its number of shells.
 
-    With infinite factors, the certified stop of `_stop_shell` for
-    s = len(finite) linear factors and one exponent per infinite factor.
-    With none the sum is finite: with q = p^e, shell d vanishes once
-    d(q-1) > min over c of sum_i p^((e_i - c) mod e), as for
-    twisted_power_sum.  The count used, s // (q-1) + 1 shells, is that
-    bound only when all Frobenius orders agree; mixed orders are cut
-    early (a known open defect).
+    W = twist_degree_weight(finite) counts the finite factors.  With no
+    infinite factors the sum is finite: shell d vanishes once
+    d(q-1) > W, as for twisted_power_sum.  With infinite factors, the
+    certified stop of `_stop_shell` for W linear degrees and one exponent
+    per infinite factor left after `_merge_infinite`.
     """
     if prec < 1:
         raise ValueError("need prec >= 1")
@@ -621,12 +625,13 @@ def twisted_stop_shell(finite, infinite, x: LaurentSeries, prec: int) -> int:
     vx = x.valuation()
     if vx is None:
         raise ValueError("x must be nonzero")
+    weight = twist_degree_weight(spec, finite)
     if not infinite:
-        return len(finite) // (q - 1) + 1
+        return weight // (q - 1) + 1
     point_loss = sum(-f.point.valuation() for f in finite
                      if f.point is not None and f.point.valuation() is not None
                      and f.point.valuation() < 0)
-    return _stop_shell(q, prec, len(finite), len(infinite), vx + point_loss)
+    return _stop_shell(q, prec, weight, len(_merge_infinite(spec, infinite)), vx + point_loss)
 
 
 def _merge_infinite(spec: FieldSpec, infinite):

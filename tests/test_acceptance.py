@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see per-criterion
 status; every tolerance here is exact arithmetic.
 """
 
+import itertools
 import math
 import random
 
@@ -16,7 +17,8 @@ from ffzeta.padic import PadicCtx, teichmuller, padic_bracket, padic_one_unit_po
 from ffzeta.zeta import (SInftyPoint, TwistFactor, power_sum, power_sum_vanishes,
                          twisted_power_sum, exact_L, exact_L_degree_bound,
                          pellarin_L_series, goss_zeta_eval, twisted_L_eval,
-                         zpoly_eval_laurent, infty_coeff_valuation_bound)
+                         zpoly_eval_laurent, infty_coeff_valuation_bound,
+                         twist_degree_weight)
 from ffzeta.vadic import (VadicPoint, vadic_exact_L, vadic_zeta_eval,
                           interpolation_gap, interpolation_gap_bound,
                           vadic_degree_bound)
@@ -71,15 +73,19 @@ def test_criterion_1_power_sum_vanishing():
 
 def test_criterion_2_twisted_vanishing():
     checked = violations = 0
-    for spec in (F2, F3):
+    cases = [(spec, (0,) * s) for spec in (F2, F3) for s in range(5)]
+    # F4 with Frobenius orders in {0, 1}: mixed orders vanish only past the
+    # degree weight, later than s/(q-1)
+    cases += [(F4, orders) for s in range(1, 4) for orders in itertools.product((0, 1), repeat=s)]
+    for spec, orders in cases:
         q = spec.q
-        for s in range(5):
-            factors = [TwistFactor("finite") for _ in range(s)]
-            for d in range(5):
-                if d * (q - 1) > s:
-                    checked += 1
-                    if not twisted_power_sum(spec, d, factors).is_zero():
-                        violations += 1
+        factors = [TwistFactor("finite", frob=f) for f in orders]
+        weight = twist_degree_weight(spec, factors)
+        for d in range(5):
+            if d * (q - 1) > weight:
+                checked += 1
+                if not twisted_power_sum(spec, d, factors).is_zero():
+                    violations += 1
     assert violations == 0
     print(f"\nPASS criterion 2: twisted vanishing, {checked} symbolic cells, 0 violations")
 

@@ -128,6 +128,15 @@ def test_threshold_scan_twisted():
     assert report["complete"]
 
 
+def test_threshold_scan_twisted_sweeps_mixed_orders():
+    # q = 4: orders (0, 1, 0) have degree weight 4, so shell 1 is nonzero
+    # although s = 3 = q - 1 would predict zero
+    report = threshold_scan("twisted", spec=F4, d_max=3, s_max=4)
+    assert report["violations"] == []
+    assert {tuple(r["orders"]) for r in report["rows"]} >= {(0, 1, 0), (0, 1, 0, 1)}
+    assert any(r["orders"] == [0, 1, 0] and r["d"] == 1 and not r["zero"] for r in report["rows"])
+
+
 def test_threshold_scan_char_observes_sharp_bound():
     report = threshold_scan("char", spec=F3, P=APoly.theta(F3), delta=2, d_max=4)
     assert report["violations"] == []

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ffzeta.fields import FieldSpec, ZpExp, lq_digit_sum
+from ffzeta.fields import FieldSpec, ZpExp, lq_digit_sum, poly_powmod
 from ffzeta.polyring import APoly, MPoly, enumerate_monic
 from ffzeta.padic import PadicCtx
 from ffzeta.seriesinf import LaurentSeries, PrecisionError
@@ -14,7 +14,7 @@ from ffzeta.zeta import exact_L, pellarin_L_series, power_sum
 from ffzeta.oracle import enumerated_prime_to_p_power_sum, enumerated_vadic_exact_L
 from ffzeta.vadic import (VadicPoint, vadic_exact_L, vadic_zeta_eval, mk_sequence,
                           interpolation_gap, interpolation_gap_bound,
-                          prime_to_p_power_sum, vadic_degree_bound, _LocalRing)
+                          prime_to_p_power_sum, vadic_degree_bound, _LocalRing, _local_ring)
 
 F2 = FieldSpec.default(2)
 F3 = FieldSpec.default(3)
@@ -307,7 +307,8 @@ GAP_VECTORS = ((1, 1, 1), (2, -1, 1), (1, -2, -1), (-3, 1, 2), (3, 2, -1), (-1, 
                (2, 1, 0), (1, 3, -2))
 INF = math.inf
 # (q, P, k) -> measured gaps over GAP_VECTORS, recorded with the per-chain
-# tables that interpolation_gap had before polyring.chain_sum
+# tables that interpolation_gap had before polyring.chain_sum; the q = 4
+# and q = 5 cells with the products of the tables, before the (min, +) sum
 GAP_VALUES = {
     (2, (0, 1), 0): [2, 2, 3, 2, 0, 2, 1, 0],
     (2, (0, 1), 1): [5, 6, 7, 2, 2, 4, 5, 2],
@@ -317,6 +318,8 @@ GAP_VALUES = {
     (3, (0, 1), 1): [11, INF, 12, INF, 16, INF, 9, 9],
     (3, (1, 0, 1), 0): [5, INF, 5, 3, 6, INF, 4, 4],
     (3, (1, 0, 1), 1): [10, INF, 10, INF, 15, INF, 9, 10],
+    (4, (0, 1), 0): [12, INF, INF, 5, 7, INF, 25, 10],
+    (5, (2, 1), 0): [21, INF, INF, INF, 16, INF, 19, 19],
 }
 
 
@@ -337,19 +340,54 @@ def test_local_ring_arithmetic():
     ring = _LocalRing(F2, TH2, 8)
     a = ring.from_apoly(APoly(F2, (1, 1)))
     b = ring.local_power_sum(1, 2, False)
-    prod = a * b
-    assert prod.valuation() == -2
+    assert b.valuation() == -2
     s = a + (-a)
     assert s.valuation() is None
     # (theta + 1)^-2 * (theta+1)^2 = 1
     c = ring.local_power_sum(1, 2, True)
     d = ring.from_apoly(APoly(F2, (1, 1)) ** 2)
-    unit = c * d
-    one = ring.one()
-    assert (unit + (-one)).valuation() is None
+    assert c.exp == d.exp == 0
+    assert ring.kernel.to_codes(ring.qk.mul(c.raw, d.raw)) == (1,)
     # n <= 0: S_1(1) = theta + (theta + 1) = 1, and theta + 1 prime to P
+    one = ring.from_apoly(APoly.one(F2))
     assert (ring.local_power_sum(1, -1, False) + (-one)).valuation() is None
     assert (ring.local_power_sum(1, -1, True) + (-a)).valuation() is None
+
+
+@pytest.mark.parametrize("spec, P", [(F2, TH2), (F2, APoly(F2, (1, 1, 1))),
+                                     (F3, APoly(F3, (1, 1))), (F3, APoly(F3, (1, 0, 1)))],
+                         ids=str)
+def test_local_power_sum_matches_a_per_monic_sum(spec, P):
+    # a = P^v u, u^-1 = u^(|units| - 1) mod P^kappa, summed monic by monic
+    kappa = 5
+    mod = P ** kappa
+    units = (spec.q ** P.degree - 1) * spec.q ** (P.degree * (kappa - 1))
+    ring = _LocalRing(spec, P, kappa)
+    for d in range(5):
+        split = []
+        for a in enumerate_monic(spec, d):
+            v = 0
+            while (a % P).is_zero():
+                a, v = a // P, v + 1
+            inv = APoly(spec, poly_powmod(spec, list(a.coeff_codes), units - 1,
+                                          list(mod.coeff_codes)))
+            split.append((v, inv))
+        for n in (1, 2, 5):
+            for prime_to_p in (False, True):
+                rows = [(v, inv) for v, inv in split if v == 0 or not prime_to_p]
+                top = max(v for v, _ in rows) if rows else 0
+                want = APoly.zero(spec)
+                for v, inv in rows:
+                    want = want + P ** ((top - v) * n) * inv ** n
+                got = ring.local_power_sum(d, n, prime_to_p)
+                assert got.exp == -top * n, (d, n, prime_to_p)
+                assert APoly(spec, ring.kernel.to_codes(got.raw)) == want % mod, (d, n, prime_to_p)
+
+
+def test_local_rings_are_bounded():
+    for kappa in range(1, 71):
+        _local_ring(F2, TH2, kappa)
+    assert _local_ring.cache_info().currsize <= 64
 
 
 def test_prime_to_p_power_sum_bijection_identity():

@@ -16,7 +16,8 @@ from ffzeta.zeta import (PowerSumCache, SInftyPoint, TwistFactor, power_sum,
                          power_sum_vanishes, twisted_power_sum, char_power_sum,
                          exact_L, exact_L_degree_bound, pellarin_L_series,
                          goss_zeta_eval, twisted_L_eval, zpoly_eval_laurent,
-                         infty_coeff_valuation_bound, least_p_power, twisted_stop_shell)
+                         infty_coeff_valuation_bound, least_p_power, twisted_stop_shell,
+                         twist_degree_weight)
 
 F2 = FieldSpec.default(2)
 F3 = FieldSpec.default(3)
@@ -191,11 +192,47 @@ def test_twisted_power_sum_vanishes_past_the_degree_count(q):
             count = _twist_degree_count(spec, orders)
             d = count // (q - 1) + 1  # the first d with d(q - 1) > count
             factors = [TwistFactor("finite", frob=f) for f in orders]
+            assert twist_degree_weight(spec, factors) == count
             assert twisted_power_sum(spec, d, factors).is_zero(), (q, orders, d)
     # mixed orders vanish later than s/(q-1): q = 4, orders (0, 1) count 3
     mixed = [TwistFactor("finite", frob=0), TwistFactor("finite", frob=1)]
     assert _twist_degree_count(F4, (0, 1)) == 3
     assert not twisted_power_sum(F4, 1, mixed).is_zero()
+
+
+@pytest.mark.parametrize("q, orders", [(4, (0, 1)), (8, (0, 1, 2))])
+def test_finite_twisted_L_eval_stops_at_the_degree_weight(q, orders):
+    # mixed orders: shell 1 is nonzero although s < q - 1
+    spec, prec = FieldSpec.default(q), 20
+    finite = [TwistFactor("finite", frob=f) for f in orders]
+    x = LaurentSeries.from_apoly(APoly(spec, (1, 1)), prec + 8)
+    stop = twisted_stop_shell(finite, [], x, prec)
+    assert stop == 2 and not twisted_power_sum(spec, 1, finite).is_zero()
+    for d in (stop, stop + 1):
+        assert twisted_power_sum(spec, d, finite).is_zero()
+    expected = {}
+    for d in range(stop):
+        weight = x.inverse() ** d
+        for exp, c in twisted_power_sum(spec, d, finite).terms.items():
+            term = weight.scale_code(c.code)
+            expected[exp] = expected[exp] + term if exp in expected else term
+    value = twisted_L_eval(finite, [], x, prec)
+    zero = LaurentSeries.zero(spec, prec)
+    for exp in set(expected) | set(value.terms):
+        assert value.terms.get(exp, zero).agrees_with(expected.get(exp, zero), prec=prec), exp
+
+
+@pytest.mark.parametrize("q, prec", [(2, 6), (3, 6), (4, 10), (5, 10)])
+def test_mergeable_infinite_factors_stop_like_one(q, prec):
+    # same point, orders l and l + e: one base, so one certificate exponent
+    spec = FieldSpec.default(q)
+    point = LaurentSeries.theta(spec, prec + 8)
+    x = LaurentSeries.from_apoly(APoly(spec, (1, 1)), prec + 8)
+    two = [TwistFactor("infinite", point=point, zexp=ZpExp.from_int(3, spec.p, 8)),
+           TwistFactor("infinite", frob=spec.e, point=point, zexp=ZpExp.from_int(5, spec.p, 8))]
+    one = [TwistFactor("infinite", point=point, zexp=ZpExp.from_int(8, spec.p, 8))]
+    assert twisted_stop_shell([], two, x, prec) == twisted_stop_shell([], one, x, prec)
+    assert twisted_stop_shell([], two, x, prec) < zeta._stop_shell(spec.q, prec, 0, 2, x.valuation())
 
 
 def test_twisted_power_sum_rejects_concrete_points():
