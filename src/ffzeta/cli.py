@@ -2,8 +2,9 @@
 
 Every subcommand validates its arguments, runs one library operation
 and prints a JSON document (or CSV rows with --format csv) on stdout.
-Exit codes: 0 on success, 2 on validation errors, 3 when a precision
-or certificate requirement cannot be met.
+Exit codes: 0 on success, 2 on validation errors (a division by a
+non-unit among them), 3 when a precision or certificate requirement
+cannot be met.
 """
 
 from __future__ import annotations
@@ -143,8 +144,10 @@ SCHEMAS = {
     "zeta-eval": "{x: Laurent JSON, neg-y-digits, prec} -> Laurent {val,prec,coeffs}",
     "vadic": "{P: APoly JSON, n<=0, s} -> MPoly over A",
     "vadic-eval": "{P, k, neg-y-digits, delta, zdeg} -> MPoly in z with A/(P^k) coeffs",
-    "mk": "{n1:int, k:int, P} -> {mk:int, conditions:{...}}",
-    "interp-gap": "{indices, P, k} -> {gap:int|null, bound:int}",
+    "mk": "{n1:int, k:int, P} -> {dP:int, k:int, mk:int, n1:int}",
+    "interp-gap": "{indices, P, k} -> {bound:int, gap:int|null, satisfied:bool}; "
+                  "a null gap means no chain valuation below kappa: an exact zero "
+                  "or a value past working precision",
     "mzv": "{indices, mode, [P], [prec], [z]} -> MPoly or Laurent",
     "verify": "{suite, seed, budget} -> report {violations: [...], ...}",
 }
@@ -403,7 +406,8 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FieldError, ValueError, KeyError, json.JSONDecodeError, TypeError) as exc:
+    except (FieldError, ValueError, KeyError, json.JSONDecodeError, TypeError,
+            ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except PrecisionError as exc:

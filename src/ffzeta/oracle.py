@@ -13,7 +13,9 @@ here are the independent side of the dual routes: the library computes
 the same values from the degree recursion and the Euler-factor
 identity, never by visiting the q^d monics.  The twisted evaluation
 keeps the library's per-monic loop without its merged factors and
-per-shell one-unit basis.
+per-shell one-unit basis, and the v-adic evaluation lifts and inverts
+every monic's Teichmuller part itself, with no lift shared by a
+residue class.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .fields import FieldSpec, FqElem, ResidueChar, ZpExp, lq_digit_sum
 from ._kernels import RawSum, get_kernel
 from .polyring import (APoly, MPoly, enumerate_monic, frobenius_twist, hyperderivative,
                        is_irreducible, monic_coeff_vectors)
+from .padic import padic_one_unit_pow, teichmuller
 from .seriesinf import LaurentSeries, PrecisionError, one_unit_pow
 from .zeta import (power_sum, twisted_power_sum, twisted_stop_shell, twist_degree_weight,
                    char_power_sum, TwistFactor, _symbolic_factor)
@@ -204,6 +207,29 @@ def enumerated_vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly
             if coeff:
                 terms[key] = coeff
     return MPoly(names, terms)
+
+
+def enumerated_vadic_zeta_eval(ptv) -> MPoly:
+    """vadic_zeta_eval's sum for a VadicPoint, monic by monic: every monic
+    prime to P takes its own Teichmuller lift, inverse and omega^delta."""
+    ctx = ptv.ctx
+    order = ctx.residue_order()
+    delta = ptv.delta % order if order > 1 else 0
+    terms = {}
+    for d in range(ptv.zdeg + 1):
+        total = ctx.zero()
+        for a in enumerate_monic(ctx.field, d):
+            ar = ctx.reduce(a)
+            if ar.vP() > 0:
+                continue
+            omega = teichmuller(ar, ctx)
+            value = padic_one_unit_pow(ar * omega.inverse(), ptv.neg_y)
+            if delta:
+                value = value * omega ** delta
+            total = total + value
+        if total:
+            terms[(d,)] = total
+    return MPoly(("z",), terms)
 
 
 def enumerated_bracket_shell(spec: FieldSpec, d: int, neg_y: ZpExp, prec: int) -> LaurentSeries:

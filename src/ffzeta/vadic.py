@@ -21,6 +21,11 @@ that degree for the gap bound q^(k+1) - (|n_2|+...)(deg P + k) to
 hold (a degree cap of k + deg P provably fails, e.g. q = 2, P = theta,
 k = 0, n_1 = -3).
 
+Each piece of unit arithmetic is done once: `vadic_zeta_eval` takes
+the Teichmuller lift omega once per residue class mod P (it depends
+only on a mod P), and a shell's units are inverted together, by one
+Newton lift of their product.
+
 Gap tables live in the localized ring P^e * A/(P^kappa), the
 finite-place analogue of a truncated Laurent series, so inner indices
 divisible by P with positive exponents stay representable.  Its power
@@ -121,6 +126,9 @@ def vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly:
 def vadic_zeta_eval(ptv: VadicPoint) -> MPoly:
     """sum_{d <= zdeg} z^d sum_{P not| a} omega(a)^delta <a>_P^(-y) in A/(P^k).
 
+    omega(a) depends only on a mod P, so each nonzero residue class is
+    lifted once per call, with its omega^(-1) and omega^delta; every
+    monic still takes its own one-unit power of <a> = a omega(a)^(-1).
     For an integer exponent y = -n with delta = -n mod q^dP - 1 this
     reduces to vadic_exact_L(n, 0, P) mod P^k.
     """
@@ -128,18 +136,22 @@ def vadic_zeta_eval(ptv: VadicPoint) -> MPoly:
     spec = ctx.field
     order = ctx.residue_order()
     delta = ptv.delta % order if order > 1 else 0
+    lifts = {}  # residue codes mod P -> (omega^(-1), omega^delta)
     terms = {}
     for d in range(ptv.zdeg + 1):
         total = ctx.zero()
         for a in enumerate_monic(spec, d):
             ar = ctx.reduce(a)
-            if ar.vP() > 0:
+            r = ar.rep % ctx.P
+            if not r:
                 continue
-            omega = teichmuller(ar, ctx)
-            unit = ar * omega.inverse()
-            value = padic_one_unit_pow(unit, ptv.neg_y)
-            if delta:
-                value = value * omega ** delta
+            if r.coeff_codes not in lifts:
+                omega = teichmuller(ctx.reduce(r), ctx)
+                lifts[r.coeff_codes] = (omega.inverse(), omega ** delta if delta else None)
+            omega_inv, twist = lifts[r.coeff_codes]
+            value = padic_one_unit_pow(ar * omega_inv, ptv.neg_y)
+            if twist is not None:
+                value = value * twist
             total = total + value
         if total:
             terms[(d,)] = total
@@ -244,13 +256,29 @@ class _LocalRing:
         return _LocalValue(self, 0, self.kernel.zero())
 
     def shell_unit_inverses(self, d: int):
-        """u^-1 mod P^kappa for every monic degree-d u prime to P, cached."""
+        """u^-1 mod P^kappa for every monic degree-d u prime to P, cached.
+
+        Montgomery's batch inversion: one Euclid inverse mod P and one
+        Newton lift invert the product of the shell's units, and the walk
+        back over the prefix products peels off each inverse with two
+        products.  Inverses mod P^kappa are unique and reduced, so the
+        values are those of one Newton lift per unit.
+        """
         if d not in self._shell_units:
-            self._shell_units[d] = [
-                self.qk.inverse(self.qk.reduce(self.kernel.from_codes(u.coeff_codes)),
-                                self.kernel.from_codes(_invert_mod(self.spec, u, self.P).coeff_codes),
-                                digits=self.kappa)
-                for u in enumerate_monic(self.spec, d) if u % self.P]
+            qk = self.qk
+            units = [self.from_apoly(u).raw for u in enumerate_monic(self.spec, d) if u % self.P]
+            prefix = [units[0]]
+            for u in units[1:]:
+                prefix.append(qk.mul(prefix[-1], u))
+            total = raw_to_apoly(self.kernel, prefix[-1])
+            g = qk.inverse(prefix[-1], self.kernel.from_codes(
+                _invert_mod(self.spec, total, self.P).coeff_codes), digits=self.kappa)
+            inverses = [None] * len(units)
+            for i in range(len(units) - 1, 0, -1):
+                inverses[i] = qk.mul(g, prefix[i - 1])
+                g = qk.mul(g, units[i])
+            inverses[0] = g
+            self._shell_units[d] = inverses
         return self._shell_units[d]
 
     def local_power_sum(self, d: int, n: int, prime_to_p: bool):
@@ -341,9 +369,10 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
     degree d, the others sum_a a^(-n_i) z_i^d, taken in P^e * A/(P^kappa).
     Each strict chain is its own z-monomial and v_P is additive, so its
     Gauss valuation is one polyring.chain_sum in (min, +) over the
-    tables' valuations (inf if every chain has a table that vanishes to
-    working precision); the caller compares it with
-    q^(k+1) - (|n_2|+...+|n_r|)(deg P + k).
+    tables' valuations; the caller compares it with
+    q^(k+1) - (|n_2|+...+|n_r|)(deg P + k).  inf means that no chain
+    has a valuation below kappa: that covers both an exact zero and a
+    difference past working precision, which this value cannot tell apart.
     """
     ns = tuple(int(n) for n in ns)
     if not ns:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -82,6 +83,32 @@ def test_describe(capsys):
     code, out, _ = run_cli(capsys, "mzv", "--describe")
     assert code == 0
     assert "schema" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("mk", "--p", "3", "--n1", "-2", "--k", "1", "--P", "[1,0,1]"),
+    ("interp-gap", "--p", "2", "--indices", "1,-1", "--P", "[0,1]", "--k", "1"),
+])
+def test_describe_names_the_keys_the_command_emits(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--describe")
+    assert code == 0
+    schema = json.loads(out)["schema"]
+    keys = re.findall(r"(\w+):", re.search(r"->\s*\{([^}]*)\}", schema).group(1))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sorted(json.loads(out)) == sorted(keys)
+
+
+def test_zero_division_exits_2_with_one_error_line(capsys, monkeypatch):
+    def raise_zero_division(*args):
+        raise ZeroDivisionError("inversion of a non-unit in A/(P^k)")
+
+    monkeypatch.setattr(ffzeta.vadic, "interpolation_gap", raise_zero_division)
+    code, out, err = run_cli(capsys, "interp-gap", "--p", "2", "--indices", "1",
+                             "--P", "[0,1]", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: inversion of a non-unit in A/(P^k)"]
 
 
 def test_round_trip_mpoly_document(capsys):

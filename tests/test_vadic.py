@@ -6,12 +6,15 @@ import sys
 
 import pytest
 
+from ffzeta import vadic
+from ffzeta._kernels import QuotientKernel, raw_to_apoly
 from ffzeta.fields import FieldSpec, ZpExp, lq_digit_sum, poly_powmod
-from ffzeta.polyring import APoly, MPoly, enumerate_monic
-from ffzeta.padic import PadicCtx
+from ffzeta.polyring import APoly, MPoly, enumerate_monic, is_irreducible
+from ffzeta.padic import PadicCtx, _invert_mod
 from ffzeta.seriesinf import LaurentSeries, PrecisionError
 from ffzeta.zeta import exact_L, pellarin_L_series, power_sum
-from ffzeta.oracle import enumerated_prime_to_p_power_sum, enumerated_vadic_exact_L
+from ffzeta.oracle import (enumerated_prime_to_p_power_sum, enumerated_vadic_exact_L,
+                           enumerated_vadic_zeta_eval)
 from ffzeta.vadic import (VadicPoint, vadic_exact_L, vadic_zeta_eval, mk_sequence,
                           interpolation_gap, interpolation_gap_bound,
                           prime_to_p_power_sum, vadic_degree_bound, _LocalRing, _local_ring)
@@ -185,6 +188,68 @@ def test_vadic_coefficient_valuations_grow():
             vals.append(coeff.vP() if coeff is not None else k)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] > vals[0] or vals[0] >= k
+
+
+def _prime(spec, deg):
+    """The first monic irreducible of degree deg with a nonzero constant."""
+    return next(P for P in enumerate_monic(spec, deg) if P.coeff_codes[0] and is_irreducible(P))
+
+
+FINITE_PLACES = [(q, dP) for q in (2, 3, 4, 5, 9) for dP in (1, 2)]
+
+
+@pytest.mark.parametrize("q, dP", FINITE_PLACES, ids=str)
+def test_vadic_zeta_eval_matches_the_per_monic_oracle(q, dP, monkeypatch):
+    # one Teichmuller lift per residue class gives the values of one lift,
+    # inverse and omega^delta per monic, and lifts at most q^dP - 1 times
+    spec = FieldSpec.default(q)
+    P = _prime(spec, dP)
+    rng = random.Random(q * 10 + dP)
+    lifts = []
+    lift = vadic.teichmuller
+    monkeypatch.setattr(vadic, "teichmuller", lambda a, ctx: lifts.append(a) or lift(a, ctx))
+    for k in (1, 2, 4):
+        ctx = PadicCtx(P, k)
+        order = ctx.residue_order()
+        neg_y = ZpExp(spec.p, [rng.randrange(spec.p) for _ in range(4)])
+        zdeg = min(k * dP, max(d for d in range(9) if q ** d <= 128))
+        for delta in (0, rng.randrange(1, order) if order > 1 else 1):
+            ptv = VadicPoint(ctx, neg_y, delta, zdeg)
+            lifts.clear()
+            got = vadic_zeta_eval(ptv)
+            assert 0 < len(lifts) <= q ** dP - 1
+            assert got == enumerated_vadic_zeta_eval(ptv), (k, delta, zdeg)
+
+
+@pytest.mark.parametrize("q, dP", FINITE_PLACES, ids=str)
+def test_shell_unit_inverses_match_one_newton_lift_per_unit(q, dP, monkeypatch):
+    spec = FieldSpec.default(q)
+    P = _prime(spec, dP)
+    inverse = QuotientKernel.inverse
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return inverse(self, *args, **kwargs)
+
+    for kappa in (1, 2, 17):
+        ring = _LocalRing(spec, P, kappa)
+        qk, kernel = ring.qk, ring.kernel
+        for d in range(4):
+            # units past the Barrett range (d > 2 kappa dP - 2) are reduced first
+            units = [qk.reduce(kernel.from_codes((u % ring.modulus).coeff_codes))
+                     for u in enumerate_monic(spec, d) if u % P]
+            want = [inverse(qk, u, kernel.from_codes(
+                        _invert_mod(spec, raw_to_apoly(kernel, u), P).coeff_codes),
+                        digits=kappa)
+                    for u in units]
+            calls.clear()
+            monkeypatch.setattr(QuotientKernel, "inverse", counted)
+            got = ring.shell_unit_inverses(d)
+            monkeypatch.setattr(QuotientKernel, "inverse", inverse)
+            assert len(calls) == 1, (kappa, d)
+            assert got == want, (kappa, d)
+            assert all(kernel.to_codes(qk.mul(u, g)) == (1,) for u, g in zip(units, got))
 
 
 # -- interpolation sequence -------------------------------------------------------
