@@ -26,6 +26,14 @@ e = 1); `mul` raises DigitOverflowError when that bound reaches 2^24
 bytes, so p <= 251.  Codes convert through per-field tables.  Only the
 standard library is used, so a process that imports ffzeta does not
 pay for numpy.
+
+`pow` is Horner's rule on the base-q digits of n.  Frobenius fixes F_q,
+so x^(q m + d) = frob_spread(x^m) * x^d: the small powers x^d, d < q,
+come first, then each digit below the top costs one spread and, when
+nonzero, one product with a small power.  Every product thus has an
+operand of at most (q - 1) deg x + 1 coefficients, the length the
+digit bound above is checked on; at p = 251 a linear x never reaches
+it.  A negative n raises ValueError.
 """
 
 from __future__ import annotations
@@ -59,22 +67,33 @@ def _clmul(a: int, b: int) -> int:
 
 
 def _generic_pow(kernel, x, n: int):
-    """x^n by base-q digits: Frobenius spreads are exact and cheap."""
+    """x^n by Horner's rule on the base-q digits of n.
+
+    Frobenius fixes F_q, so x^(q m + d) = frob_spread(x^m) * x^d: the
+    small powers x^d, d < q, that the digits need come first, one
+    product by x each; then, from the top digit down, the running
+    power is spread and multiplied by the small power of the next
+    nonzero digit.  Every product has an operand of at most
+    (q - 1) deg x + 1 coefficients, which is also what the packed digit
+    bound is checked against.
+    """
+    if n < 0:
+        raise ValueError(f"kernel powers need n >= 0, got {n}")
     if n == 0:
         return kernel.from_codes((1,))
     q = kernel.q
-    result = None
-    factor = x
+    digits = []
     while n:
-        d = n % q
+        n, d = divmod(n, q)
+        digits.append(d)
+    small = [None, x]
+    for _ in range(max(digits) - 1):
+        small.append(kernel.mul(small[-1], x))
+    result = small[digits.pop()]
+    for d in reversed(digits):
+        result = kernel.frob_spread(result)
         if d:
-            piece = factor
-            for _ in range(d - 1):
-                piece = kernel.mul(piece, factor)
-            result = piece if result is None else kernel.mul(result, piece)
-        n //= q
-        if n:
-            factor = kernel.frob_spread(factor)
+            result = kernel.mul(result, small[d])
     return result
 
 

@@ -127,8 +127,11 @@ def binary_power(base, n: int, mul):
 
     Each step multiplies the running result by the base before squaring
     the base, the order every ring here relies on (series precisions
-    depend on it); callers handle n = 0 themselves.
+    depend on it); callers handle n = 0 themselves, and n < 1 raises
+    ValueError rather than shifting forever.
     """
+    if n < 1:
+        raise ValueError(f"binary_power needs n >= 1, got {n}")
     result = None
     while True:
         if n & 1:

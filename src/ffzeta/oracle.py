@@ -11,11 +11,12 @@ such a row is a failure of the build, not of the scan.
 The enumerated power sums, prime-to-P sums and infinite-place shells
 here are the independent side of the dual routes: the library computes
 the same values from the degree recursion and the Euler-factor
-identity, never by visiting the q^d monics.  The twisted evaluation
-keeps the library's per-monic loop without its merged factors and
-per-shell one-unit basis, and the v-adic evaluation lifts and inverts
-every monic's Teichmuller part itself, with no lift shared by a
-residue class.
+identity, never by visiting the q^d monics.  The enumerated sums raise
+each monic to its power with `_digit_power` here, not with the
+kernels' `pow`.  The twisted evaluation keeps the library's per-monic
+loop without its merged factors and per-shell one-unit basis, and the
+v-adic evaluation lifts and inverts every monic's Teichmuller part
+itself, with no lift shared by a residue class.
 """
 
 from __future__ import annotations
@@ -145,12 +146,37 @@ def random_charsum_config(rng: random.Random, p: int, dim: int, r: int,
 # enumeration-based power sums (the oracle side of the dual route)
 
 
+def _digit_power(kernel, x, n: int):
+    """x^n for n >= 0 from the base-q digits of n, low digit first: the
+    running factor is x^(q^i) by Frobenius spreads, and digit d takes
+    d - 1 products of that factor with itself.  The oracle's own power,
+    kept apart from the kernels' `pow`."""
+    if n < 0:
+        raise ValueError(f"needs n >= 0, got {n}")
+    if n == 0:
+        return kernel.from_codes((1,))
+    q = kernel.q
+    result = None
+    factor = x
+    while n:
+        d = n % q
+        if d:
+            piece = factor
+            for _ in range(d - 1):
+                piece = kernel.mul(piece, factor)
+            result = piece if result is None else kernel.mul(result, piece)
+        n //= q
+        if n:
+            factor = kernel.frob_spread(factor)
+    return result
+
+
 def enumerated_power_sum(spec: FieldSpec, d: int, n: int) -> APoly:
     """S_d(n) by plain enumeration of the q^d monic polynomials."""
     kernel = get_kernel(spec)
     total = RawSum(kernel, spec.p - 1)
     for vec in monic_coeff_vectors(spec, d):
-        total.add(kernel.pow(kernel.from_codes(vec + (1,)), n))
+        total.add(_digit_power(kernel, kernel.from_codes(vec + (1,)), n))
     return APoly(spec, kernel.to_codes(total.value))
 
 
@@ -163,7 +189,7 @@ def enumerated_prime_to_p_power_sum(spec: FieldSpec, d: int, n: int, P: APoly) -
     for a in enumerate_monic(spec, d):
         if (a % P).is_zero():
             continue
-        total.add(kernel.pow(kernel.from_codes(a.coeff_codes), n))
+        total.add(_digit_power(kernel, kernel.from_codes(a.coeff_codes), n))
     return APoly(spec, kernel.to_codes(total.value))
 
 
@@ -192,7 +218,7 @@ def enumerated_vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly
             if (a % P).is_zero():
                 continue
             codes = a.coeff_codes
-            apow = kernel.pow(kernel.from_codes(codes), nn)
+            apow = _digit_power(kernel, kernel.from_codes(codes), nn)
             for js in itertools.product(range(d + 1), repeat=s):
                 code = 1
                 for j in js:

@@ -239,3 +239,17 @@ def test_binary_power_multiplies_the_result_before_squaring():
     assert binary_power("a", 6, lambda x, y: f"({x}{y})") == "((aa)((aa)(aa)))"
     for n in range(1, 70):
         assert binary_power(3, n, operator.mul) == 3 ** n
+
+
+@pytest.mark.parametrize("n", (0, -1, -5))
+def test_binary_power_rejects_exponents_below_one(n):
+    products = []
+
+    def mul(x, y):  # shifting a negative n never reaches 0
+        products.append(x)
+        assert len(products) < 64
+        return x * y % 1009
+
+    with pytest.raises(ValueError, match="n >= 1"):
+        binary_power(3, n, mul)
+    assert not products

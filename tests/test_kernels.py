@@ -4,6 +4,8 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_pow
 
 from ffzeta import oracle, zeta
 from ffzeta._kernels import DigitOverflowError, QuotientKernel, RawSum, get_kernel
@@ -53,6 +55,127 @@ def test_kernel_ops_match_apoly(q, data):
     assert kernel.to_codes(kernel.scale(ra, code)) == (a * APoly.constant(spec, code)).coeff_codes
     assert kernel.to_codes(kernel.pow(ra, n)) == (a ** n).coeff_codes
     assert kernel.is_zero(kernel.add(ra, kernel.scale(ra, spec.neg_code(1))))
+
+
+# -- pow: Horner's rule on base-q digits ------------------------------------------
+
+POW_REF_DEGREE = 1500  # largest power degree asked of the schoolbook references
+
+
+def _pow_cases(spec):
+    """(x, n) pairs with deg x * n <= POW_REF_DEGREE: constants, theta + c and
+    a degree-2 x against exponents of one to ten base-q digits, among them
+    q^k - 1 (k digits q - 1) and digits of 0.  Every field gets a
+    three-digit exponent; up to q = 27 a non-constant x gets one too."""
+    q = spec.q
+    rng = random.Random(q)
+    c = rng.randrange(1, q)
+    xs = [(c,), (c, 1), (rng.randrange(q), rng.randrange(q), rng.randrange(1, q))]
+    ns = [q ** k - 1 for k in range(1, 11)] + [2 * q - 1, (q - 1) * q, q * q + q - 1,
+                                               2 * q ** 3 + q]
+    return [(APoly(spec, x), n) for x in xs for n in ns
+            if (len(x) - 1) * n <= POW_REF_DEGREE]
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_kernel_pow_matches_apoly_power(q):
+    spec = FIELDS[q]
+    kernel = get_kernel(spec)
+    cases = _pow_cases(spec)
+    assert any(n >= q * q for _, n in cases)
+    for x, n in cases:
+        assert kernel.to_codes(kernel.pow(kernel.from_codes(x.coeff_codes), n)) \
+            == (x ** n).coeff_codes, (x.coeff_codes, n)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 251))
+def test_kernel_pow_matches_sympy_gf_pow(p):
+    spec = FieldSpec(p, (0, 1))
+    kernel = get_kernel(spec)
+    # at p = 251 only a linear x keeps every short operand, (q - 1) deg x + 1
+    # coefficients, under the 268 of the digit bound; the next test pins that
+    for x, n in [(x, n) for x, n in _pow_cases(spec) if p < 251 or x.degree <= 1]:
+        want = gf_pow(list(reversed(x.coeff_codes)), n, p, ZZ)
+        got = kernel.to_codes(kernel.pow(kernel.from_codes(x.coeff_codes), n))
+        assert list(reversed(got)) == want, (x.coeff_codes, n)
+
+
+def test_pow_at_p_251_keeps_the_short_operand_under_the_digit_bound():
+    # 502 = 2 * 251: x^2 is spread once, and no product meets the
+    # 268-coefficient bound on its shorter operand
+    kernel = get_kernel(FieldSpec(251, (0, 1)))
+    x = kernel.from_codes((1, 0, 1))
+    got = kernel.to_codes(kernel.pow(x, 502))
+    assert list(reversed(got)) == gf_pow([1, 0, 1], 502, 251, ZZ)
+    # 501 = 250 + 251: the spread theta^502 + 1 times x^250, whose 501
+    # coefficients pass the bound
+    with pytest.raises(DigitOverflowError):
+        kernel.pow(x, 501)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
+def test_pow_multiplies_by_short_powers_and_spreads_once_per_digit(q, monkeypatch):
+    spec = FIELDS[q]
+    kernel = get_kernel(spec)
+    rng = random.Random(q)
+    real_mul, real_spread = kernel.mul, kernel.frob_spread
+    seen = {"mul": [], "spread": 0}
+
+    def mul(a, b):
+        seen["mul"].append(min(len(kernel.to_codes(a)), len(kernel.to_codes(b))))
+        return real_mul(a, b)
+
+    def spread(a):
+        seen["spread"] += 1
+        return real_spread(a)
+
+    monkeypatch.setattr(kernel, "mul", mul)
+    monkeypatch.setattr(kernel, "frob_spread", spread)
+    for deg in (1, 2, 3):
+        x = kernel.from_codes([rng.randrange(q) for _ in range(deg)] + [1])
+        for digits in ((q - 1, 0, q - 1), (1, 0, 0, 1), (0, 1, 2 % q, q - 1, 1)):
+            n = sum(d * q ** i for i, d in enumerate(digits))
+            seen["mul"], seen["spread"] = [], 0
+            kernel.pow(x, n)
+            assert max(seen["mul"], default=0) <= (q - 1) * deg + 1
+            assert seen["spread"] == len(digits) - 1
+            # the small powers x^2..x^(max digit), then one product per
+            # nonzero digit below the top
+            assert len(seen["mul"]) == max(digits) - 1 + sum(map(bool, digits[:-1]))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_kernel_pow_rejects_negative_exponents(q, monkeypatch):
+    kernel = get_kernel(FIELDS[q])
+    spreads = []
+
+    def spread(a):  # a digit loop on n = -1 would spread without end
+        spreads.append(a)
+        assert len(spreads) < 64
+        return a
+
+    monkeypatch.setattr(kernel, "frob_spread", spread)
+    with pytest.raises(ValueError, match="n >= 0"):
+        kernel.pow(kernel.from_codes((1, 1)), -1)
+    assert not spreads
+
+
+def test_quotient_kernel_pow_rejects_negative_exponents(monkeypatch):
+    spec = FieldSpec.default(3)
+    kernel = get_kernel(spec)
+    qk = QuotientKernel(kernel, (APoly(spec, (1, 1)) ** 4).coeff_codes)
+    products = []
+    real_mul = qk.mul
+
+    def mul(a, b):  # square-and-multiply on n = -1 would square without end
+        products.append(a)
+        assert len(products) < 64
+        return real_mul(a, b)
+
+    monkeypatch.setattr(qk, "mul", mul)
+    with pytest.raises(ValueError, match="n >= 1"):
+        qk.pow(kernel.from_codes((2, 1)), -1)
+    assert not products
 
 
 @pytest.mark.parametrize("q, P, k", MODULI)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ffzeta._kernels import get_kernel
 from ffzeta.fields import FieldSpec, FqElem
 from ffzeta.polyring import APoly, MPoly
 from ffzeta.oracle import (CharsumConfig, charsum_trial, random_charsum_config,
@@ -194,3 +195,27 @@ def test_oracle_shares_no_code_path_with_what_it_checks():
 ])
 def test_shared_route_guard_catches_each_import_form(source):
     assert _shared_routes(source)
+
+
+def _kernel_pow_uses(source):
+    """Every `<value>.pow` in `source`: the kernels' and QuotientKernel's power."""
+    return [node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "pow"]
+
+
+def test_oracle_raises_monics_to_powers_without_the_kernel_pow():
+    assert _kernel_pow_uses(Path(oracle.__file__).read_text()) == []
+    assert _kernel_pow_uses("apow = kernel.pow(kernel.from_codes(codes), n)")
+    assert _kernel_pow_uses("power = qk.pow")
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9, 25))
+def test_digit_power_matches_apoly_power(q):
+    spec = FieldSpec.default(q)
+    kernel = get_kernel(spec)
+    x = APoly(spec, (1, q - 1, 1))
+    for n in (0, 1, q - 1, q, q * q - 1, 2 * q * q + 1):
+        assert kernel.to_codes(oracle._digit_power(kernel, kernel.from_codes(x.coeff_codes), n)) \
+            == (x ** n).coeff_codes
+    with pytest.raises(ValueError):
+        oracle._digit_power(kernel, kernel.from_codes(x.coeff_codes), -1)
