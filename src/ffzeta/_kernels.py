@@ -23,9 +23,8 @@ normalized operands is at most (p-1)^2 * w * L, with L the shorter
 operand's length and w the field's plane-reduction weight (w = 1 for
 e = 1); `mul` raises DigitOverflowError when that bound reaches 2^24
 (p = 251, e = 1: at L = 269).  Normalized digits are single
-bytes, so p <= 251.  Codes convert through per-field tables.  Only the
-standard library is used, so a process that imports ffzeta does not
-pay for numpy.
+bytes, so p <= 251.  Codes convert through per-field tables.  Like the
+rest of the library, the kernels use the standard library alone.
 
 `pow` is Horner's rule on the base-q digits of n.  Frobenius fixes F_q,
 so x^(q m + d) = frob_spread(x^m) * x^d: the small powers x^d, d < q,

@@ -30,6 +30,46 @@ class FieldError(ValueError):
     """Raised for invalid field data or mixed-field operations."""
 
 
+class FrozenValue:
+    """Base of the small immutable value types (`TwistFactor`, `VadicPoint`, ...).
+
+    A subclass names its fields in `__slots__` and passes their values,
+    in that order, to `FrozenValue.__init__`.  Instances of one class
+    with equal fields are equal and hash alike; repr shows the fields;
+    assignment and deletion raise AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

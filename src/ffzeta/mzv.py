@@ -19,24 +19,20 @@ power sum pi^(d p^M) S_d(p^M - n) mod pi^prec, for p^M >= max(prec, n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .fields import FieldSpec, lq_digit_sum
+from .fields import FieldSpec, FrozenValue, lq_digit_sum
 from .polyring import APoly, MPoly, chain_sum, is_irreducible
 from .seriesinf import LaurentSeries
 from .zeta import power_sum, least_p_power, shell_sum
 from .vadic import prime_to_p_power_sum
 
 
-@dataclass(frozen=True)
-class MzvIndex:
+class MzvIndex(FrozenValue):
     """A multiple zeta index: exponents and chain mode."""
 
-    ns: tuple
-    mode: str = "strict"
+    __slots__ = ("ns", "mode")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
+    def __init__(self, ns: tuple, mode: str = "strict"):
+        super().__init__(tuple(int(n) for n in ns), mode)
         if not self.ns:
             raise ValueError("need at least one index")
         if self.mode not in ("strict", "weak"):

@@ -3,10 +3,15 @@
 charsum_trial evaluates sum_w prod_i (x_i + f_i(w)) over an F_p vector
 space W by full enumeration; the sum vanishes whenever
 dim W > r / (p-1), and sharpness witnesses exist right at the
-threshold.  threshold_scan sweeps the concrete vanishing claims
-(plain, twisted and character power sums) against enumeration and
-reports any row where a bound predicts zero but the value is not:
-such a row is a failure of the build, not of the scan.
+threshold.  For a field target every map lists its values on all of
+W = F_p^dim in one order, built one coordinate at a time with the
+field's add and mul tables from the target codes of its columns; the
+pointwise products are then added up with the same tables.
+
+threshold_scan sweeps the concrete vanishing claims (plain, twisted
+and character power sums) against enumeration and reports any row
+where a bound predicts zero but the value is not: such a row is a
+failure of the build, not of the scan.
 
 The enumerated power sums, prime-to-P sums and infinite-place shells
 here are the independent side of the dual routes: the library computes
@@ -23,9 +28,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
-from .fields import FieldSpec, FqElem, ResidueChar, ZpExp, lq_digit_sum
+from .fields import FieldSpec, FqElem, FrozenValue, ResidueChar, ZpExp, lq_digit_sum
 from ._kernels import RawSum, get_kernel
 from .polyring import (APoly, MPoly, enumerate_monic, frobenius_twist, hyperderivative,
                        is_irreducible, monic_coeff_vectors)
@@ -38,27 +42,20 @@ from .vadic import vadic_degree_bound
 ENUMERATION_BUDGET = 10 ** 7
 
 
-@dataclass(frozen=True)
-class CharsumConfig:
+class CharsumConfig(FrozenValue):
     """Data for one character-sum trial.
 
     maps[i] is an F_p matrix with `dim` columns sending w to the target:
     rows are F_p coordinates of the target field (or coefficients of the
     symbolic basis when `basis` is given); offsets live in the target.
+    `basis` is the MPoly basis of a symbolic target, None for a field.
     """
 
-    p: int
-    dim: int
-    target: FieldSpec
-    maps: tuple
-    offsets: tuple
-    basis: tuple | None = None  # MPoly basis for symbolic targets
+    __slots__ = ("p", "dim", "target", "maps", "offsets", "basis")
 
-    @property
-    def r(self) -> int:
-        return len(self.maps)
-
-    def __post_init__(self):
+    def __init__(self, p: int, dim: int, target: FieldSpec, maps: tuple, offsets: tuple,
+                 basis: tuple | None = None):
+        super().__init__(p, dim, target, maps, offsets, basis)
         if self.target.p != self.p:
             raise ValueError("target characteristic differs from p")
         rows = len(self.basis) if self.basis is not None else self.target.e
@@ -67,6 +64,10 @@ class CharsumConfig:
                 raise ValueError("map matrices need dim-W columns")
             if len(m) != rows:
                 raise ValueError(f"map matrices need {rows} rows for this target")
+
+    @property
+    def r(self) -> int:
+        return len(self.maps)
 
     def predicted_zero(self) -> bool:
         return self.dim * (self.p - 1) > self.r
@@ -83,26 +84,23 @@ def charsum_trial(cfg: CharsumConfig):
 
 
 def _charsum_field(cfg: CharsumConfig) -> FqElem:
-    import numpy as np  # imported here so that only character-sum trials load it
-
     spec = cfg.target
     p = cfg.p
-    n = p ** cfg.dim
-    W = np.array(list(itertools.product(range(p), repeat=cfg.dim)), dtype=np.int64)
-    add_t = np.array(spec.add_table, dtype=np.int64)
-    mul_t = np.array(spec.mul_table, dtype=np.int64)
-    powers = np.array([p ** i for i in range(spec.e)], dtype=np.int64)
-    prod = np.ones(n, dtype=np.int64)
+    add, mul = spec.add_table, spec.mul_table
+    prod = [1] * p ** cfg.dim
     for m, x in zip(cfg.maps, cfg.offsets):
-        coords = (W @ np.array(m, dtype=np.int64).T) % p
-        codes = coords @ powers
-        codes = add_t[x.code, codes]
-        prod = mul_t[prod, codes]
-    while len(prod) > 1:
-        if len(prod) % 2:
-            prod = np.concatenate([prod, [0]])
-        prod = add_t[prod[0::2], prod[1::2]]
-    return FqElem(spec, int(prod[0]))
+        # x + f(w) for every w, one coordinate at a time: column k's
+        # target code is its F_p coordinates read as base-p digits, and
+        # every map lists w = sum_k c_k e_k in the order of sum_k c_k p^k.
+        vals = [x.code]
+        for k in range(cfg.dim):
+            col = sum(row[k] % p * p ** i for i, row in enumerate(m))
+            vals = [add[t][v] for t in [mul[c][col] for c in range(p)] for v in vals]
+        prod = [mul[a][b] for a, b in zip(prod, vals)]
+    total = 0
+    for v in prod:
+        total = add[total][v]
+    return FqElem(spec, total)
 
 
 def _charsum_symbolic(cfg: CharsumConfig) -> MPoly:

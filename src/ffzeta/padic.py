@@ -124,7 +124,8 @@ class PadicElem:
         return bool(self.rep)
 
     def is_one_unit(self) -> bool:
-        return (self - self.ctx.one()).vP() >= 1
+        """vP(self - 1) >= 1, from one remainder: self = 1 mod P."""
+        return (self.rep % self.ctx.P).coeff_codes == (1,)
 
     def valuation(self):
         """vP, or None when indistinguishable from zero in A/(P^k)."""

@@ -45,9 +45,12 @@ class LaurentSeries:
         # trim to precision, then strip leading/trailing zeros
         if val + len(coeff_codes) > prec:
             coeff_codes = coeff_codes[:max(prec - val, 0)]
-        while coeff_codes and coeff_codes[0] == 0:
-            coeff_codes.pop(0)
-            val += 1
+        lead = 0
+        while lead < len(coeff_codes) and coeff_codes[lead] == 0:
+            lead += 1
+        if lead:
+            del coeff_codes[:lead]
+            val += lead
         while coeff_codes and coeff_codes[-1] == 0:
             coeff_codes.pop()
         if not coeff_codes:

@@ -38,28 +38,24 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import inf
 
 from ._kernels import RawSum, get_kernel, raw_to_apoly, QuotientKernel
-from .fields import FieldSpec, ZpExp, lq_digit_sum
+from .fields import FieldSpec, FrozenValue, ZpExp, lq_digit_sum
 from .polyring import APoly, MPoly, chain_sum, enumerate_monic, is_irreducible
 from .padic import PadicCtx, teichmuller, padic_one_unit_pow, split_P_power, _invert_mod
 from .seriesinf import PrecisionError
 from .zeta import power_sum, exact_L, exact_L_degree_bound, _power_sum_raw
 
 
-@dataclass(frozen=True)
-class VadicPoint:
+class VadicPoint(FrozenValue):
     """Evaluation data at a finite place: exponent digits of -y, a
     Teichmuller twist delta, and the z-truncation degree."""
 
-    ctx: PadicCtx
-    neg_y: ZpExp
-    delta: int
-    zdeg: int
+    __slots__ = ("ctx", "neg_y", "delta", "zdeg")
 
-    def __post_init__(self):
+    def __init__(self, ctx: PadicCtx, neg_y: ZpExp, delta: int, zdeg: int):
+        super().__init__(ctx, neg_y, delta, zdeg)
         p = self.ctx.field.p
         if p ** self.neg_y.precision < self.ctx.k:
             raise PrecisionError(

@@ -55,12 +55,11 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import fields
 from ._kernels import MAX_PACKED_P, RawSum, get_kernel, raw_to_apoly
-from .fields import FieldSpec, FqElem, ZpExp, ResidueChar, lq_digit_sum
+from .fields import FieldSpec, FqElem, FrozenValue, ZpExp, ResidueChar, lq_digit_sum
 from .polyring import APoly, MPoly, enumerate_monic, monic_coeff_vectors, frobenius_twist, hyperderivative
 from .seriesinf import LaurentSeries, PrecisionError, one_unit_pow
 
@@ -69,21 +68,18 @@ from .seriesinf import LaurentSeries, PrecisionError, one_unit_pow
 # twist data
 
 
-@dataclass(frozen=True)
-class TwistFactor:
+class TwistFactor(FrozenValue):
     """One factor of a twisted sum.
 
     finite:   phi^frob(a^(hyper)) evaluated at `point` (None = symbolic).
     infinite: <phi^frob(a) at point> ^ zexp, needing v(point) < 0.
     """
 
-    kind: str
-    frob: int = 0
-    hyper: int = 0
-    point: object = None
-    zexp: ZpExp | None = None
+    __slots__ = ("kind", "frob", "hyper", "point", "zexp")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, frob: int = 0, hyper: int = 0, point: object = None,
+                 zexp: ZpExp | None = None):
+        super().__init__(kind, frob, hyper, point, zexp)
         if self.kind not in ("finite", "infinite"):
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.frob < 0 or self.hyper < 0:
@@ -102,14 +98,13 @@ class TwistFactor:
                 raise ValueError("finite factors take no exponent")
 
 
-@dataclass(frozen=True)
-class SInftyPoint:
+class SInftyPoint(FrozenValue):
     """A point (x; y) of the evaluation domain; stores the digits of -y."""
 
-    x: LaurentSeries
-    neg_y: ZpExp
+    __slots__ = ("x", "neg_y")
 
-    def __post_init__(self):
+    def __init__(self, x: LaurentSeries, neg_y: ZpExp):
+        super().__init__(x, neg_y)
         if self.x.is_zero():
             raise ValueError("x must be nonzero at its precision")
 

@@ -264,11 +264,13 @@ def test_well_formed_json_flags_still_parse(capsys):
 
 
 def test_library_import_path_leaves_numpy_out(tmp_path):
-    """Only `verify charsum` (the character-sum oracle) loads numpy."""
+    """No subcommand loads numpy, and the library never loads `dataclasses`
+    or `inspect`: a fresh process imports only what it runs."""
     script = """
 import contextlib, io, sys
 import ffzeta, ffzeta.cli
-assert "numpy" not in sys.modules, "import"
+heavy = ("numpy", "dataclasses", "inspect")
+assert not [m for m in heavy if m in sys.modules], "import"
 for argv in (
         ["powersum", "--p", "3", "--d", "2", "--n", "26"],
         ["zeta-eval", "--p", "3", "--x", '{"val":-1,"prec":90,"coeffs":[[1]]}',
@@ -280,6 +282,7 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         assert ffzeta.cli.main(argv) == 0, argv
     print(argv[0], "numpy" in sys.modules)
+    assert not [m for m in heavy[1:] if m in sys.modules], argv
 """
     src = os.path.dirname(os.path.dirname(ffzeta.__file__))
     env = dict(os.environ, PYTHONPATH=src, FFZETA_CACHE=str(tmp_path))
@@ -288,4 +291,4 @@ for argv in (
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:-1] == ["powersum False", "zeta-eval False",
                                            "vadic-eval False", "interp-gap False",
-                                           "verify True"]
+                                           "verify False"]

@@ -253,3 +253,101 @@ def test_binary_power_rejects_exponents_below_one(n):
     with pytest.raises(ValueError, match="n >= 1"):
         binary_power(3, n, mul)
     assert not products
+
+
+def _value_type_cases():
+    """name -> (a valid value, a value built from the defaults, its repr,
+    the defaults, the (error, bad constructor call) pairs)."""
+    from ffzeta.mzv import MzvIndex
+    from ffzeta.oracle import CharsumConfig
+    from ffzeta.padic import PadicCtx
+    from ffzeta.seriesinf import LaurentSeries, PrecisionError
+    from ffzeta.vadic import VadicPoint
+    from ffzeta.zeta import SInftyPoint, TwistFactor
+
+    F3 = FieldSpec.default(3)
+    theta = LaurentSeries.theta(F3, 20)
+    y = ZpExp(3, (1, 2))
+    ctx = PadicCtx(APoly(F3, (1, 1)), 2)
+    return {
+        "TwistFactor": (
+            lambda: TwistFactor("infinite", frob=1, point=theta, zexp=y),
+            lambda: TwistFactor("finite"),
+            "TwistFactor(kind='finite', frob=0, hyper=0, point=None, zexp=None)",
+            {"frob": 0, "hyper": 0, "point": None, "zexp": None},
+            [(ValueError, lambda: TwistFactor("middle")),
+             (ValueError, lambda: TwistFactor("finite", frob=-1)),
+             (ValueError, lambda: TwistFactor("finite", hyper=-1)),
+             (ValueError, lambda: TwistFactor("infinite", hyper=1, point=theta, zexp=y)),
+             (ValueError, lambda: TwistFactor("infinite", point=theta)),
+             (ValueError, lambda: TwistFactor("infinite", point=APoly(F3, (0, 1)), zexp=y)),
+             (ValueError, lambda: TwistFactor("infinite", point=theta.inverse(), zexp=y)),
+             (ValueError, lambda: TwistFactor("infinite", point=LaurentSeries.zero(F3, 20),
+                                              zexp=y)),
+             (ValueError, lambda: TwistFactor("finite", zexp=y))]),
+        "SInftyPoint": (
+            lambda: SInftyPoint(theta, y),
+            lambda: SInftyPoint(LaurentSeries.one(F3, 4), ZpExp(3, (2,))),
+            f"SInftyPoint(x={LaurentSeries.one(F3, 4)!r}, neg_y=ZpExp(p=3, digits=[2]))",
+            {},
+            [(ValueError, lambda: SInftyPoint(LaurentSeries.zero(F3, 20), y))]),
+        "VadicPoint": (
+            lambda: VadicPoint(ctx, y, 1, 3),
+            lambda: VadicPoint(ctx, ZpExp(3, (2,)), 0, 0),
+            f"VadicPoint(ctx={ctx!r}, neg_y=ZpExp(p=3, digits=[2]), delta=0, zdeg=0)",
+            {},
+            [(PrecisionError, lambda: VadicPoint(PadicCtx(APoly(F3, (1, 1)), 4),
+                                                 ZpExp(3, (2,)), 0, 0)),
+             (ValueError, lambda: VadicPoint(ctx, y, 0, -1))]),
+        "MzvIndex": (
+            lambda: MzvIndex([-1, "2"], "weak"),
+            lambda: MzvIndex((3,)),
+            "MzvIndex(ns=(3,), mode='strict')",
+            {"mode": "strict"},
+            [(ValueError, lambda: MzvIndex(())),
+             (ValueError, lambda: MzvIndex((1,), "loose"))]),
+        "CharsumConfig": (
+            lambda: CharsumConfig(3, 2, F3, (((1, 2),),), (FqElem(F3, 1),)),
+            lambda: CharsumConfig(3, 1, F3, (), ()),
+            f"CharsumConfig(p=3, dim=1, target={F3!r}, maps=(), offsets=(), basis=None)",
+            {"basis": None},
+            [(ValueError, lambda: CharsumConfig(2, 2, F3, (), ())),
+             (ValueError, lambda: CharsumConfig(3, 2, F3, (((1,),),), (FqElem(F3, 1),))),
+             (ValueError, lambda: CharsumConfig(3, 1, F3, (((1,), (2,)),),
+                                                (FqElem(F3, 1),)))]),
+    }
+
+
+@pytest.mark.parametrize("name", ["TwistFactor", "SInftyPoint", "VadicPoint", "MzvIndex",
+                                  "CharsumConfig"])
+def test_value_types_compare_hash_print_and_refuse_assignment(name):
+    import copy
+    import pickle
+
+    make, make_default, default_repr, defaults, bad_calls = _value_type_cases()[name]
+    a, b, other = make(), make(), make_default()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert a != other and other == make_default()
+    assert a != tuple(getattr(a, f) for f in type(a).__slots__) and a != None  # noqa: E711
+    assert repr(other) == default_repr
+    assert {f: getattr(other, f) for f in defaults} == defaults
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+    for field in type(a).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+    for error, call in bad_calls:
+        with pytest.raises(error):
+            call()
+
+
+def test_mzv_index_keeps_its_exponents_as_a_tuple_of_ints():
+    from ffzeta.mzv import MzvIndex
+    idx = MzvIndex([-1, "2", 3.0])
+    assert idx.ns == (-1, 2, 3) and all(type(n) is int for n in idx.ns)
+    assert idx.depth == 3 and idx == MzvIndex((-1, 2, 3), "strict")

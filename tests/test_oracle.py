@@ -58,22 +58,29 @@ def test_charsum_extension_field_target():
 
 
 def test_charsum_exact_value_against_direct_loop():
-    rng = random.Random(13)
+    """Exact values, zero and nonzero, against a loop over the points of W
+    with coordinates mapped by `from_coords`; r runs past the threshold
+    dim (p-1) so that nonzero sums occur on every target."""
     import itertools
-    for _ in range(25):
-        p = rng.choice((2, 3))
-        spec = FieldSpec.default(p)
-        dim = rng.randrange(1, 4)
-        r = rng.randrange(0, 4)
-        cfg = random_charsum_config(rng, p, dim, r, spec)
-        expected = FqElem(spec, 0)
-        for w in itertools.product(range(p), repeat=dim):
-            term = FqElem(spec, 1)
-            for m, x in zip(cfg.maps, cfg.offsets):
-                coords = [sum(rc * wc for rc, wc in zip(row, w)) % p for row in m]
-                term = term * (x + FqElem(spec, spec.from_coords(coords)))
-            expected = expected + term
-        assert charsum_trial(cfg) == expected
+    for q in (2, 3, 4, 5, 8, 9, 25):
+        spec = FieldSpec.default(q)
+        p = spec.p
+        rng = random.Random(13 + q)
+        nonzero = 0
+        for _ in range(12):
+            dim = rng.randrange(1, 6)
+            r = rng.choice((rng.randrange(0, dim * (p - 1)), dim * (p - 1), dim * (p - 1) + 1))
+            cfg = random_charsum_config(rng, p, dim, r, spec)
+            expected = FqElem(spec, 0)
+            for w in itertools.product(range(p), repeat=dim):
+                term = FqElem(spec, 1)
+                for m, x in zip(cfg.maps, cfg.offsets):
+                    coords = [sum(rc * wc for rc, wc in zip(row, w)) % p for row in m]
+                    term = term * (x + FqElem(spec, spec.from_coords(coords)))
+                expected = expected + term
+            assert charsum_trial(cfg) == expected, (q, dim, r)
+            nonzero += bool(expected)
+        assert nonzero, q
 
 
 def test_charsum_symbolic_target():

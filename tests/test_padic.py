@@ -180,3 +180,19 @@ def test_split_P_power():
     assert split_P_power(a, P, 2) == (2, P * u)
     assert split_P_power(u, P) == (0, u)
     assert split_P_power(a, P, 0) == (0, a)
+
+
+@pytest.mark.parametrize("q, P, k", [
+    (2, (0, 1), 4), (2, (1, 1, 1), 3), (3, (1, 1), 3), (3, (1, 0, 1), 2), (4, (0, 1), 2),
+    (5, (2, 1), 2)])
+def test_is_one_unit_agrees_with_the_valuation_of_x_minus_one(q, P, k):
+    """One remainder by P decides vP(x - 1) >= 1 on every element of A/(P^k)."""
+    import itertools
+    spec = FieldSpec.default(q)
+    ctx = PadicCtx(APoly(spec, P), k)
+    seen = 0
+    for codes in itertools.product(range(q), repeat=ctx.modulus.degree):
+        x = PadicElem(ctx, APoly(spec, codes))
+        assert x.is_one_unit() == ((x - ctx.one()).vP() >= 1), codes
+        seen += x.is_one_unit()
+    assert seen == q ** ((k - 1) * ctx.dP)

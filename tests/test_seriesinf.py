@@ -178,3 +178,19 @@ def test_powers_are_pinned():
             rows.append([q, n, y.val, list(y.coeff_codes), y.prec])
     assert rows[39] == [2, 40, -80, [1, 0, 0, 0, 0, 0, 0, 0, 1], -66]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == POWERS_DIGEST
+
+
+def test_construction_strips_leading_zeros_into_the_valuation():
+    rng = random.Random(8)
+    for _ in range(300):
+        val, prec = rng.randrange(-6, 6), rng.randrange(-4, 12)
+        codes = [rng.choice((0, 0, 0, 1, 2)) for _ in range(rng.randrange(0, 12))]
+        kept = codes[:max(prec - val, 0)]
+        nonzero = [i for i, c in enumerate(kept) if c]
+        s = LaurentSeries(F3, val, codes, prec)
+        assert s.prec == prec
+        if nonzero:
+            assert s.val == val + nonzero[0]
+            assert s.coeff_codes == tuple(kept[nonzero[0]:nonzero[-1] + 1])
+        else:
+            assert (s.val, s.coeff_codes) == (prec, ())
