@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import json
 import math
 import operator
+import pickle
 import random
 
 import pytest
@@ -9,7 +11,13 @@ import pytest
 from ffzeta.fields import (BUILTIN_MODULI, FieldSpec, FqElem, ZpExp, ResidueChar, FieldError,
                            binary_power, frobenius, lq_digit_sum, binom_mod_p, char_eval,
                            find_embedding)
+from ffzeta.mzv import MzvIndex
+from ffzeta.oracle import CharsumConfig
+from ffzeta.padic import PadicCtx
 from ffzeta.polyring import APoly
+from ffzeta.seriesinf import LaurentSeries, PrecisionError
+from ffzeta.vadic import VadicPoint
+from ffzeta.zeta import SInftyPoint, TwistFactor
 
 
 SPECS = [FieldSpec.default(q) for q in (2, 3, 4, 5, 8, 9)]
@@ -258,13 +266,6 @@ def test_binary_power_rejects_exponents_below_one(n):
 def _value_type_cases():
     """name -> (a valid value, a value built from the defaults, its repr,
     the defaults, the (error, bad constructor call) pairs)."""
-    from ffzeta.mzv import MzvIndex
-    from ffzeta.oracle import CharsumConfig
-    from ffzeta.padic import PadicCtx
-    from ffzeta.seriesinf import LaurentSeries, PrecisionError
-    from ffzeta.vadic import VadicPoint
-    from ffzeta.zeta import SInftyPoint, TwistFactor
-
     F3 = FieldSpec.default(3)
     theta = LaurentSeries.theta(F3, 20)
     y = ZpExp(3, (1, 2))
@@ -321,9 +322,6 @@ def _value_type_cases():
 @pytest.mark.parametrize("name", ["TwistFactor", "SInftyPoint", "VadicPoint", "MzvIndex",
                                   "CharsumConfig"])
 def test_value_types_compare_hash_print_and_refuse_assignment(name):
-    import copy
-    import pickle
-
     make, make_default, default_repr, defaults, bad_calls = _value_type_cases()[name]
     a, b, other = make(), make(), make_default()
     assert type(a).__name__ == name and a is not b
@@ -347,7 +345,6 @@ def test_value_types_compare_hash_print_and_refuse_assignment(name):
 
 
 def test_mzv_index_keeps_its_exponents_as_a_tuple_of_ints():
-    from ffzeta.mzv import MzvIndex
     idx = MzvIndex([-1, "2", 3.0])
     assert idx.ns == (-1, 2, 3) and all(type(n) is int for n in idx.ns)
     assert idx.depth == 3 and idx == MzvIndex((-1, 2, 3), "strict")
