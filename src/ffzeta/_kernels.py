@@ -21,18 +21,20 @@ that add many terms accumulate through RawSum, which normalizes before
 a digit of the running sum could reach 2^24.  A product digit of
 normalized operands is at most (p-1)^2 * w * L, with L the shorter
 operand's length and w the field's plane-reduction weight (w = 1 for
-e = 1); `mul` raises DigitOverflowError when that bound reaches 2^24
-(p = 251, e = 1: at L = 269).  Normalized digits are single
-bytes, so p <= 251.  Codes convert through per-field tables.  Like the
-rest of the library, the kernels use the standard library alone.
+e = 1).  `mul` keeps that bound under 2^24 by cutting a shorter operand
+of more than `max_mul_len` coefficients (p = 251, e = 1: 268) into
+pieces that long, so every product is exact.  Normalized digits are
+single bytes, so p <= 251.  Codes convert through per-field tables, and
+`scale` reads the matrix of each constant's product, built once from
+the field's tables.  Like the rest of the library, the kernels use the
+standard library alone.
 
 `pow` is Horner's rule on the base-q digits of n.  Frobenius fixes F_q,
 so x^(q m + d) = frob_spread(x^m) * x^d: the small powers x^d, d < q,
 come first, then each digit below the top costs one spread and, when
 nonzero, one product with a small power.  Every product thus has an
-operand of at most (q - 1) deg x + 1 coefficients, the length the
-digit bound above is checked on; at p = 251 a linear x never reaches
-it.  A negative n raises ValueError.
+operand of at most (q - 1) deg x + 1 coefficients.  A negative n
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ _PACK_BITS = 24
 _DIGIT_LIMIT = 1 << _PACK_BITS
 MAX_PACKED_P = 251
 _BIN_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-class DigitOverflowError(ArithmeticError):
-    """A packed product digit could reach 2^24 and corrupt its neighbours."""
 
 
 def _spread(digits: bytes, stride: int) -> int:
@@ -73,8 +71,7 @@ def _generic_pow(kernel, x, n: int):
     product by x each; then, from the top digit down, the running
     power is spread and multiplied by the small power of the next
     nonzero digit.  Every product has an operand of at most
-    (q - 1) deg x + 1 coefficients, which is also what the packed digit
-    bound is checked against.
+    (q - 1) deg x + 1 coefficients.
     """
     if n < 0:
         raise ValueError(f"kernel powers need n >= 0, got {n}")
@@ -97,7 +94,8 @@ def _generic_pow(kernel, x, n: int):
 
 
 class _Planes:
-    """What both kernels share: the plane layout and the codec tables."""
+    """What both kernels share: the plane layout, the codec tables and
+    the matrices of the products by constants."""
 
     digit_bits: int
 
@@ -109,11 +107,17 @@ class _Planes:
         # plane-product reduction: xi^k in coordinates, k <= 2e - 2
         self.red = [spec.coords(spec.pow_code(spec.p, k))
                     for k in range(2 * self.e - 1)] if self.e > 1 else []
+        coords = [spec.coords(c) for c in range(self.q)]
+        # scale_matrix[c][j][i] = coordinate j of c u_i, u_i the unit of
+        # plane i: a product by c adds plane i times it into plane j (at
+        # e = 1 the code is the coordinate, and no matrix is needed)
+        units = [spec.from_coords([int(t == i) for t in range(self.e)]) for i in range(self.e)]
+        self.scale_matrix = [[list(row) for row in zip(*(coords[times[u]] for u in units))]
+                             for times in spec.mul_table] if self.e > 1 else []
         if self.p > MAX_PACKED_P:  # coordinates do not fit the byte tables
             return
         # per plane: code -> coordinate + table_offset; and the code of
         # each coordinate index sum_j c_j p^j
-        coords = [spec.coords(c) for c in range(self.q)]
         self._planes = [bytes(row[j] + table_offset for row in coords) for j in range(self.e)]
         self._code_of = [0] * self.q
         for c, row in enumerate(coords):
@@ -166,9 +170,8 @@ class _BitKernel(_Planes):
         super().__init__(spec, ord("0"))  # plane tables hold "0"/"1" for int(.., 2)
         # scale_rows[c][j] = bitmask of source planes XORed into plane j
         # when multiplying by the element with code c
-        self.scale_rows = [[sum(1 << i for i in range(self.e)
-                                if spec.coords(spec.mul_code(c, 1 << i))[j])
-                            for j in range(self.e)] for c in range(self.q)]
+        self.scale_rows = [[sum(bit << i for i, bit in enumerate(row)) for row in matrix]
+                           for matrix in self.scale_matrix]
 
     def is_zero(self, x):
         return not any(x)
@@ -248,6 +251,7 @@ class _PackedKernel(_Planes):
         weight = max(sum(row[j] * min(k + 1, 2 * self.e - 1 - k)
                          for k, row in enumerate(self.red)) for j in range(self.e)) or 1
         self.max_mul_len = (_DIGIT_LIMIT - 1) // ((self.p - 1) ** 2 * weight)
+        self._piece_bits = self.max_mul_len * _PACK_BITS
         if self.p > MAX_PACKED_P:  # residues do not fit the byte tables
             self.from_codes = self.to_codes = self.normalize = self.frob_spread = self._no_bytes
             return
@@ -315,26 +319,23 @@ class _PackedKernel(_Planes):
     def scale(self, x, code):
         if code == 0:
             return self.zero()
-        spec = self.spec
         if self.e == 1:
-            return (x[0] * spec.coords(code)[0],)
+            return (x[0] * code,)
         # multiply the plane vector by the e x e matrix of `code`
-        out = [0] * self.e
-        for i, v in enumerate(x):
-            if v:
-                unit = spec.from_coords([1 if t == i else 0 for t in range(self.e)])
-                for j, m in enumerate(spec.coords(spec.mul_code(code, unit))):
-                    out[j] += m * v
-        return tuple(out)
+        return tuple(sum(m * v for m, v in zip(row, x)) for row in self.scale_matrix[code])
 
     def mul(self, x, y):
         """Product of two normalized values, normalized."""
-        shorter = min(max(v.bit_length() for v in x), max(v.bit_length() for v in y))
-        length = -(-shorter // _PACK_BITS)
-        if length > self.max_mul_len:
-            raise DigitOverflowError(
-                f"packed product digits would reach 2^{_PACK_BITS}: shorter operand has "
-                f"{length} coefficients, limit {self.max_mul_len} for p = {self.p}, e = {self.e}")
+        x_bits, y_bits = max(map(int.bit_length, x)), max(map(int.bit_length, y))
+        bits = self._piece_bits
+        if min(x_bits, y_bits) > bits:  # the shorter operand in pieces of max_mul_len
+            short, long = (x, y) if x_bits <= y_bits else (y, x)
+            total, k = self.zero(), 0
+            while any(short):
+                piece = self.mul(tuple(v & ((1 << bits) - 1) for v in short), long)
+                total = self.normalize(self.add(total, self.shift(piece, k)))
+                short, k = tuple(v >> bits for v in short), k + self.max_mul_len
+            return total
         if self.e == 1:
             return self.normalize((x[0] * y[0],))
         partial = [0] * (2 * self.e - 1)

@@ -4,8 +4,9 @@ Elements of F_q are stored as integer codes 0..q-1.  For a prime-based
 field the code of (c_0, ..., c_{e-1}) in the polynomial basis is
 sum c_i p^i.  Extension fields built on top of another FieldSpec (used
 for residue fields F_q[theta]/(P)) code their elements in base q the
-same way.  Arithmetic runs through small precomputed tables, which is
-plenty for the field sizes this library targets (q <= 1024).
+same way.  Arithmetic runs through tables from discrete logarithms:
+one walk of a generator g of F_q^x lists the codes of g^k, and products,
+inverses, powers and Frobenius are exponent arithmetic mod q - 1.
 """
 
 from __future__ import annotations
@@ -223,6 +224,25 @@ def poly_is_irreducible(F, m) -> bool:
     return True
 
 
+def _generator_powers(q, width, add, columns):
+    """[g^0, ..., g^(q-2)] for the first code g generating F_q^x; `columns(g)[i][d]`
+    is the code of d g xi^i, d a ground digit, so x g is an add-table fold."""
+    for g in range(1, q):
+        cols = columns(g)
+        exp, x = [], 1
+        while True:
+            exp.append(x)
+            y, rest = 0, x
+            for col in cols:
+                rest, d = divmod(rest, width)
+                y = add[y][col[d]]
+            x = y
+            if x == 1:
+                break
+        if len(exp) == q - 1:
+            return exp
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -317,52 +337,45 @@ class FieldSpec:
 
     @cached_property
     def _tables(self):
-        q = self.q
+        """(add, mul, inv, neg, frob, exp, log): exp[k] is the code of g^k,
+        log its inverse; the add table grows one ground digit at a time."""
+        q, width = self.q, self._ground_q
         if self.base is None and self.e == 1:
             p = self.p
             add = [[(i + j) % p for j in range(p)] for i in range(p)]
-            mul = [[(i * j) % p for j in range(p)] for i in range(p)]
+
+            def columns(g):
+                return [[d * g % p for d in range(p)]]
         else:
             ground = self._ground()
-            mod = list(self.modulus)
-            add = [[0] * q for _ in range(q)]
-            mul = [[0] * q for _ in range(q)]
-            polys = [self.digits(c) for c in range(q)]
-            gadd = ground.add_code
-            for i in range(q):
-                pi = polys[i]
-                for j in range(i, q):
-                    s = self.from_digits([gadd(a, b) for a, b in zip(pi, polys[j])])
-                    add[i][j] = s
-                    add[j][i] = s
-            for i in range(1, q):
-                pi = poly_trim(polys[i])
-                for j in range(i, q):
-                    prod = poly_mod(ground, poly_mul(ground, pi, poly_trim(polys[j])), mod)
-                    prod = prod + [0] * (self.rel_degree - len(prod))
-                    s = self.from_digits(prod)
-                    mul[i][j] = s
-                    mul[j][i] = s
-        inv = [0] * q
-        for i in range(1, q):
-            row = mul[i]
-            inv[i] = row.index(1)
-        neg = [0] * q
-        for i in range(q):
-            neg[i] = add[i].index(0)
-        frob = [self.pow_code_raw(mul, i, self.p) for i in range(q)]
-        return add, mul, inv, neg, frob
+            gadd, gmul, gneg = ground.add_table, ground.mul_table, ground._tables[3]
+            add = gadd
+            for k in range(1, self.rel_degree):
+                # code lo + w * hi, w = width^k: the low digits add by the
+                # table so far, the new top digit by the ground table
+                w, prev = width ** k, add
+                add = [[x + t for t in [w * s for s in gadd[hi]] for x in prev[lo]]
+                       for hi in range(width) for lo in range(w)]
 
-    @staticmethod
-    def pow_code_raw(mul, a, n):
-        r = 1
-        while n > 0:
-            if n & 1:
-                r = mul[r][a]
-            n >>= 1
-            if n:
-                a = mul[a][a]
-        return r
+            def columns(g):
+                v, cols = self.digits(g), []
+                for _ in range(self.rel_degree):
+                    cols.append([self.from_digits([gmul[d][c] for c in v])
+                                 for d in range(width)])
+                    # times xi: shift up, xi^r = -(m_0 + ... + m_(r-1) xi^(r-1))
+                    v = [gadd[a][gneg[gmul[v[-1]][c]]]
+                         for a, c in zip([0] + v[:-1], self.modulus)]
+                return cols
+        exp = _generator_powers(q, width, add, columns)
+        log = [0] * q
+        for k, c in enumerate(exp):
+            log[c] = k
+        n, logs, exp2 = q - 1, log[1:], exp + exp
+        mul = [[0] * q] + [[0, *map(exp2[k:k + n].__getitem__, logs)] for k in logs]
+        inv = [0] + [exp[-k % n] for k in logs]
+        neg = [row.index(0) for row in add]
+        frob = [0] + [exp[k * self.p % n] for k in logs]
+        return add, mul, inv, neg, frob, exp, log
 
     def add_code(self, a: int, b: int) -> int:
         return self._tables[0][a][b]
@@ -379,15 +392,20 @@ class FieldSpec:
         return self._tables[3][a]
 
     def frob_code(self, a: int, j: int = 1) -> int:
+        """a^(p^j); the j-fold Frobenius has order e."""
         t = self._tables[4]
-        for _ in range(j % self.e if self.e > 0 else 0):
+        for _ in range(j % self.e):
             a = t[a]
         return a
 
     def pow_code(self, a: int, n: int) -> int:
-        if n < 0:
-            a, n = self.inv_code(a), -n
-        return self.pow_code_raw(self._tables[1], a, n)
+        """a^n for any integer n, with 0^0 = 1."""
+        if a == 0:
+            if n < 0:
+                raise ZeroDivisionError("inversion of zero field element")
+            return 0 if n else 1
+        exp, log = self._tables[5:]
+        return exp[log[a] * n % (self.q - 1)]
 
     @cached_property
     def add_table(self):
@@ -404,17 +422,6 @@ class FieldSpec:
 
     def one(self) -> "FqElem":
         return FqElem(self, 1)
-
-    def elem(self, value) -> "FqElem":
-        if isinstance(value, FqElem):
-            if value.spec != self:
-                raise FieldError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            if self.e == 1 or 0 <= value < self.p:
-                return FqElem(self, value % self.p)
-            raise FieldError("integer values above p are ambiguous; use a code or coords")
-        return FqElem(self, self.from_coords(value))
 
     def elem_from_code(self, code: int) -> "FqElem":
         if not 0 <= code < self.q:
@@ -702,10 +709,7 @@ class ResidueChar:
         residue = poly_mod(self.field, list(coeff_codes), list(self.P_codes))
         if not residue:
             return 0
-        if self.dP == 1:
-            return self.field.pow_code(residue[0], self.delta)
-        residue = residue + [0] * (self.dP - len(residue))
-        code = self.residue_field.from_digits(residue)
+        code = residue[0] if self.dP == 1 else self.residue_field.from_digits(residue)
         return self.residue_field.pow_code(code, self.delta)
 
     def __repr__(self):

@@ -27,10 +27,6 @@ class PrecisionError(ArithmeticError):
         self.precision = precision
 
 
-class UnsupportedFeatureError(NotImplementedError):
-    """Raised for operations outside the implemented completion."""
-
-
 class LaurentSeries:
     """A precision-tracked element of F_q((pi)).
 
@@ -41,25 +37,26 @@ class LaurentSeries:
     __slots__ = ("spec", "val", "coeff_codes", "prec")
 
     def __init__(self, spec: FieldSpec, val: int, coeff_codes, prec: int):
-        coeff_codes = list(coeff_codes)
-        # trim to precision, then strip leading/trailing zeros
-        if val + len(coeff_codes) > prec:
-            coeff_codes = coeff_codes[:max(prec - val, 0)]
+        coeff_codes = tuple(coeff_codes)
+        # trim to precision, then cut off leading and trailing zeros at once
+        end = len(coeff_codes)
+        if val + end > prec:
+            end = max(prec - val, 0)
+        while end and coeff_codes[end - 1] == 0:
+            end -= 1
         lead = 0
-        while lead < len(coeff_codes) and coeff_codes[lead] == 0:
+        while lead < end and coeff_codes[lead] == 0:
             lead += 1
         if lead:
-            del coeff_codes[:lead]
             val += lead
-        while coeff_codes and coeff_codes[-1] == 0:
-            coeff_codes.pop()
-        if not coeff_codes:
+        elif not end:
             val = prec
+        coeff_codes = coeff_codes[lead:end]
         if val >= prec and coeff_codes:
             raise ValueError("valuation at or beyond precision with nonzero coefficients")
         self.spec = spec
         self.val = val
-        self.coeff_codes = tuple(coeff_codes)
+        self.coeff_codes = coeff_codes
         self.prec = prec
 
     # -- constructors -----------------------------------------------------------
@@ -241,10 +238,6 @@ class LaurentSeries:
             raise PrecisionError(f"cannot extend precision {self.prec} to {prec}",
                                  precision=self.prec)
         return LaurentSeries(self.spec, self.val, self.coeff_codes, prec)
-
-    def fractional_power(self, n: int):
-        raise UnsupportedFeatureError(
-            "fractional powers of pi are outside the implemented completion")
 
     # -- comparison --------------------------------------------------------------------
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow
 
-from ffzeta import oracle, zeta
-from ffzeta._kernels import DigitOverflowError, QuotientKernel, RawSum, get_kernel
-from ffzeta.fields import FieldError, FieldSpec
+from ffzeta import fields, oracle, zeta
+from ffzeta._kernels import QuotientKernel, RawSum, get_kernel
+from ffzeta.fields import FieldError, FieldSpec, binary_power, poly_mod, poly_mul, poly_trim
 from ffzeta.padic import _invert_mod
 from ffzeta.polyring import APoly
 
@@ -19,6 +19,10 @@ FIELDS = {q: FieldSpec.default(q) for q in SMALL_Q}
 FIELDS[289] = FieldSpec(17, (14, 0, 1))                  # xi^2 - 3
 FIELDS[512] = FieldSpec(2, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))  # xi^9 + xi^4 + 1
 FIELDS[729] = FieldSpec(3, (1, 0, 0, 0, 1, 1, 1))        # xi^6 + xi^5 + xi^4 + 1
+
+F4 = FieldSpec.default(4)
+TOWERS = {"F4[x]/(x^2+x+xi)": FieldSpec.extension(F4, (2, 1, 1)),
+          "F4[x]/(x^3+x+1)": FieldSpec.extension(F4, (1, 1, 0, 1))}
 
 # (q, P, k): moduli P^k with D = k deg P from 1 to 40
 MODULI = ((2, (1, 1), 1), (2, (1, 1, 1), 7), (2, (1, 1, 0, 1), 13), (3, (1, 1), 40),
@@ -57,6 +61,86 @@ def test_kernel_ops_match_apoly(q, data):
     assert kernel.is_zero(kernel.add(ra, kernel.scale(ra, spec.neg_code(1))))
 
 
+# -- field tables against polynomial products ------------------------------------
+
+class _ModP:
+    """F_p by integer arithmetic: the ground of the reference products."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def add_code(self, a, b):
+        return (a + b) % self.p
+
+    def mul_code(self, a, b):
+        return a * b % self.p
+
+    def neg_code(self, a):
+        return -a % self.p
+
+    def inv_code(self, a):
+        return pow(a, -1, self.p)
+
+
+def _reference_mul(spec):
+    """a * b as ground-digit polynomials reduced by the modulus."""
+    ground = spec.base if spec.base is not None else _ModP(spec.p)
+    mod = list(spec.modulus)
+
+    def mul(a, b):
+        prod = poly_mul(ground, poly_trim(spec.digits(a)), poly_trim(spec.digits(b)))
+        return spec.from_digits(poly_mod(ground, prod, mod))
+    return mul
+
+
+@pytest.mark.parametrize("name", [*map(str, sorted(FIELDS)), *TOWERS])
+def test_field_tables_match_polynomial_products(name):
+    spec = TOWERS.get(name) or FIELDS[int(name)]
+    q, p = spec.q, spec.p
+    mul = _reference_mul(spec)
+    rng = random.Random(name)
+    if q <= 27:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+        units = range(1, q)
+    else:
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+        units = rng.sample(range(1, q), 60)
+    for a, b in pairs:
+        assert spec.mul_code(a, b) == mul(a, b), (a, b)
+    for a in range(1, q):
+        assert mul(a, spec.inv_code(a)) == 1, a
+    for a in units:
+        frob = a
+        for j in range(spec.e + 1):
+            assert spec.frob_code(a, j) == frob, (a, j)
+            frob = binary_power(frob, p, mul)
+        for n in (0, 1, 2, 3, p, q - 2, q - 1, q, q + 1, 5 * q + 3):
+            want = binary_power(a, n, mul) if n else 1
+            assert spec.pow_code(a, n) == want, (a, n)
+            assert mul(spec.pow_code(a, -n), want) == 1, (a, -n)
+    assert spec.pow_code(0, 0) == 1
+    assert spec.pow_code(0, 1) == spec.pow_code(0, q) == 0
+    with pytest.raises(ZeroDivisionError):
+        spec.pow_code(0, -1)
+
+
+def test_field_tables_build_from_a_few_products_per_element(monkeypatch):
+    spec = FieldSpec(3, (1, 0, 0, 0, 1, 1, 1))  # a fresh q = 729: tables not built
+    calls = []
+    real_mul, real_divmod = fields.poly_mul, fields.poly_divmod
+
+    def count(real):
+        def wrapped(*args):
+            calls.append(real)
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(fields, "poly_mul", count(real_mul))
+    monkeypatch.setattr(fields, "poly_divmod", count(real_divmod))
+    assert spec.mul_code(3, 9) == 27
+    assert len(calls) <= 4 * (spec.q - 1)
+
+
 # -- pow: Horner's rule on base-q digits ------------------------------------------
 
 POW_REF_DEGREE = 1500  # largest power degree asked of the schoolbook references
@@ -92,9 +176,7 @@ def test_kernel_pow_matches_apoly_power(q):
 def test_kernel_pow_matches_sympy_gf_pow(p):
     spec = FieldSpec(p, (0, 1))
     kernel = get_kernel(spec)
-    # at p = 251 only a linear x keeps every short operand, (q - 1) deg x + 1
-    # coefficients, under the 268 of the digit bound; the next test pins that
-    for x, n in [(x, n) for x, n in _pow_cases(spec) if p < 251 or x.degree <= 1]:
+    for x, n in _pow_cases(spec):
         want = gf_pow(list(reversed(x.coeff_codes)), n, p, ZZ)
         got = kernel.to_codes(kernel.pow(kernel.from_codes(x.coeff_codes), n))
         assert list(reversed(got)) == want, (x.coeff_codes, n)
@@ -108,9 +190,9 @@ def test_pow_at_p_251_keeps_the_short_operand_under_the_digit_bound():
     got = kernel.to_codes(kernel.pow(x, 502))
     assert list(reversed(got)) == gf_pow([1, 0, 1], 502, 251, ZZ)
     # 501 = 250 + 251: the spread theta^502 + 1 times x^250, whose 501
-    # coefficients pass the bound
-    with pytest.raises(DigitOverflowError):
-        kernel.pow(x, 501)
+    # coefficients pass the bound, so that product is cut into pieces
+    got = kernel.to_codes(kernel.pow(x, 501))
+    assert list(reversed(got)) == gf_pow([1, 0, 1], 501, 251, ZZ)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
@@ -215,18 +297,35 @@ def test_quotient_kernel_rejects_operand_past_barrett_range(q):
         qk.reduce(kernel.shift(top, 1))
 
 
-def test_packed_digit_bound_at_p_251():
+def test_packed_digit_bound_at_p_251(monkeypatch):
     spec = FieldSpec(251, (0, 1))
     kernel = get_kernel(spec)
     assert kernel.max_mul_len == 268  # 250^2 * 268 < 2^24 <= 250^2 * 269
-    a = APoly(spec, [250] * 268)
-    ra = kernel.from_codes(a.coeff_codes)
+    products = []
+    real_mul = kernel.mul
+
+    def mul(x, y):
+        products.append(min(len(kernel.to_codes(x)), len(kernel.to_codes(y))))
+        return real_mul(x, y)
+
+    monkeypatch.setattr(kernel, "mul", mul)
+    a, b = APoly(spec, [250] * 268), APoly(spec, [250] * 269)
+    ra, rb = kernel.from_codes(a.coeff_codes), kernel.from_codes(b.coeff_codes)
+    # within the bound: one product
     assert kernel.to_codes(kernel.mul(ra, ra)) == (a * a).coeff_codes
-    rb = kernel.from_codes((250,) * 269)
-    with pytest.raises(DigitOverflowError):
-        kernel.mul(rb, rb)
+    assert products == [268]
     # the bound is on the shorter operand
-    assert kernel.to_codes(kernel.mul(ra, rb)) == (a * APoly(spec, [250] * 269)).coeff_codes
+    del products[:]
+    assert kernel.to_codes(kernel.mul(ra, rb)) == (a * b).coeff_codes
+    assert products == [268]
+    # past it: the shorter operand is multiplied in pieces of 268 and 1
+    del products[:]
+    assert kernel.to_codes(kernel.mul(rb, rb)) == (b * b).coeff_codes
+    assert products == [269, 268, 1]
+    c = APoly(spec, [(7 * i + 3) % 251 for i in range(700)] + [1])
+    rc = kernel.from_codes(c.coeff_codes)
+    assert kernel.to_codes(kernel.mul(rc, rb)) == (c * b).coeff_codes
+    assert kernel.to_codes(kernel.mul(rc, rc)) == (c * c).coeff_codes
 
 
 def test_packed_kernel_rejects_p_above_251():

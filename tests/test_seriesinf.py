@@ -6,8 +6,7 @@ import pytest
 
 from ffzeta.fields import FieldSpec, ZpExp
 from ffzeta.polyring import APoly
-from ffzeta.seriesinf import (LaurentSeries, PrecisionError, UnsupportedFeatureError,
-                              decompose, one_unit_pow)
+from ffzeta.seriesinf import LaurentSeries, PrecisionError, decompose, one_unit_pow
 
 F2 = FieldSpec.default(2)
 F3 = FieldSpec.default(3)
@@ -58,11 +57,6 @@ def test_exact_cancellation_gives_zero_at_precision():
     x = LaurentSeries(F2, 0, (1, 1), 9)
     assert (x - x).is_zero()
     assert (x - x).prec == 9
-
-
-def test_fractional_powers_unsupported():
-    with pytest.raises(UnsupportedFeatureError):
-        LaurentSeries.pi(F2, 4).fractional_power(2)
 
 
 def test_decompose_fixtures():
