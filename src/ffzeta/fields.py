@@ -86,8 +86,11 @@ def _is_prime(n: int) -> bool:
 # Low-level polynomial kernels on lists of field codes.
 #
 # These operate on ascending coefficient lists whose entries are codes of
-# some FieldSpec `F`.  They back both extension-field construction and the
-# APoly ring in polyring.py.
+# some FieldSpec `F`.  They back extension-field construction and every
+# code-list ring of the library: APoly in polyring.py (and PadicElem in
+# padic.py through it) and LaurentSeries in seriesinf.py, whose products
+# are the truncated `poly_mul(F, a, b, limit)`.  The raw kernels of
+# _kernels.py serve power sums, t-shells and A/(P^k) reduction.
 
 def poly_trim(c):
     i = len(c)
@@ -113,18 +116,23 @@ def poly_scale(F, a, s):
     return [mul(x, s) for x in a]
 
 
-def poly_mul(F, a, b):
-    if not a or not b:
+def poly_mul(F, a, b, limit=None):
+    """a * b, or with `limit` only its coefficients below x^limit."""
+    if len(a) > len(b):
+        a, b = b, a
+    n = len(a) + len(b) - 1
+    if limit is not None and limit < n:
+        n = limit
+    if not a or n <= 0:
         return []
-    add = F.add_code
-    mul = F.mul_code
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = add(out[i + j], mul(x, y))
+    add, mul = F.add_code, F.mul_code
+    out = [0] * n
+    whole = n - len(b)  # rows i <= whole keep all of b
+    for i, x in enumerate(a[:n]):  # i < n, so b[:n - i] never counts from the back
+        if x:
+            for k, y in enumerate(b if i <= whole else b[:n - i], i):
+                if y:
+                    out[k] = add(out[k], mul(x, y))
     return poly_trim(out)
 
 
@@ -136,7 +144,8 @@ def poly_divmod(F, a, b):
     if da < db:
         return [], poly_trim(a)
     inv_lead = F.inv_code(b[-1])
-    mul, add, neg = F.mul_code, F.add_code, F.neg_code
+    add, mul = F.add_code, F.mul_code
+    neg_b = [F.neg_code(y) for y in b]
     q = [0] * (da - db + 1)
     for i in range(da, db - 1, -1):
         c = a[i]
@@ -144,9 +153,9 @@ def poly_divmod(F, a, b):
             continue
         f = mul(c, inv_lead)
         q[i - db] = f
-        for j, y in enumerate(b):
+        for k, y in enumerate(neg_b, i - db):
             if y:
-                a[i - db + j] = add(a[i - db + j], neg(mul(f, y)))
+                a[k] = add(a[k], mul(f, y))
     return poly_trim(q), poly_trim(a)
 
 
@@ -246,6 +255,9 @@ def _generator_powers(q, width, add, columns):
 # ---------------------------------------------------------------------------
 
 
+_PRIME_FIELDS = {}  # p -> F_p, the ground of every prime-based extension
+
+
 class FieldSpec:
     """A finite field F_q given by a monic irreducible modulus.
 
@@ -282,8 +294,12 @@ class FieldSpec:
             raise FieldError("modulus is reducible")
 
     def _ground(self) -> "FieldSpec":
-        """The field the modulus lives over: the base, or F_p."""
-        return self.base if self.base is not None else FieldSpec(self.p, (0, 1))
+        """The field the modulus lives over: the base, or F_p (one per p)."""
+        if self.base is not None:
+            return self.base
+        if self.p not in _PRIME_FIELDS:
+            _PRIME_FIELDS[self.p] = FieldSpec(self.p, (0, 1))
+        return _PRIME_FIELDS[self.p]
 
     # -- construction helpers ------------------------------------------------
 
@@ -539,41 +555,6 @@ def frobenius(x: FqElem, j: int = 1) -> FqElem:
     return FqElem(x.spec, x.spec.frob_code(x.code, j))
 
 
-def find_embedding(src: FieldSpec, dst: FieldSpec):
-    """Embedding of src into dst by locating a root of src's modulus.
-
-    Returns a code-to-code list realizing an F_p-algebra homomorphism, or
-    raises FieldError when dst contains no root (src does not embed).
-    """
-    if src.p != dst.p:
-        raise FieldError("fields have different characteristic")
-    if dst.e % src.e != 0:
-        raise FieldError(f"F_{src.q} does not embed into F_{dst.q}")
-    if src.base is not None:
-        raise FieldError("embedding source must be a prime-based field")
-    mod = [c % src.p for c in src.modulus]
-    root = None
-    for cand in range(dst.q):
-        acc = 0
-        for c in reversed(mod):
-            acc = dst.add_code(dst.mul_code(acc, cand), c % dst.p)
-        if acc == 0:
-            root = cand
-            break
-    if root is None:
-        raise FieldError("no root of source modulus in destination field")
-    table = [0] * src.q
-    for code in range(src.q):
-        acc = 0
-        power = 1
-        for c in src.digits(code):
-            if c:
-                acc = dst.add_code(acc, dst.mul_code(c % dst.p, power))
-            power = dst.mul_code(power, root)
-        table[code] = acc
-    return table
-
-
 # ---------------------------------------------------------------------------
 # p-adic exponents
 
@@ -607,13 +588,6 @@ class ZpExp:
     def as_int(self) -> int:
         """The canonical representative in [0, p^M)."""
         return sum(d * self.p ** i for i, d in enumerate(self.digits))
-
-    def base_q_digits(self, e: int):
-        """Digits base q = p^e, as far as the p-adic precision allows."""
-        m = self.precision // e
-        n = self.as_int()
-        q = self.p ** e
-        return [(n // q ** i) % q for i in range(m)]
 
     def __eq__(self, other):
         return isinstance(other, ZpExp) and (self.p, self.digits) == (other.p, other.digits)
@@ -687,15 +661,15 @@ class ResidueChar:
     """The character a -> (a mod P)^delta on polynomials prime to P.
 
     Values live in the residue field F_q[theta]/(P), an extension
-    FieldSpec of the coefficient field; P | a maps to zero.
+    FieldSpec of the coefficient field; P | a maps to zero.  Building
+    that extension is the irreducibility test: a reducible P raises
+    FieldError there, and a P of degree 1 is irreducible.
     """
 
     def __init__(self, field: FieldSpec, P_codes, delta: int):
         P_codes = tuple(int(c) for c in P_codes)
         if len(P_codes) < 2 or P_codes[-1] != 1:
             raise ValueError("P must be monic of degree >= 1")
-        if not poly_is_irreducible(field, list(P_codes)):
-            raise ValueError("P is reducible")
         self.field = field
         self.P_codes = P_codes
         self.dP = len(P_codes) - 1

@@ -85,8 +85,7 @@ class APoly:
         return APoly(self.spec, fields.poly_add(self.spec, list(self.coeff_codes), list(other.coeff_codes)))
 
     def __neg__(self):
-        neg = self.spec.neg_code
-        return APoly(self.spec, [neg(c) for c in self.coeff_codes])
+        return self.scale_code(self.spec.neg_code(1))
 
     def __sub__(self, other):
         return self + (-other)
@@ -126,24 +125,23 @@ class APoly:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def eval(self, point, embedding=None):
+    def eval(self, point):
         """Ring-homomorphic evaluation theta -> point.
 
         The target is inferred from the point: an FqElem (possibly of an
         extension field), an MPoly variable or value, or a LaurentSeries.
-        Coefficients embed canonically when the point's
-        field is the same spec or a tower extension of it; any other
-        cross-field evaluation needs an explicit code-embedding table.
+        Coefficients embed canonically when the point's field is the same
+        spec or a tower extension of it; any other field raises FieldError.
         """
         if isinstance(point, FqElem):
             target = point.spec
-            embed = self._coeff_embedding(target, embedding)
+            self._check_target(target)
             acc = 0
             for c in reversed(self.coeff_codes):
-                acc = target.add_code(target.mul_code(acc, point.code), embed(c))
+                acc = target.add_code(target.mul_code(acc, point.code), c)
             return FqElem(target, acc)
         if isinstance(point, MPoly):
-            embed_c = self._mpoly_coeff_embedding(point, embedding)
+            embed_c = self._mpoly_coeff_embedding(point)
             result = MPoly(point.vars, {})
             power = MPoly.one_like(point)
             for i, c in enumerate(self.coeff_codes):
@@ -154,37 +152,30 @@ class APoly:
             return result
         from .seriesinf import LaurentSeries
         if isinstance(point, LaurentSeries):
-            if embedding is None and point.spec != self.spec:
-                raise FieldError("evaluation point over a different field needs an embedding")
-            embed = embedding or (lambda c: c)
+            if point.spec != self.spec:
+                raise FieldError("evaluation point over a different field")
             acc = LaurentSeries.zero(point.spec, point.prec)
             for c in reversed(self.coeff_codes):
-                acc = acc * point + LaurentSeries.constant(point.spec, embed(c), acc.prec)
+                acc = acc * point + LaurentSeries.constant(point.spec, c, acc.prec)
             return acc
         raise TypeError(f"unsupported evaluation target {type(point).__name__}")
 
-    def _coeff_embedding(self, target, embedding):
-        if embedding is not None:
-            return lambda c: embedding[c]
-        if target == self.spec:
-            return lambda c: c
-        if getattr(target, "base", None) == self.spec:
-            return lambda c: c  # constants keep their code in a tower extension
-        raise FieldError("evaluation point over an unrelated field needs an embedding")
+    def _check_target(self, target):
+        """Constants keep their code in the same field or a tower extension of it."""
+        if target != self.spec and getattr(target, "base", None) != self.spec:
+            raise FieldError("evaluation point over an unrelated field")
 
-    def _mpoly_coeff_embedding(self, point, embedding):
+    def _mpoly_coeff_embedding(self, point):
         sample = point.any_coefficient()
         if isinstance(sample, FqElem):
-            embed = self._coeff_embedding(sample.spec, embedding)
-            return lambda c: FqElem(sample.spec, embed(c))
+            self._check_target(sample.spec)
+            return lambda c: FqElem(sample.spec, c)
         if isinstance(sample, APoly):
-            embed = APoly.one(sample.spec)._coeff_embedding(sample.spec, embedding) \
-                if sample.spec != self.spec else (lambda c: c)
-            return lambda c: APoly.constant(sample.spec, embed(c))
+            return lambda c: APoly.constant(sample.spec, c)
         raise FieldError("symbolic evaluation needs FqElem or APoly coefficients")
 
-    def __call__(self, point, embedding=None):
-        return self.eval(point, embedding)
+    def __call__(self, point):
+        return self.eval(point)
 
     # -- value semantics -------------------------------------------------------------
 
@@ -269,13 +260,8 @@ def hyperderivative(a: APoly, m: int) -> APoly:
         c = a.coeff_codes[k]
         if c == 0:
             continue
-        b = binom_mod_p(k, m, p)
-        if b == 0:
-            continue
-        scaled = c
-        for _ in range(b - 1):
-            scaled = spec.add_code(scaled, c)
-        out[k - m] = spec.add_code(out[k - m], scaled)
+        # an integer b < p is its own code in every field, towers included
+        out[k - m] = spec.mul_code(c, binom_mod_p(k, m, p))
     return APoly(spec, out)
 
 

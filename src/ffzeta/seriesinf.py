@@ -7,6 +7,11 @@ v(theta) = -1 and polynomial values of degree d sit at valuation -d.
 Precision propagates pessimistically: min rules everywhere, no interval
 tightening.
 
+This module keeps only those precision rules.  The coefficient
+arithmetic is that of code lists in `fields`, shared with APoly and
+PadicElem: sums are `poly_add`, products the truncated `poly_mul`,
+scalings `poly_scale`, and an inverse is a `poly_divmod` quotient.
+
 One-units (valuation 0, constant term 1) carry Z_p-power structure via
 their base-p digit products; (1+w)^(p^i) = 1 + w^(p^i) makes each digit
 factor exact (the loop is `fields.one_unit_digit_power`, shared with A/(P^k)).
@@ -16,7 +21,8 @@ from __future__ import annotations
 
 import operator
 
-from .fields import FieldSpec, FqElem, FieldError, ZpExp, binary_power, one_unit_digit_power
+from .fields import (FieldSpec, FqElem, FieldError, ZpExp, binary_power, one_unit_digit_power,
+                     poly_add, poly_divmod, poly_mul, poly_scale)
 
 
 class PrecisionError(ArithmeticError):
@@ -135,21 +141,13 @@ class LaurentSeries:
         if not other.coeff_codes:
             return LaurentSeries(self.spec, self.val, self.coeff_codes, prec)
         lo = min(self.val, other.val)
-        out = [0] * (prec - lo)
-        for i, c in enumerate(self.coeff_codes):
-            k = self.val + i - lo
-            if k < len(out):
-                out[k] = c
-        add = self.spec.add_code
-        for i, c in enumerate(other.coeff_codes):
-            k = other.val + i - lo
-            if k < len(out):
-                out[k] = add(out[k], c)
-        return LaurentSeries(self.spec, lo, out, prec)
+        n = prec - lo
+        a = (0,) * (self.val - lo) + self.coeff_codes
+        b = (0,) * (other.val - lo) + other.coeff_codes
+        return LaurentSeries(self.spec, lo, poly_add(self.spec, a[:n], b[:n]), prec)
 
     def __neg__(self):
-        neg = self.spec.neg_code
-        return LaurentSeries(self.spec, self.val, [neg(c) for c in self.coeff_codes], self.prec)
+        return self.scale_code(self.spec.neg_code(1))
 
     def __sub__(self, other):
         return self + (-other)
@@ -164,29 +162,12 @@ class LaurentSeries:
             return LaurentSeries.zero(self.spec, prec)
         prec = min(self.val + other.prec, other.val + self.prec)
         lo = self.val + other.val
-        out = [0] * (prec - lo)
-        add = self.spec.add_code
-        mul = self.spec.mul_code
-        a, b = self.coeff_codes, other.coeff_codes
-        if len(a) > len(b):
-            a, b = b, a
-        limit = len(out)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            hi = min(len(b), limit - i)
-            for j in range(hi):
-                y = b[j]
-                if y:
-                    out[i + j] = add(out[i + j], mul(x, y))
+        out = poly_mul(self.spec, self.coeff_codes, other.coeff_codes, prec - lo)
         return LaurentSeries(self.spec, lo, out, prec)
 
     def scale_code(self, code: int) -> "LaurentSeries":
-        if code == 0:
-            return LaurentSeries.zero(self.spec, self.prec)
-        mul = self.spec.mul_code
-        return LaurentSeries(self.spec, self.val,
-                             [mul(c, code) for c in self.coeff_codes], self.prec)
+        return LaurentSeries(self.spec, self.val, poly_scale(self.spec, self.coeff_codes, code),
+                             self.prec)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by pi^k (exact)."""
@@ -197,19 +178,11 @@ class LaurentSeries:
             raise PrecisionError(
                 f"cannot invert a value that vanishes to precision {self.prec}",
                 precision=self.prec)
-        n = len(self.coeff_codes)
-        rel = self.prec - self.val
-        a = list(self.coeff_codes) + [0] * (rel - n)
-        inv0 = self.spec.inv_code(a[0])
-        add, mul, neg = self.spec.add_code, self.spec.mul_code, self.spec.neg_code
-        b = [inv0] + [0] * (rel - 1)
-        for k in range(1, rel):
-            acc = 0
-            for i in range(1, k + 1):
-                if a[i] and b[k - i]:
-                    acc = add(acc, mul(a[i], b[k - i]))
-            b[k] = mul(neg(acc), inv0)
-        return LaurentSeries(self.spec, -self.val, b, self.prec - 2 * self.val)
+        # with x = 1/pi, x^(rel+n-2) / (the n coefficients reversed) has the
+        # inverse's first rel coefficients, highest power first, as its quotient
+        n, rel = len(self.coeff_codes), self.prec - self.val
+        quot, _ = poly_divmod(self.spec, [0] * (rel + n - 2) + [1], self.coeff_codes[::-1])
+        return LaurentSeries(self.spec, -self.val, quot[::-1], self.prec - 2 * self.val)
 
     def __pow__(self, n: int):
         if n < 0:

@@ -667,7 +667,7 @@ class _OneUnitBasis:
         self.rows = []
 
     def start_shell(self, d: int):
-        y, mul = self.point, self.spec.mul_code
+        y = self.point
         while len(self.y_pows) <= d:
             self.y_pows.append(self.y_pows[-1] * y)
         y_inv_d = self.y_inv ** d
@@ -676,7 +676,8 @@ class _OneUnitBasis:
         for j in range(d + 1):
             b = y_inv_d if j == 0 else self.y_pows[j] * y_inv_d
             coeffs = b.coeff_codes[:max(self.prec - b.val, 0)]
-            self.rows.append((b.val, [[mul(fc, c) for c in coeffs] for fc in self.frob_codes]))
+            self.rows.append((b.val, [fields.poly_scale(self.spec, coeffs, fc)
+                                      for fc in self.frob_codes]))
 
     def one_unit(self, codes) -> LaurentSeries:
         add = self.spec.add_table

@@ -8,9 +8,10 @@ import random
 
 import pytest
 
+from ffzeta import fields
 from ffzeta.fields import (BUILTIN_MODULI, FieldSpec, FqElem, ZpExp, ResidueChar, FieldError,
                            binary_power, frobenius, lq_digit_sum, binom_mod_p, char_eval,
-                           find_embedding)
+                           poly_mul, poly_trim)
 from ffzeta.mzv import MzvIndex
 from ffzeta.oracle import CharsumConfig
 from ffzeta.padic import PadicCtx
@@ -157,29 +158,58 @@ def test_char_rejects_reducible_modulus():
         ResidueChar(F2, (0, 0, 1), 1)  # theta^2
 
 
+def test_char_tests_irreducibility_once(monkeypatch):
+    F3 = FieldSpec.default(3)
+    calls = []
+    real = fields.poly_is_irreducible
+
+    def counted(F, m):
+        calls.append(tuple(m))
+        return real(F, m)
+
+    monkeypatch.setattr(fields, "poly_is_irreducible", counted)
+    chi = ResidueChar(F3, (2, 0, 1, 1), 5)  # theta^3 + theta^2 + 2
+    assert chi.residue_field.q == 27
+    assert calls == [(2, 0, 1, 1)]
+
+
+def test_prime_based_extension_builds_its_ground_field_once(monkeypatch):
+    monkeypatch.setattr(fields, "_PRIME_FIELDS", {})
+    walks = []
+    real = fields._generator_powers
+
+    def counted(q, *args):
+        walks.append(q)
+        return real(q, *args)
+
+    monkeypatch.setattr(fields, "_generator_powers", counted)
+    spec = FieldSpec(3, (1, 0, 0, 0, 1, 1, 1))  # a fresh q = 729: tables not built
+    assert spec.mul_code(3, 9) == 27
+    assert sorted(walks) == [3, 729]
+
+
+def test_truncated_poly_mul_is_the_full_product_cut():
+    rng = random.Random(31)
+    for spec in SPECS:
+        for _ in range(40):
+            a = [rng.randrange(spec.q) for _ in range(rng.randrange(0, 9))]
+            b = [rng.randrange(spec.q) for _ in range(rng.randrange(0, 9))]
+            full = poly_mul(spec, a, b)
+            assert poly_mul(spec, a, b, None) == full
+            short = min(len(a), len(b))
+            for limit in {0, 1, max(short - 1, 0), short, len(a) + len(b), 40}:
+                assert poly_mul(spec, a, b, limit) == poly_trim(full[:limit]), (a, b, limit)
+    F3 = FieldSpec.default(3)
+    assert poly_mul(F3, [1, 2, 1], [2, 1, 1], 2) == [2, 2]  # 2 + 5 theta, cut at theta^2
+    assert poly_mul(F3, [1, 1], [0, 0, 0, 0, 1], 3) == []
+
+
 def test_extension_and_embedding():
     F2 = FieldSpec.default(2)
     ext = FieldSpec.extension(F2, (1, 1, 1))
     assert ext.q == 4
     # canonical inclusion keeps constant codes
     assert ext.from_digits([1]) == 1
-    F4 = FieldSpec.default(4)
-    table = find_embedding(F2, F4)
-    assert table[0] == 0 and table[1] == 1
-    # embedding into a non-matching field fails
-    with pytest.raises(FieldError):
-        find_embedding(FieldSpec.default(3), F4)
-
-
-def test_embedding_is_ring_homomorphism():
-    F2 = FieldSpec.default(2)
-    F16 = FieldSpec.default(16)
-    F4 = FieldSpec.default(4)
-    table = find_embedding(F4, F16)
-    for a in range(4):
-        for b in range(4):
-            assert table[F4.add_code(a, b)] == F16.add_code(table[a], table[b])
-            assert table[F4.mul_code(a, b)] == F16.mul_code(table[a], table[b])
 
 
 def test_fieldspec_json_roundtrip():
@@ -197,7 +227,6 @@ def test_zpexp():
     assert ZpExp.from_json(y.to_json()) == y
     neg = ZpExp.from_int(-1, 3, 4)
     assert neg.digits == (2, 2, 2, 2)
-    assert ZpExp.from_int(5, 2, 4).base_q_digits(2) == [1, 1]  # 5 = 11 base 4
     with pytest.raises(ValueError):
         ZpExp(4, (1,))
     with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_mul
 
 from ffzeta.fields import FieldSpec, ZpExp
 from ffzeta.polyring import APoly
@@ -188,3 +190,73 @@ def test_construction_strips_leading_zeros_into_the_valuation():
             assert s.coeff_codes == tuple(kept[nonzero[0]:nonzero[-1] + 1])
         else:
             assert (s.val, s.coeff_codes) == (prec, ())
+
+
+# -- the code-list arithmetic against sympy's GF(p) polynomials ---------------------
+
+
+def _operand(spec, rng, kind):
+    """A dense, sparse or zero series over F_p with a random valuation and precision."""
+    val, prec = rng.randrange(-5, 6), rng.randrange(6, 30)
+    if kind == "zero":
+        return LaurentSeries.zero(spec, prec)
+    codes = [rng.randrange(1, spec.q) if kind == "dense" or rng.random() < 0.2 else 0
+             for _ in range(prec - val)]
+    codes[0] = rng.randrange(1, spec.q)
+    return LaurentSeries(spec, val, codes, prec)
+
+
+def _gf(x, lo):
+    """x's known coefficients from pi^lo up, as a sympy dense list (highest first)."""
+    return [ZZ(c) for c in reversed((0,) * (x.val - lo) + x.coeff_codes)] if x else []
+
+
+def _assert_series(s, lo, gf_coeffs, prec):
+    """s is known mod pi^prec and its coefficients from pi^lo up are gf_coeffs'."""
+    ascending = [int(c) for c in reversed(gf_coeffs)]
+    assert s.prec == prec
+    for i in range(min(lo, prec), prec):
+        want = ascending[i - lo] if 0 <= i - lo < len(ascending) else 0
+        assert s.coefficient(i).code == want, (i, s)
+    first = [i for i in range(lo, prec) if s.coefficient(i).code]
+    assert s.val == (first[0] if first else prec)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_series_arithmetic_matches_sympy_gf(p):
+    spec, rng = FieldSpec.default(p), random.Random(p)
+    kinds = ("dense", "sparse", "zero")
+    for _ in range(60):
+        x, y = _operand(spec, rng, rng.choice(kinds)), _operand(spec, rng, rng.choice(kinds))
+        # sum: known to the smaller precision
+        lo = min(x.val, y.val)
+        _assert_series(x + y, lo, gf_add(_gf(x, lo), _gf(y, lo), p, ZZ), min(x.prec, y.prec))
+        # product: known to min(v(x) + prec(y), v(y) + prec(x)), a zero factor
+        # counting with valuation equal to its precision
+        prec = min(x.val + y.prec, y.val + x.prec)
+        _assert_series(x * y, x.val + y.val, gf_mul(_gf(x, x.val), _gf(y, y.val), p, ZZ), prec)
+        if not x:
+            continue
+        # inverse: valuation -v(x), the same relative precision
+        inv, rel = x.inverse(), x.prec - x.val
+        assert (inv.val, inv.prec) == (-x.val, x.prec - 2 * x.val)
+        prod = [int(c) for c in reversed(gf_mul(_gf(x, x.val), _gf(inv, inv.val), p, ZZ))]
+        assert (prod + [0] * rel)[:rel] == [1] + [0] * (rel - 1)
+
+
+TOWER = FieldSpec.extension(FieldSpec.default(4), (2, 1, 1))  # x^2 + x + xi over F_4
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.default(4), FieldSpec.default(9),
+                                  FieldSpec.default(27), TOWER], ids=["4", "9", "27", "4^2"])
+def test_series_ring_laws_over_extension_fields(spec):
+    rng = random.Random(spec.q)
+    one = LaurentSeries.one(spec, 40)
+    for _ in range(30):
+        x, y, z = (rand_series(spec, rng, rng.randrange(8, 24)) for _ in range(3))
+        lhs, rhs = (x * y) * z, x * (y * z)
+        assert lhs.agrees_with(rhs, prec=min(lhs.prec, rhs.prec))
+        lhs, rhs = x * (y + z), x * y + x * z
+        assert lhs.agrees_with(rhs, prec=min(lhs.prec, rhs.prec))
+        unit = x * x.inverse()
+        assert unit.val == 0 and unit.agrees_with(one)
