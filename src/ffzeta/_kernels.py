@@ -109,26 +109,21 @@ class _Planes:
                     for k in range(2 * self.e - 1)] if self.e > 1 else []
         coords = [spec.coords(c) for c in range(self.q)]
         # scale_matrix[c][j][i] = coordinate j of c u_i, u_i the unit of
-        # plane i: a product by c adds plane i times it into plane j (at
-        # e = 1 the code is the coordinate, and no matrix is needed)
-        units = [spec.from_coords([int(t == i) for t in range(self.e)]) for i in range(self.e)]
+        # plane i (code p^i): a product by c adds plane i times it into
+        # plane j (at e = 1 the code is the coordinate, and no matrix is needed)
+        units = [self.p ** i for i in range(self.e)]
         self.scale_matrix = [[list(row) for row in zip(*(coords[times[u]] for u in units))]
                              for times in spec.mul_table] if self.e > 1 else []
         if self.p > MAX_PACKED_P:  # coordinates do not fit the byte tables
             return
-        # per plane: code -> coordinate + table_offset; and the code of
-        # each coordinate index sum_j c_j p^j
+        # per plane: code -> coordinate + table_offset
         self._planes = [bytes(row[j] + table_offset for row in coords) for j in range(self.e)]
-        self._code_of = [0] * self.q
-        for c, row in enumerate(coords):
-            self._code_of[sum(d * self.p ** j for j, d in enumerate(row))] = c
         if self.q <= 256:  # bytes.translate needs a full 256-entry table
             self._planes = [t.ljust(256, b"\0") for t in self._planes]
             # plane j's digit d -> d * p^j; the weights of a position sum
-            # to its coordinate index, which the code table maps to a code
+            # to its coordinate index sum_j c_j p^j, which is its code
             self._weights = [bytes(d * self.p ** j for d in range(self.p)).ljust(256, b"\0")
                              for j in range(self.e)]
-            self._code_table = bytes(self._code_of).ljust(256, b"\0")
 
     def _code_planes(self, codes):
         """One bytes object per plane: the table entry of every code."""
@@ -142,8 +137,7 @@ class _Planes:
         if self.q <= 256:
             index = sum(int.from_bytes(d.translate(w), "little")
                         for d, w in zip(planes, self._weights))
-            return tuple(index.to_bytes((index.bit_length() + 7) // 8, "little")
-                         .translate(self._code_table))
+            return tuple(index.to_bytes((index.bit_length() + 7) // 8, "little"))
         index = [0] * max(map(len, planes))
         for j, digits in enumerate(planes):
             weight = self.p ** j
@@ -151,7 +145,7 @@ class _Planes:
                 index[i] += d * weight
         while index and not index[-1]:
             index.pop()
-        return tuple(self._code_of[i] for i in index)
+        return tuple(index)
 
     def zero(self):
         return (0,) * self.e

@@ -330,24 +330,20 @@ class FieldSpec:
         return sum(int(d) % g * g ** i for i, d in enumerate(digs))
 
     def coords(self, code: int):
-        """F_p coordinate vector of an element, length e (tower flattened)."""
-        if self.base is None:
-            return self.digits(code)
-        out = []
-        for d in self.digits(code):
-            out.extend(self.base.coords(d))
-        return out
+        """F_p coordinate vector of an element, length e (tower flattened).
+
+        A code is its coordinate index sum_j coords[j] p^j: a tower code
+        is the base-q digits of base codes, themselves base-p numbers.
+        """
+        p = self.p
+        return [code // p ** j % p for j in range(self.e)]
 
     def from_coords(self, coords) -> int:
         coords = list(coords)
         if len(coords) != self.e:
             raise FieldError(f"expected {self.e} coordinates, got {len(coords)}")
-        if self.base is None:
-            return self.from_digits(coords)
-        eb = self.base.e
-        digs = [self.base.from_coords(coords[i * eb:(i + 1) * eb])
-                for i in range(self.rel_degree)]
-        return self.from_digits(digs)
+        p = self.p
+        return sum(int(c) % p * p ** j for j, c in enumerate(coords))
 
     # -- arithmetic tables ---------------------------------------------------
 

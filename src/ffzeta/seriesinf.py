@@ -191,20 +191,17 @@ class LaurentSeries:
             return LaurentSeries.one(self.spec, self.rel_prec())
         return binary_power(self, n, operator.mul)
 
-    def p_power(self, iterations: int = 1) -> "LaurentSeries":
-        """x -> x^p repeated; exact coefficient spread, O(len) per step."""
-        out = self
+    def p_power(self) -> "LaurentSeries":
+        """x -> x^p; exact coefficient spread, O(len)."""
         p = self.spec.p
-        for _ in range(iterations):
-            if not out.coeff_codes:
-                return LaurentSeries.zero(out.spec, out.prec * p)
-            codes = [0] * ((len(out.coeff_codes) - 1) * p + 1)
-            frob = out.spec.frob_code
-            for i, c in enumerate(out.coeff_codes):
-                if c:
-                    codes[i * p] = frob(c)
-            out = LaurentSeries(out.spec, out.val * p, codes, out.prec * p)
-        return out
+        if not self.coeff_codes:
+            return LaurentSeries.zero(self.spec, self.prec * p)
+        codes = [0] * ((len(self.coeff_codes) - 1) * p + 1)
+        frob = self.spec.frob_code
+        for i, c in enumerate(self.coeff_codes):
+            if c:
+                codes[i * p] = frob(c)
+        return LaurentSeries(self.spec, self.val * p, codes, self.prec * p)
 
     def truncate(self, prec: int) -> "LaurentSeries":
         if prec > self.prec:

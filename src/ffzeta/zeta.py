@@ -12,7 +12,8 @@ a = theta*b + c (b monic of degree d-1, c in F_q):
 
 over k < n with C(n, k) nonzero mod p and (q-1) | n - k, with
 S_0(n) = 1.  The recursion is cross-checked against plain enumeration
-by the scan oracle and the test suite; only `power_sum` caches on disk.
+by the scan oracle and the test suite; only `power_sum` caches on disk,
+under FFZETA_CACHE, one line per (field, d, n) keyed by that text.
 `vadic` runs the same loop in A/(P^kappa), with that ring's theta^k
 product and reduction.
 
@@ -50,7 +51,6 @@ up with field-code arithmetic.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import itertools
 import json
 import math
@@ -113,77 +113,67 @@ class SInftyPoint(FrozenValue):
 # power-sum cache
 
 
-def _default_cache_dir() -> Path:
-    env = os.environ.get("FFZETA_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "ffzeta"
-
-
 class PowerSumCache:
-    """Write-through JSON-lines store for power sums, keyed by content hash.
+    """Write-through JSON-lines store for power sums, keyed by plain text.
 
-    It holds public `power_sum` results only, under FFZETA_CACHE.  Lines
-    are `{"key": "<64 hex digits>", "coeffs": [...]}`, indexed by key on
-    first use (the last line of a key wins) and decoded when first looked
-    up.  Malformed lines are skipped and recomputed, `put` rewrites a line
-    whose value differs, and appends are serialized by a file lock.
+    It holds public `power_sum` results only.  Lines are
+    `{"key": "<field>:<d>:<n>", "coeffs": [...]}`; a key is the repr of
+    the field's value key, which has no quote or backslash, so the index
+    reads it up to its closing quote (the last line of a key wins).  A
+    line is decoded only when its key is looked up; malformed lines, and
+    lines of the older hashed keys, read as misses.  `put` appends when
+    the key's indexed line has different text, under a file lock.
     """
 
     _PREFIX = '{"key": "'
-    _KEY_END = len(_PREFIX) + 64
 
-    def __init__(self, directory: Path | str | None = None):
-        self.directory = Path(directory) if directory is not None else _default_cache_dir()
-        self.path = self.directory / "powersums.jsonl"
-        self._mem: dict[str, tuple] = {}
-        self._lines: dict[str, str] = {}  # raw lines not yet decoded
-        self._loaded = False
+    def __init__(self, directory: Path | str):
+        self.path = Path(directory) / "powersums.jsonl"
+        self._lines: dict[str, str] | None = None  # key -> its last line, read on first use
 
     @staticmethod
     def key(spec: FieldSpec, d: int, n: int) -> str:
-        payload = json.dumps([repr(spec._key()), d, n], sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return f"{spec._key()!r}:{d}:{n}"
 
-    def _load(self):
-        self._loaded = True
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return
-        end = self._KEY_END
-        for line in lines:
-            if line.startswith(self._PREFIX) and line[end:end + 1] == '"':
-                self._lines[line[len(self._PREFIX):end]] = line
-
-    def _lookup(self, key: str):
-        """The stored coefficients of `key`, or None; decodes its line once."""
-        if not self._loaded:
-            self._load()
-        line = self._lines.pop(key, None)
-        if line is not None:
+    def _line(self, key: str):
+        if self._lines is None:
+            self._lines = {}
             try:
-                doc = json.loads(line)
-                coeffs = doc["coeffs"]
-                if doc["key"] == key and all(isinstance(c, int) for c in coeffs):
-                    self._mem[key] = tuple(coeffs)
-            except (json.JSONDecodeError, TypeError, KeyError):
-                pass  # corrupt entry: recompute rather than trust
-        return self._mem.get(key)
+                lines = self.path.read_text().splitlines()
+            except OSError:
+                lines = []
+            start = len(self._PREFIX)
+            for line in lines:
+                end = line.find('"', start)
+                if line.startswith(self._PREFIX) and end > 0:
+                    self._lines[line[start:end]] = line
+        return self._lines.get(key)
 
     def get(self, key: str):
-        return self._lookup(key)
+        """The stored coefficients of `key`, or None."""
+        line = self._line(key)
+        if line is None:
+            return None
+        try:
+            doc = json.loads(line)
+            coeffs = tuple(doc["coeffs"])
+            if doc["key"] == key and all(isinstance(c, int) for c in coeffs):
+                return coeffs
+        except (json.JSONDecodeError, TypeError, KeyError):
+            pass  # corrupt entry: recompute rather than trust
+        return None
 
     def put(self, key: str, coeffs):
-        if self._lookup(key) == tuple(coeffs):
+        # json.dumps keeps insertion order, so the line starts with _PREFIX
+        line = json.dumps({"key": key, "coeffs": list(coeffs)})
+        if self._line(key) == line:
             return
-        self._mem[key] = tuple(coeffs)
+        self._lines[key] = line
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a") as fh:
                 fcntl.flock(fh, fcntl.LOCK_EX)
-                # json.dumps keeps insertion order, so the line starts with _PREFIX
-                fh.write(json.dumps({"key": key, "coeffs": list(coeffs)}) + "\n")
+                fh.write(line + "\n")
                 fcntl.flock(fh, fcntl.LOCK_UN)
         except OSError:
             pass  # cache is an accelerator, never a requirement
@@ -192,11 +182,12 @@ class PowerSumCache:
 _caches: dict[str, PowerSumCache] = {}
 
 
-def default_cache() -> PowerSumCache:
-    path = str(_default_cache_dir())
-    if path not in _caches:
-        _caches[path] = PowerSumCache(path)
-    return _caches[path]
+def _cache() -> PowerSumCache:
+    """The cache under FFZETA_CACHE (default ~/.cache/ffzeta), one per directory."""
+    directory = os.environ.get("FFZETA_CACHE") or str(Path.home() / ".cache" / "ffzeta")
+    if directory not in _caches:
+        _caches[directory] = PowerSumCache(directory)
+    return _caches[directory]
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +255,16 @@ def _power_sum_raw(spec, kernel, d, n, memo, times_theta=None, reduce=None):
 _memo_by_spec: dict = {}
 
 
-def power_sum(spec: FieldSpec, d: int, n: int, cache: PowerSumCache | None = None) -> APoly:
+def power_sum(spec: FieldSpec, d: int, n: int) -> APoly:
     """S_d(n) = sum of a^n over monic degree-d polynomials, exactly.
 
     Zero whenever d(q-1) > lq(n).  Taken from the memo, a plausible disk
-    line or the recursion, then stored on disk keyed by (field, d, n).
+    line or the recursion, then stored under FFZETA_CACHE keyed by
+    (field, d, n).
     """
     if d < 0 or n < 0:
         raise ValueError("power_sum needs d, n >= 0")
-    if cache is None:
-        cache = default_cache()
+    cache = _cache()
     kernel = get_kernel(spec)
     memo = _memo_by_spec.setdefault(spec._key(), {})
     ckey = PowerSumCache.key(spec, d, n)

@@ -264,12 +264,12 @@ def test_well_formed_json_flags_still_parse(capsys):
 
 
 def test_library_import_path_leaves_numpy_out(tmp_path):
-    """No subcommand loads numpy, and the library never loads `dataclasses`
-    or `inspect`: a fresh process imports only what it runs."""
+    """No subcommand loads numpy, and the library never loads `dataclasses`,
+    `inspect` or `hashlib`: a fresh process imports only what it runs."""
     script = """
 import contextlib, io, sys
 import ffzeta, ffzeta.cli
-heavy = ("numpy", "dataclasses", "inspect")
+heavy = ("numpy", "dataclasses", "inspect", "hashlib", "_hashlib")
 assert not [m for m in heavy if m in sys.modules], "import"
 for argv in (
         ["powersum", "--p", "3", "--d", "2", "--n", "26"],

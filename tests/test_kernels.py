@@ -124,6 +124,26 @@ def test_field_tables_match_polynomial_products(name):
         spec.pow_code(0, -1)
 
 
+@pytest.mark.parametrize("name", [*map(str, sorted(FIELDS)), *TOWERS])
+def test_code_is_its_coordinate_index(name):
+    """coords(c) is the base-p digit vector of c, towers included: a
+    tower code's coordinates are its base codes' coordinates in turn,
+    and coordinates add like the F_p-vector space they span."""
+    spec = TOWERS.get(name) or FIELDS[int(name)]
+    p = spec.p
+    for c in range(spec.q):
+        coords = spec.coords(c)
+        assert c == sum(x * p ** j for j, x in enumerate(coords)), c
+        assert spec.from_coords(coords) == c
+        if spec.base is not None:
+            assert coords == [x for d in spec.digits(c) for x in spec.base.coords(d)], c
+    rng = random.Random(name)
+    for _ in range(200):
+        a, b = rng.randrange(spec.q), rng.randrange(spec.q)
+        assert spec.coords(spec.add_code(a, b)) == [
+            (x + y) % p for x, y in zip(spec.coords(a), spec.coords(b))], (a, b)
+
+
 def test_field_tables_build_from_a_few_products_per_element(monkeypatch):
     spec = FieldSpec(3, (1, 0, 0, 0, 1, 1, 1))  # a fresh q = 729: tables not built
     calls = []

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -232,4 +233,4 @@ def test_mzv_vadic_exact_writes_only_its_own_cache(tmp_path, monkeypatch):
     # one line per power sum the chain tables ask for, none for the recursion's
     asked = {PowerSumCache.key(F3, d, n) for d in range(3) for n in (5, 2)}
     lines = (tmp_path / "powersums.jsonl").read_text().splitlines()
-    assert lines and {line[9:73] for line in lines} <= asked
+    assert lines and {json.loads(line)["key"] for line in lines} <= asked

@@ -57,9 +57,9 @@ def test_power_sum_vanishing_predicate():
                     assert power_sum(spec, d, n).is_zero()
 
 
-def test_power_sum_cache_roundtrip_and_corruption(tmp_path):
-    cache = PowerSumCache(tmp_path)
-    value = power_sum(F3, 2, 4, cache=cache)
+def test_power_sum_cache_roundtrip_and_corruption(tmp_path, monkeypatch):
+    monkeypatch.setenv("FFZETA_CACHE", str(tmp_path))
+    value = power_sum(F3, 2, 4)
     lines = (tmp_path / "powersums.jsonl").read_text().splitlines()
     assert lines
     # corrupt entries are skipped, valid ones still load
@@ -69,35 +69,44 @@ def test_power_sum_cache_roundtrip_and_corruption(tmp_path):
     fresh = PowerSumCache(tmp_path)
     key = PowerSumCache.key(F3, 2, 4)
     assert fresh.get(key) == tuple(value.coeff_codes)
-    assert power_sum(F3, 2, 4, cache=fresh) == value
+    monkeypatch.setattr(zeta, "_memo_by_spec", {})  # reach the disk cache
+    assert power_sum(F3, 2, 4) == value
 
 
-def test_power_sum_cache_corrupt_line_leaves_other_keys_readable(tmp_path):
-    cache = PowerSumCache(tmp_path)
+def _cut_after_key(line):
+    """The line up to its key's closing quote: the key is indexed, the JSON is broken."""
+    return line[:line.index('"', len('{"key": "')) + 1]
+
+
+def test_power_sum_cache_corrupt_line_leaves_other_keys_readable(tmp_path, monkeypatch):
+    monkeypatch.setenv("FFZETA_CACHE", str(tmp_path))
     for d, n in ((1, 2), (2, 4)):
-        power_sum(F3, d, n, cache=cache)
+        power_sum(F3, d, n)
     keys = [PowerSumCache.key(F3, d, n) for d, n in ((1, 2), (2, 4))]
-    lines = cache.path.read_text().splitlines()
-    assert {line[9:73] for line in lines} >= set(keys)
+    path = PowerSumCache(tmp_path).path
+    lines = path.read_text().splitlines()
+    assert {json.loads(line)["key"] for line in lines} >= set(keys)
     # break the line of S_1(2) after its key; S_2(4) stays intact
-    cache.path.write_text("".join((line[:80] if line[9:73] == keys[0] else line) + "\n"
-                                  for line in lines))
+    path.write_text("".join((_cut_after_key(line) if json.loads(line)["key"] == keys[0]
+                             else line) + "\n" for line in lines))
     fresh = PowerSumCache(tmp_path)
+    assert fresh._line(keys[0]).endswith(keys[0] + '"')  # indexed, yet unreadable
     assert fresh.get(keys[0]) is None
     assert fresh.get(keys[1]) == tuple(power_sum(F3, 2, 4).coeff_codes)
 
 
-def test_power_sum_cache_put_of_a_stored_key_appends_nothing(tmp_path):
-    cache = PowerSumCache(tmp_path)
-    value = power_sum(F3, 2, 4, cache=cache)
+def test_power_sum_cache_put_of_a_stored_key_appends_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("FFZETA_CACHE", str(tmp_path))
+    value = power_sum(F3, 2, 4)
     key = PowerSumCache.key(F3, 2, 4)
-    before = cache.path.read_text()
+    path = PowerSumCache(tmp_path).path
+    before = path.read_text()
     fresh = PowerSumCache(tmp_path)
     assert fresh.get(key) == tuple(value.coeff_codes)
     fresh.put(key, value.coeff_codes)
-    # and without a read first: put decodes the stored line itself
+    # and without a read first: put compares with the stored line itself
     PowerSumCache(tmp_path).put(key, value.coeff_codes)
-    assert cache.path.read_text() == before
+    assert path.read_text() == before
 
 
 @pytest.mark.parametrize("d, n, bogus", [
@@ -106,7 +115,7 @@ def test_power_sum_cache_put_of_a_stored_key_appends_nothing(tmp_path):
 ])
 def test_power_sum_cache_hit_failing_a_cheap_check_is_recomputed(tmp_path, monkeypatch, d, n,
                                                                     bogus):
-    from ffzeta import zeta
+    monkeypatch.setenv("FFZETA_CACHE", str(tmp_path))
     want = enumerated_power_sum(F3, d, n)
     key = PowerSumCache.key(F3, d, n)
     (tmp_path / "powersums.jsonl").write_text(json.dumps({"key": key, "coeffs": list(bogus)})
@@ -114,18 +123,51 @@ def test_power_sum_cache_hit_failing_a_cheap_check_is_recomputed(tmp_path, monke
     cache = PowerSumCache(tmp_path)
     assert cache.get(key) == bogus
     monkeypatch.setattr(zeta, "_memo_by_spec", {})  # reach the disk cache
-    assert power_sum(F3, d, n, cache=cache) == want
+    assert power_sum(F3, d, n) == want
     # the rejected line is superseded: a new process reads the right value
     assert PowerSumCache(tmp_path).get(key) == want.coeff_codes
 
 
 def test_power_sum_stores_only_the_sum_it_was_asked_for(tmp_path, monkeypatch):
-    from ffzeta import zeta
+    monkeypatch.setenv("FFZETA_CACHE", str(tmp_path))
     monkeypatch.setattr(zeta, "_memo_by_spec", {})  # the recursion runs through S_1(k)
-    cache = PowerSumCache(tmp_path)
-    power_sum(F3, 2, 8, cache=cache)
-    lines = cache.path.read_text().splitlines()
-    assert [line[9:73] for line in lines] == [PowerSumCache.key(F3, 2, 8)]
+    power_sum(F3, 2, 8)
+    lines = PowerSumCache(tmp_path).path.read_text().splitlines()
+    assert [json.loads(line)["key"] for line in lines] == [PowerSumCache.key(F3, 2, 8)]
+
+
+def test_power_sum_cache_ignores_hashed_keys_of_older_files(tmp_path, monkeypatch):
+    """A line keyed by the 64-hex-digit digest of older versions never
+    matches, even with the right value: it is recomputed and appended once."""
+    monkeypatch.setenv("FFZETA_CACHE", str(tmp_path))
+    monkeypatch.setattr(zeta, "_memo_by_spec", {})
+    want = enumerated_power_sum(F3, 2, 8)
+    assert want.coeff_codes
+    payload = json.dumps([repr(F3._key()), 2, 8], sort_keys=True)
+    old_line = json.dumps({"key": hashlib.sha256(payload.encode()).hexdigest(),
+                           "coeffs": list(want.coeff_codes)})
+    path = tmp_path / "powersums.jsonl"
+    path.write_text(old_line + "\n")
+    key = PowerSumCache.key(F3, 2, 8)
+    assert PowerSumCache(tmp_path).get(key) is None
+    assert power_sum(F3, 2, 8) == want
+    assert power_sum(F3, 2, 8) == want
+    assert path.read_text().splitlines() == [
+        old_line, json.dumps({"key": key, "coeffs": list(want.coeff_codes)})]
+
+
+def test_power_sum_cache_keys_are_plain_and_distinct():
+    F16 = FieldSpec.default(16)
+    tower = FieldSpec.extension(F4, (2, 1, 1))
+    assert F16.q == tower.q == 16
+    assert PowerSumCache.key(F16, 1, 15) != PowerSumCache.key(tower, 1, 15)
+    specs = (F2, F3, F4, F16, tower, FieldSpec.default(27), FieldSpec(17, (14, 0, 1)))
+    keys = {PowerSumCache.key(spec, d, n) for spec in specs for d in (0, 1, 5)
+            for n in (0, 3, 10 ** 6)}
+    assert len(keys) == len(specs) * 9
+    for key in keys:
+        assert '"' not in key and "\\" not in key, key
+        assert json.dumps(key) == f'"{key}"'  # stored verbatim between its quotes
 
 
 def test_power_sum_rejects_negative():
