@@ -122,7 +122,9 @@ class PowerSumCache:
     reads it up to its closing quote (the last line of a key wins).  A
     line is decoded only when its key is looked up; malformed lines, and
     lines of the older hashed keys, read as misses.  `put` appends when
-    the key's indexed line has different text, under a file lock.
+    the key's indexed line has different text, under a file lock; once
+    this process has written or read back a key's line it compares only
+    the coefficients.
     """
 
     _PREFIX = '{"key": "'
@@ -130,6 +132,7 @@ class PowerSumCache:
     def __init__(self, directory: Path | str):
         self.path = Path(directory) / "powersums.jsonl"
         self._lines: dict[str, str] | None = None  # key -> its last line, read on first use
+        self._confirmed: dict[str, tuple] = {}  # key -> coeffs whose line is stored
 
     @staticmethod
     def key(spec: FieldSpec, d: int, n: int) -> str:
@@ -164,6 +167,10 @@ class PowerSumCache:
         return None
 
     def put(self, key: str, coeffs):
+        coeffs = tuple(coeffs)
+        if self._confirmed.get(key) == coeffs:
+            return
+        self._confirmed[key] = coeffs
         # json.dumps keeps insertion order, so the line starts with _PREFIX
         line = json.dumps({"key": key, "coeffs": list(coeffs)})
         if self._line(key) == line:

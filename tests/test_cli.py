@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import ffzeta
-from ffzeta.cli import main
+from ffzeta.cli import COMMANDS, main
 from ffzeta.fields import FieldSpec
 from ffzeta.polyring import APoly, MPoly
 from ffzeta.seriesinf import LaurentSeries
@@ -79,16 +79,45 @@ def test_zeta_eval_smoke(capsys):
     assert value.coefficient(0).code == 1
 
 
-def test_describe(capsys):
-    code, out, _ = run_cli(capsys, "mzv", "--describe")
-    assert code == 0
-    assert "schema" in json.loads(out)
+# a run of each subcommand whose schema is `-> {keys}`; one missing here
+# fails collection
+KEYED_RUNS = {
+    "mk": ("--p", "3", "--n1", "-2", "--k", "1", "--P", "[1,0,1]"),
+    "interp-gap": ("--p", "2", "--indices", "1,-1", "--P", "[0,1]", "--k", "1"),
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_describe(capsys, name):
+    """Every subcommand answers --describe with no other argument but
+    verify's suite."""
+    suite = ("charsum",) if name == "verify" else ()
+    code, out, err = run_cli(capsys, name, *suite, "--describe")
+    assert code == 0 and not err
+    assert json.loads(out) == {"command": name, "schema": COMMANDS[name][1]}
+
+
+def _needed(name):
+    return [flag for flag, kwargs in COMMANDS[name][2].items() if kwargs.get("need")]
+
+
+@pytest.mark.parametrize("name", [name for name in COMMANDS if _needed(name)])
+def test_every_subcommand_names_each_missing_required_flag(capsys, name):
+    needed = _needed(name)
+    code, out, err = run_cli(capsys, name)
+    assert code == 2 and not out
+    assert err == f"error: missing required arguments: {', '.join(needed)}\n"
+    for flag in needed:
+        # the check runs before the runner, so any value argparse accepts will do
+        given = [arg for other in needed if other != flag for arg in (other, "1")]
+        code, out, err = run_cli(capsys, name, *given)
+        assert code == 2 and not out
+        assert err == f"error: missing required arguments: {flag}\n"
 
 
 @pytest.mark.parametrize("argv", [
-    ("mk", "--p", "3", "--n1", "-2", "--k", "1", "--P", "[1,0,1]"),
-    ("interp-gap", "--p", "2", "--indices", "1,-1", "--P", "[0,1]", "--k", "1"),
-])
+    (name, *KEYED_RUNS[name]) for name, (_, schema, _, _) in COMMANDS.items()
+    if re.search(r"->\s*\{", schema)])
 def test_describe_names_the_keys_the_command_emits(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--describe")
     assert code == 0
@@ -220,6 +249,37 @@ def test_verify_suites_quick(capsys):
     code, out, _ = run_cli(capsys, "verify", "euler", "--p", "2")
     assert code == 0
     assert json.loads(out)["violations"] == []
+
+
+def test_verify_thresholds_exits_3_on_a_fast_path_mismatch(capsys, monkeypatch):
+    real = ffzeta.oracle.power_sum
+    monkeypatch.setattr(ffzeta.oracle, "power_sum",
+                        lambda spec, d, n: real(spec, d, n) + APoly.one(spec))
+    code, out, _ = run_cli(capsys, "verify", "thresholds", "--p", "2", "--budget", "2000")
+    report = json.loads(out)
+    assert report["violations"] == []
+    assert report["reports"][0]["fast_path_mismatches"]
+    assert code == 3
+    monkeypatch.setattr(ffzeta.oracle, "power_sum", real)
+    code, out, _ = run_cli(capsys, "verify", "thresholds", "--p", "2", "--budget", "2000")
+    assert code == 0 and not json.loads(out)["reports"][0]["fast_path_mismatches"]
+
+
+def test_unreadable_json_file_is_a_validation_error(capsys, tmp_path):
+    binary = tmp_path / "P.bin"
+    binary.write_bytes(b"\xff\xfe[0, 1]")
+    for flag, path in (("--P", tmp_path), ("--P", binary)):
+        code, out, err = run_cli(capsys, "vadic", "--p", "2", flag, str(path), "--n", "-1")
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} cannot read {path}")
+    code, out, err = run_cli(capsys, "zeta-eval", "--p", "2", "--x", str(tmp_path),
+                             "--neg-y-digits", "1")
+    assert code == 2 and not out
+    assert err == f"error: --x cannot read {tmp_path} (IsADirectoryError)\n"
+    readable = tmp_path / "P.json"
+    readable.write_text("[0, 1]")
+    code, out, _ = run_cli(capsys, "vadic", "--p", "2", "--P", str(readable), "--n", "-1")
+    assert (code, out) == run_cli(capsys, "vadic", "--p", "2", "--P", "[0,1]", "--n", "-1")[:2]
 
 
 def test_field_override_via_modulus(capsys):

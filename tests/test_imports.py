@@ -90,3 +90,18 @@ def test_every_private_helper_is_used():
 ])
 def test_unused_private_helper_guard_catches_each_form(sources, unused):
     assert _unreferenced_private_defs(sources) == unused
+
+
+def _asserts(source):
+    """Line numbers of the `assert` statements of `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_library_checks_with_raises_not_asserts(path):
+    """`python -O` strips asserts, so a library check must be an explicit raise."""
+    assert _asserts(path.read_text()) == []
+
+
+def test_assert_guard_finds_nested_asserts():
+    assert sorted(_asserts("def f(x):\n    if x:\n        assert x > 0\nassert f")) == [3, 4]

@@ -136,6 +136,36 @@ def test_power_sum_stores_only_the_sum_it_was_asked_for(tmp_path, monkeypatch):
     assert [json.loads(line)["key"] for line in lines] == [PowerSumCache.key(F3, 2, 8)]
 
 
+def test_power_sum_builds_each_cache_line_once_per_process(tmp_path, monkeypatch):
+    """Repeated calls compare coefficients, not JSON text; a child of the
+    recursion asked for later is still written, and a new process reads
+    each line back once."""
+    monkeypatch.setenv("FFZETA_CACHE", str(tmp_path))
+    monkeypatch.setattr(zeta, "_memo_by_spec", {})
+    dumps = []
+    real_dumps = json.dumps
+    monkeypatch.setattr(zeta.json, "dumps",
+                        lambda *a, **kw: dumps.append(a) or real_dumps(*a, **kw))
+    for _ in range(3):
+        assert power_sum(F3, 2, 8) == enumerated_power_sum(F3, 2, 8)
+    assert len(dumps) == 1
+    assert (1, 6) in zeta._memo_by_spec[F3._key()]  # a child of S_2(8)
+    for _ in range(3):
+        power_sum(F3, 1, 6)
+    assert len(dumps) == 2
+    path = PowerSumCache(tmp_path).path
+    before = path.read_text()
+    assert [json.loads(line)["key"] for line in before.splitlines()] == [
+        PowerSumCache.key(F3, 2, 8), PowerSumCache.key(F3, 1, 6)]
+    monkeypatch.setattr(zeta, "_caches", {})  # a new process reads each line back once
+    monkeypatch.setattr(zeta, "_memo_by_spec", {})
+    for _ in range(3):
+        power_sum(F3, 2, 8)
+        power_sum(F3, 1, 6)
+    assert len(dumps) == 4
+    assert path.read_text() == before
+
+
 def test_power_sum_cache_ignores_hashed_keys_of_older_files(tmp_path, monkeypatch):
     """A line keyed by the 64-hex-digit digest of older versions never
     matches, even with the right value: it is recomputed and appended once."""
