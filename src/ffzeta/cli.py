@@ -5,8 +5,8 @@ output schema `--describe` prints, its own flags and a runner
 `(args, spec) -> value`.  The parser, the required-flag check and the
 dispatch all read it.  A subcommand validates its arguments, runs one
 library operation and prints the value's JSON document (or CSV rows
-with --format csv) on stdout.  `--P` and `--x` take inline JSON or the
-path of a JSON file.  Exit codes: 0 on success, 2 on validation errors
+with --format csv) on stdout.  `--P` and `--x` take inline JSON, or the
+path of a JSON file when the text is not JSON.  Exit codes: 0 on success, 2 on validation errors
 (a division by a non-unit and an unreadable file among them), 3 when a
 precision or certificate requirement cannot be met or a `verify` suite
 finds a violation or a fast-path mismatch.
@@ -71,6 +71,8 @@ def _field_from_args(args) -> FieldSpec:
             "--modulus", args.modulus,
             "a JSON list of F_p coefficients [c_0, ..., c_e], ascending and monic",
             _int_list))
+    if args.e < 1:
+        raise ValueError("--e must be >= 1")
     q = args.p ** args.e
     if args.e == 1:
         return FieldSpec(args.p, (0, 1))
@@ -78,11 +80,15 @@ def _field_from_args(args) -> FieldSpec:
 
 
 def _load_doc(text: str):
-    """Parse inline JSON, or read it from a file when given a path."""
-    if os.path.exists(text):
-        with open(text) as fh:
-            text = fh.read()
-    return json.loads(text)
+    """Parse inline JSON; text that is not JSON but names a file is read
+    from it, so a file can never shadow an inline document."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        if not os.path.exists(text):
+            raise
+    with open(text) as fh:
+        return json.loads(fh.read())
 
 
 def _parse_apoly(spec, text) -> APoly:
@@ -110,8 +116,12 @@ def _parse_x(spec, text) -> LaurentSeries:
     return LaurentSeries.from_json(spec, doc)
 
 
-def _parse_digits(text):
-    return [int(x) for x in text.split(",") if x != ""]
+def _parse_digits(flag, text):
+    """A comma-separated list of integers; an empty entry names the flag."""
+    entries = text.split(",")
+    if "" in (e.strip() for e in entries):
+        raise ValueError(f"{flag} has an empty entry: {text!r}")
+    return [int(x) for x in entries]
 
 
 def _emit(args, value) -> None:
@@ -137,14 +147,14 @@ def _emit_csv(doc) -> None:
 
 def _zeta_eval(args, spec):
     x = _parse_x(spec, args.x)
-    pt = SInftyPoint(x, ZpExp(spec.p, _parse_digits(args.neg_y_digits)))
+    pt = SInftyPoint(x, ZpExp(spec.p, _parse_digits("--neg-y-digits", args.neg_y_digits)))
     return zeta_mod.goss_zeta_eval(pt, args.prec)
 
 
 def _vadic_eval(args, spec):
     ctx = PadicCtx(_parse_apoly(spec, args.P), args.k)
     return vadic_mod.vadic_zeta_eval(vadic_mod.VadicPoint(
-        ctx, ZpExp(spec.p, _parse_digits(args.neg_y_digits)), args.delta, args.zdeg))
+        ctx, ZpExp(spec.p, _parse_digits("--neg-y-digits", args.neg_y_digits)), args.delta, args.zdeg))
 
 
 def _mk(args, spec):
@@ -154,7 +164,7 @@ def _mk(args, spec):
 
 
 def _interp_gap(args, spec):
-    ns = _parse_digits(args.indices)
+    ns = _parse_digits("--indices", args.indices)
     P = _parse_apoly(spec, args.P)
     gap = vadic_mod.interpolation_gap(spec, ns, P, args.k)
     bound = vadic_mod.interpolation_gap_bound(spec, ns, P.degree, args.k)
@@ -163,7 +173,7 @@ def _interp_gap(args, spec):
 
 
 def _mzv(args, spec):
-    ns = _parse_digits(args.indices)
+    ns = _parse_digits("--indices", args.indices)
     exact = all(n <= 0 for n in ns)
     for flag in ("prec", "z") if exact else ("P",):
         if getattr(args, flag) is not None:
@@ -177,7 +187,7 @@ def _mzv(args, spec):
         raise ValueError("positive indices need --prec")
     z_points = None
     if args.z:
-        codes = _parse_digits(args.z)
+        codes = _parse_digits("--z", args.z)
         if not all(0 <= c < spec.q for c in codes):
             raise ValueError(f"--z expects codes in [0, {spec.q}), got {args.z}")
         z_points = [LaurentSeries.constant(spec, c, args.prec) for c in codes]
@@ -185,6 +195,9 @@ def _mzv(args, spec):
 
 
 def _verify(args, spec) -> dict:
+    for flag in ("trials", "budget"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be >= 1")
     rng = random.Random(args.seed)
     if args.suite == "charsum":
         violations = []

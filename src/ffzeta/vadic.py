@@ -32,6 +32,16 @@ divisible by P with positive exponents stay representable.  Its power
 sums S_d(n) mod P^kappa come from the degree recursion of `zeta`, its
 sums of a^(-n), n > 0, from the Euler split, and the gap is a (min, +)
 chain sum of the tables' valuations (see `interpolation_gap`).
+
+A degree-one gap is taken at P = theta.  The automorphism
+theta -> theta + c of A permutes the monics of each degree and maps
+P = theta - c to theta, so it maps every table (a sum over the monics of
+one degree, or over those prime to P) at theta - c to the same table at
+theta, and v_(theta - c)(f) = v_theta(f(theta + c)).  A/(theta^kappa) is
+the ring of series in theta truncated at theta^kappa, where reduction
+is a mask, v_theta the first nonzero digit and the tables low windows
+of the degree recursion with no unit inverse (see `_ThetaRing`); deg P
+>= 2 keeps the quotient kernel of A/(P^kappa).
 """
 
 from __future__ import annotations
@@ -45,7 +55,8 @@ from .fields import FieldSpec, FrozenValue, ZpExp, lq_digit_sum
 from .polyring import APoly, MPoly, chain_sum, enumerate_monic, is_irreducible
 from .padic import PadicCtx, teichmuller, padic_one_unit_pow, split_P_power, _invert_mod
 from .seriesinf import PrecisionError
-from .zeta import power_sum, exact_L, exact_L_degree_bound, _power_sum_raw
+from .zeta import (power_sum, power_sum_vanishes, exact_L, exact_L_degree_bound,
+                   least_p_power, _lucas_support, _power_sum_raw)
 
 
 class VadicPoint(FrozenValue):
@@ -227,16 +238,22 @@ class _LocalRing:
         self.table_cache: dict = {}
         self._shell_units: dict = {}
 
-    def p_power(self, j):
+    def times_p(self, raw, j):
+        """raw * P^j in A/(P^kappa); the powers of P are cached."""
         if j not in self._p_powers:
             self._p_powers[j] = self.qk.pow(self.P_raw, j)
-        return self._p_powers[j]
+        return self.qk.mul(raw, self._p_powers[j])
 
     def times_theta(self, raw, k):
         """raw * theta^k in A/(P^kappa); the powers of theta are cached."""
         if k not in self._theta_powers:
             self._theta_powers[k] = self.qk.pow(self.kernel.from_codes((0, 1)), k)
         return self.qk.mul(self._theta_powers[k], raw)
+
+    def valuation(self, raw):
+        """v_P of a reduced raw value, or None when it is zero."""
+        codes = self.kernel.to_codes(raw)
+        return split_P_power(APoly(self.spec, codes), self.P, self.kappa)[0] if codes else None
 
     def reduced_power_sum(self, d, n):
         """S_d(n) mod P^kappa as a raw value, by the degree recursion of A."""
@@ -277,28 +294,103 @@ class _LocalRing:
             self._shell_units[d] = inverses
         return self._shell_units[d]
 
+    def unit_power_sum(self, d: int, n: int):
+        """sum of u^(-n), n >= 1, over the monic degree-d u prime to P, as a
+        raw value: the n-th powers of the shell's unit inverses."""
+        units = RawSum(self.kernel, self.spec.p - 1)
+        for inv_raw in self.shell_unit_inverses(d):
+            units.add(self.qk.pow(inv_raw, n))
+        return self.kernel.normalize(units.value)
+
     def local_power_sum(self, d: int, n: int, prime_to_p: bool):
         """sum of a^(-n) over monic degree-d a (prime to P only if asked),
-        cached.  n >= 1 sums the n-th powers of the unit inverses (prime to
-        P), n <= 0 takes the reduced power sum S_d(-n) (all monics); the
-        multiples of P, P*b with b monic of degree d - deg P, add P^(-n)
-        times the full sum of degree d - deg P to the first."""
+        cached.  n >= 1 sums the unit powers u^(-n) (prime to P), n <= 0
+        takes the reduced power sum S_d(-n) (all monics); the multiples
+        of P, P*b with b monic of degree d - deg P, add P^(-n) times the
+        full sum of degree d - deg P to the first."""
         key = (d, n, prime_to_p)
         if key in self.table_cache:
             return self.table_cache[key]
-        if n > 0:
-            units = RawSum(self.kernel, self.spec.p - 1)
-            for inv_raw in self.shell_unit_inverses(d):
-                units.add(self.qk.pow(inv_raw, n))
-            acc = _LocalValue(self, 0, self.kernel.normalize(units.value))
-        else:
-            acc = _LocalValue(self, 0, self.reduced_power_sum(d, -n))
+        raw = self.unit_power_sum(d, n) if n > 0 else self.reduced_power_sum(d, -n)
+        acc = _LocalValue(self, 0, raw)
         if (n > 0) != prime_to_p and d >= self.P.degree:
             rest = self.local_power_sum(d - self.P.degree, n, False)
             rest = _LocalValue(self, rest.exp - n, rest.raw)
             acc = acc + rest if n > 0 else acc - rest
         self.table_cache[key] = acc
         return acc
+
+
+class _ThetaRing(_LocalRing):
+    """theta^e * (A/(theta^kappa)), where A/(theta^kappa) is the ring of
+    series in theta truncated at theta^kappa.
+
+    A raw value keeps its low kappa digits: reduction is a mask, a
+    product by theta^j a shift and v_theta the index of the first nonzero
+    digit, so no quotient kernel, division or inverse is needed.  S_d(n)
+    mod theta^L is the low window of the degree recursion,
+
+        T(d, n, L) = -sum_(k < L) C(n, k) theta^k T(d-1, k, L-k),
+        T(0, n, L) = 1,
+
+    whose children above the window drop out; by Lucas only the base-p
+    digits of n below L are walked.  For a unit u mod theta^kappa,
+    u^((q-1) q^j) = 1 once q^j >= kappa, so u^(-n) = u^m with
+    m = (q-1) q^j - n; taking also m >= kappa, the multiples theta*b of a
+    shell add theta^m S_(d-1)(m) = 0, and the shell's sum of u^(-n) over
+    its units is T(d, m, kappa).
+    """
+
+    def __init__(self, spec: FieldSpec, kappa: int):
+        self.spec = spec
+        self.P = APoly.theta(spec)
+        self.kappa = kappa
+        self.kernel = get_kernel(spec)
+        self.one = self.kernel.from_codes((1,))
+        self.windows: dict = {}  # (d, n) -> (L, S_d(n) mod theta^L), the widest L asked
+        self.table_cache: dict = {}
+
+    def truncate(self, raw, L=None):
+        """raw mod theta^L (default theta^kappa)."""
+        mask = (1 << self.kernel.digit_bits * (self.kappa if L is None else L)) - 1
+        return tuple(v & mask for v in raw)
+
+    def times_p(self, raw, j):
+        return self.truncate(self.kernel.shift(raw, j))
+
+    def valuation(self, raw):
+        """The first nonzero digit of a normalized raw value, or None."""
+        low = [(v & -v).bit_length() - 1 for v in raw if v]
+        return min(low) // self.kernel.digit_bits if low else None
+
+    def window(self, d: int, n: int, L: int):
+        """T(d, n, L) = S_d(n) mod theta^L, L >= 1, as a normalized raw value."""
+        if d == 0:
+            return self.one
+        hit = self.windows.get((d, n))
+        if hit is not None and hit[0] >= L:
+            return hit[1] if hit[0] == L else self.truncate(hit[1], L)
+        spec, kernel = self.spec, self.kernel
+        total = RawSum(kernel, kernel.scale_digit)
+        # C(n, k) = C(n mod p^M, k) for k < L <= p^M
+        for k, b in _lucas_support(n % least_p_power(spec.p, L), spec.p):
+            if k >= L or k >= n or (n - k) % (spec.q - 1) or power_sum_vanishes(spec, d - 1, k):
+                continue
+            child = self.window(d - 1, k, L - k)
+            if any(child):
+                total.add(kernel.scale(kernel.shift(child, k), spec.neg_code(b)))
+        value = kernel.normalize(total.value)
+        self.windows[(d, n)] = (L, value)
+        return value
+
+    def reduced_power_sum(self, d, n):
+        return self.window(d, n, self.kappa)
+
+    def unit_power_sum(self, d: int, n: int):
+        q, j = self.spec.q, 0
+        while q ** j < self.kappa or (q - 1) * q ** j - n < self.kappa:
+            j += 1
+        return self.window(d, (q - 1) * q ** j - n, self.kappa)
 
 
 class _LocalValue:
@@ -312,8 +404,8 @@ class _LocalValue:
     def __add__(self, other):
         ring = self.ring
         e = min(self.exp, other.exp)
-        rx = self.raw if self.exp == e else ring.qk.mul(self.raw, ring.p_power(self.exp - e))
-        ry = other.raw if other.exp == e else ring.qk.mul(other.raw, ring.p_power(other.exp - e))
+        rx = self.raw if self.exp == e else ring.times_p(self.raw, self.exp - e)
+        ry = other.raw if other.exp == e else ring.times_p(other.raw, other.exp - e)
         return _LocalValue(ring, e, ring.kernel.normalize(ring.kernel.add(rx, ry)))
 
     def __neg__(self):
@@ -326,9 +418,8 @@ class _LocalValue:
 
     def valuation(self):
         """v_P, or None when the value vanishes to its relative precision."""
-        ring = self.ring
-        codes = ring.kernel.to_codes(self.raw)
-        return self.exp + split_P_power(APoly(ring.spec, codes), ring.P, ring.kappa)[0] if codes else None
+        v = self.ring.valuation(self.raw)
+        return None if v is None else self.exp + v
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +427,12 @@ class _LocalValue:
 
 
 GAP_HEADROOM = 16  # precision kept past the gap bound, in powers of P
+
+
 # bounded, so a long-lived process keeps at most this many rings and their memos
-_local_ring = functools.lru_cache(maxsize=64)(_LocalRing)
+@functools.lru_cache(maxsize=64)
+def _local_ring(spec: FieldSpec, P: APoly, kappa: int) -> _LocalRing:
+    return _ThetaRing(spec, kappa) if P == APoly.theta(spec) else _LocalRing(spec, P, kappa)
 
 
 class _MinPlus:
@@ -385,7 +480,9 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
     # kappa = 36, inf at the unrounded 21) and lets nearby calls share a ring
     neg_room = sum(max(n, 0) for n in ns[1:]) * max(cap - 1, 1)
     bucket = -(-(neg_room + GAP_HEADROOM) // 16) * 16
-    ring = _local_ring(spec, P, q ** (k + 1) + bucket)
+    # theta -> theta + c permutes the monics of each degree and maps
+    # theta - c to theta, so a degree-one gap is the gap at theta
+    ring = _local_ring(spec, APoly.theta(spec) if dP == 1 else P, q ** (k + 1) + bucket)
 
     @functools.cache
     def table(i, d):

@@ -282,6 +282,51 @@ def test_unreadable_json_file_is_a_validation_error(capsys, tmp_path):
     assert (code, out) == run_cli(capsys, "vadic", "--p", "2", "--P", "[0,1]", "--n", "-1")[:2]
 
 
+def test_inline_json_is_read_before_a_file_of_the_same_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "[0,1]").write_text("[1,1]")
+    at_theta = run_cli(capsys, "vadic", "--p", "2", "--P", "[0, 1]", "--n", "-1")
+    assert at_theta[0] == 0
+    assert run_cli(capsys, "vadic", "--p", "2", "--P", "[0,1]", "--n", "-1") == at_theta
+    # text that is not JSON still names a file
+    (tmp_path / "P.json").write_text("[1,1]")
+    code, out, _ = run_cli(capsys, "vadic", "--p", "2", "--P", "P.json", "--n", "-1")
+    assert code == 0 and out != at_theta[1]
+    assert (code, out) == run_cli(capsys, "vadic", "--p", "2", "--P", "[1,1]", "--n", "-1")[:2]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("mzv", "--indices", "1,,2", "--prec", "10"), "--indices"),
+    (("mzv", "--indices", "-1,-2,"), "--indices"),
+    (("interp-gap", "--indices", ",1", "--P", "[0,1]", "--k", "0"), "--indices"),
+    (("zeta-eval", "--x", X_AT % "[1]", "--neg-y-digits", "1,,0", "--prec", "5"),
+     "--neg-y-digits"),
+    (("vadic-eval", "--P", "[0,1]", "--k", "2", "--neg-y-digits", "1,0,"), "--neg-y-digits"),
+    (("mzv", "--indices", "1", "--prec", "10", "--z", "1, ,0"), "--z"),
+])
+def test_empty_list_entries_exit_2_naming_the_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} has an empty entry")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "charsum", "--trials", "-1"), "--trials"),
+    (("verify", "charsum", "--trials", "0"), "--trials"),
+    (("verify", "thresholds", "--budget", "-1"), "--budget"),
+    (("verify", "charsum", "--budget", "0"), "--budget"),
+])
+def test_verify_that_would_check_nothing_exits_2(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {flag} must be >= 1\n")
+
+
+@pytest.mark.parametrize("e", ["-1", "0"])
+def test_extension_degree_below_one_exits_2(capsys, e):
+    code, out, err = run_cli(capsys, "powersum", "--p", "2", "--e", e, "--d", "1", "--n", "1")
+    assert (code, out, err) == (2, "", "error: --e must be >= 1\n")
+
+
 def test_field_override_via_modulus(capsys):
     code, out, _ = run_cli(capsys, "powersum", "--p", "2", "--e", "2",
                            "--modulus", "[1,1,1]", "--d", "1", "--n", "1")

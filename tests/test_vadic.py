@@ -13,11 +13,12 @@ from ffzeta.polyring import APoly, MPoly, enumerate_monic, is_irreducible
 from ffzeta.padic import PadicCtx, _invert_mod
 from ffzeta.seriesinf import LaurentSeries, PrecisionError
 from ffzeta.zeta import exact_L, pellarin_L_series, power_sum
-from ffzeta.oracle import (enumerated_prime_to_p_power_sum, enumerated_vadic_exact_L,
-                           enumerated_vadic_zeta_eval)
+from ffzeta.oracle import (enumerated_power_sum, enumerated_prime_to_p_power_sum,
+                           enumerated_vadic_exact_L, enumerated_vadic_zeta_eval)
 from ffzeta.vadic import (VadicPoint, vadic_exact_L, vadic_zeta_eval, mk_sequence,
                           interpolation_gap, interpolation_gap_bound,
-                          prime_to_p_power_sum, vadic_degree_bound, _LocalRing, _local_ring)
+                          prime_to_p_power_sum, vadic_degree_bound, _LocalRing, _ThetaRing,
+                          _local_ring)
 
 F2 = FieldSpec.default(2)
 F3 = FieldSpec.default(3)
@@ -399,6 +400,114 @@ def test_interpolation_gap_values_at_depth_three(cell):
                for g, ns in zip(got, GAP_VECTORS))
 
 
+# (q, k) -> gaps over GAP_VECTORS at P = theta - c, the same row for every c
+# in F_q; recorded with the quotient-ring tables at each P, before the
+# degree-one gaps were taken at theta
+GAP_TRANSLATES = {
+    (2, 0): [2, 2, 3, 2, 0, 2, 1, 0],
+    (2, 1): [5, 6, 7, 2, 2, 4, 5, 2],
+    (2, 2): [13, 14, 15, 6, 10, 8, 13, 10],
+    (3, 0): [5, INF, 6, INF, 16, INF, 3, 3],
+    (3, 1): [11, INF, 12, INF, 16, INF, 9, 9],
+    (3, 2): [29, INF, 30, INF, 34, INF, 27, 27],
+    (4, 0): [12, INF, INF, 5, 7, INF, 25, 10],
+    (4, 1): [24, INF, INF, 17, 19, INF, 25, 22],
+    (5, 0): [21, INF, INF, INF, 16, INF, 19, 19],
+    (5, 1): [41, INF, INF, INF, 36, INF, 39, 39],
+    (9, 0): [INF] * 8,
+}
+
+
+@pytest.mark.parametrize("cell", sorted(GAP_TRANSLATES), ids=str)
+def test_degree_one_gaps_are_pinned_at_every_translate(cell):
+    q, k = cell
+    spec = FieldSpec.default(q)
+    for c in range(q):
+        P = APoly(spec, (spec.neg_code(c), 1))
+        assert [interpolation_gap(spec, ns, P, k) for ns in GAP_VECTORS] == GAP_TRANSLATES[cell], c
+
+
+def test_degree_one_gaps_build_no_quotient_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a degree-one gap built a quotient kernel")
+
+    monkeypatch.setattr(vadic, "QuotientKernel", refuse)
+    _local_ring.cache_clear()
+    P = APoly(F3, (1, 1))
+    assert interpolation_gap(F3, GAP_VECTORS[0], P, 1) == GAP_TRANSLATES[(3, 1)][0]
+
+
+def _translate(spec, codes, c):
+    """f(theta - c) for the polynomial f with these codes."""
+    acc = APoly.zero(spec)
+    for code in reversed(codes):
+        acc = acc * APoly(spec, (spec.neg_code(c), 1)) + APoly.constant(spec, code)
+    return acc
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_theta_ring_tables_are_the_general_tables_translated(q):
+    # theta -> theta + c maps each table at theta - c, taken in the general
+    # ring, to the table at theta: same exponent and valuation, and the
+    # values agree after the substitution theta -> theta - c
+    spec = FieldSpec.default(q)
+    for kappa in (1, 3, 8):
+        theta_ring = _ThetaRing(spec, kappa)
+        kernel = theta_ring.kernel
+        for c in range(q):
+            P = APoly(spec, (spec.neg_code(c), 1))
+            ring, mod = _LocalRing(spec, P, kappa), P ** kappa
+            for d in range(4 if q <= 5 else 3):
+                for n in (-9, -4, -1, 0, 1, 2, 5, 11):
+                    for prime_to_p in (False, True):
+                        got = theta_ring.local_power_sum(d, n, prime_to_p)
+                        want = ring.local_power_sum(d, n, prime_to_p)
+                        case = (kappa, c, d, n, prime_to_p)
+                        assert got.exp == want.exp, case
+                        assert got.valuation() == want.valuation(), case
+                        assert _translate(spec, kernel.to_codes(got.raw), c) % mod == \
+                            APoly(spec, kernel.to_codes(want.raw)), case
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_theta_window_matches_the_enumerated_power_sum(q):
+    spec = FieldSpec.default(q)
+    rng = random.Random(q)
+    for L in (1, 2, 5, 9):
+        ring = _ThetaRing(spec, L)
+        for d in (d for d in range(4) if q ** d <= 125):
+            for n in sorted(rng.sample(range(200), 12)):
+                want = enumerated_power_sum(spec, d, n).coeff_codes[:L]
+                assert APoly(spec, ring.kernel.to_codes(ring.window(d, n, L))) == \
+                    APoly(spec, want), (L, d, n)
+
+
+def test_theta_window_matches_power_sum_at_large_exponents():
+    # only the base-p digits of n below the window are walked; the digits
+    # here are sparse so that the exact power sums stay cheap
+    rng = random.Random(9)
+    for spec, top in ((F3, 9), (F2, 14)):
+        for _ in range(10):
+            n = sum(rng.randrange(1, spec.p) * spec.p ** i for i in rng.sample(range(top), 4))
+            for d in (1, 2, 3):
+                exact = power_sum(spec, d, n).coeff_codes
+                for L in (1, 4, 9, 20):
+                    ring = _ThetaRing(spec, L)
+                    got = ring.kernel.to_codes(ring.window(d, n, L))
+                    assert APoly(spec, got) == APoly(spec, exact[:L]), (spec.q, n, d, L)
+
+
+def test_theta_window_memo_keeps_the_widest_window():
+    ring = _ThetaRing(F3, 30)
+    n = 3 ** 7 - 5
+    widest = {}
+    for d, L in ((2, 4), (2, 25), (2, 7), (3, 30), (3, 1), (2, 30)):
+        fresh = _ThetaRing(F3, 30)
+        assert ring.window(d, n, L) == fresh.window(d, n, L), (d, L)
+        widest[d] = max(widest.get(d, 0), L)
+        assert ring.windows[(d, n)][0] == widest[d]
+
+
 def test_local_ring_arithmetic():
     # the gap's shell tables at P = theta: theta^-2 + (theta+1)^-2 and,
     # prime to P, (theta+1)^-2 alone
@@ -420,14 +529,17 @@ def test_local_ring_arithmetic():
 
 
 @pytest.mark.parametrize("spec, P", [(F2, TH2), (F2, APoly(F2, (1, 1, 1))),
-                                     (F3, APoly(F3, (1, 1))), (F3, APoly(F3, (1, 0, 1)))],
+                                     (F3, APoly(F3, (1, 1))), (F3, APoly(F3, (1, 0, 1))),
+                                     (F3, TH3), (FieldSpec.default(4), APoly.theta(FieldSpec.default(4))),
+                                     (FieldSpec.default(5), APoly.theta(FieldSpec.default(5)))],
                          ids=str)
 def test_local_power_sum_matches_a_per_monic_sum(spec, P):
-    # a = P^v u, u^-1 = u^(|units| - 1) mod P^kappa, summed monic by monic
+    # a = P^v u, u^-1 = u^(|units| - 1) mod P^kappa, summed monic by monic;
+    # at P = theta both the general ring and the theta ring
     kappa = 5
     mod = P ** kappa
     units = (spec.q ** P.degree - 1) * spec.q ** (P.degree * (kappa - 1))
-    ring = _LocalRing(spec, P, kappa)
+    rings = [_LocalRing(spec, P, kappa)] + ([_ThetaRing(spec, kappa)] if P == APoly.theta(spec) else [])
     for d in range(5):
         split = []
         for a in enumerate_monic(spec, d):
@@ -444,9 +556,11 @@ def test_local_power_sum_matches_a_per_monic_sum(spec, P):
                 want = APoly.zero(spec)
                 for v, inv in rows:
                     want = want + P ** ((top - v) * n) * inv ** n
-                got = ring.local_power_sum(d, n, prime_to_p)
-                assert got.exp == -top * n, (d, n, prime_to_p)
-                assert APoly(spec, ring.kernel.to_codes(got.raw)) == want % mod, (d, n, prime_to_p)
+                for ring in rings:
+                    got = ring.local_power_sum(d, n, prime_to_p)
+                    case = (type(ring).__name__, d, n, prime_to_p)
+                    assert got.exp == -top * n, case
+                    assert APoly(spec, ring.kernel.to_codes(got.raw)) == want % mod, case
 
 
 def test_local_rings_are_bounded():
