@@ -6,10 +6,11 @@ output schema `--describe` prints, its own flags and a runner
 dispatch all read it.  A subcommand validates its arguments, runs one
 library operation and prints the value's JSON document (or CSV rows
 with --format csv) on stdout.  `--P` and `--x` take inline JSON, or the
-path of a JSON file when the text is not JSON.  Exit codes: 0 on success, 2 on validation errors
-(a division by a non-unit and an unreadable file among them), 3 when a
-precision or certificate requirement cannot be met or a `verify` suite
-finds a violation or a fast-path mismatch.
+path of a JSON file when the text is not JSON.  Exit codes: 0 on
+success, 2 on validation errors (a division by a non-unit and an
+unreadable file among them), 3 when a precision or certificate
+requirement cannot be met or a `verify` suite finds a violation or a
+fast-path mismatch.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ def _zeta_eval(args, spec):
 
 def _vadic_eval(args, spec):
     ctx = PadicCtx(_parse_apoly(spec, args.P), args.k)
-    return vadic_mod.vadic_zeta_eval(vadic_mod.VadicPoint(
-        ctx, ZpExp(spec.p, _parse_digits("--neg-y-digits", args.neg_y_digits)), args.delta, args.zdeg))
+    neg_y = ZpExp(spec.p, _parse_digits("--neg-y-digits", args.neg_y_digits))
+    return vadic_mod.vadic_zeta_eval(vadic_mod.VadicPoint(ctx, neg_y, args.delta, args.zdeg))
 
 
 def _mk(args, spec):
@@ -202,15 +203,19 @@ def _verify(args, spec) -> dict:
     if args.suite == "charsum":
         violations = []
         p = spec.p
+        ran = 0
         for _ in range(args.trials):
             r = rng.randrange(0, 2 * (p - 1) * 4 + 1)
             lo = r // (p - 1) + 1
             dim = rng.randrange(lo, lo + 4)
             if p ** dim > args.budget:
                 continue
+            ran += 1
             cfg = oracle_mod.random_charsum_config(rng, p, dim, r, spec)
             if oracle_mod.charsum_trial(cfg):
                 violations.append({"p": p, "dim": dim, "r": r})
+        if not ran:
+            raise ValueError(f"--budget {args.budget} admits none of the {args.trials} trials")
         return {"suite": "charsum", "seed": args.seed, "trials": args.trials,
                 "violations": violations}
     if args.suite == "thresholds":

@@ -38,10 +38,8 @@ theta -> theta + c of A permutes the monics of each degree and maps
 P = theta - c to theta, so it maps every table (a sum over the monics of
 one degree, or over those prime to P) at theta - c to the same table at
 theta, and v_(theta - c)(f) = v_theta(f(theta + c)).  A/(theta^kappa) is
-the ring of series in theta truncated at theta^kappa, where reduction
-is a mask, v_theta the first nonzero digit and the tables low windows
-of the degree recursion with no unit inverse (see `_ThetaRing`); deg P
->= 2 keeps the quotient kernel of A/(P^kappa).
+a ring of truncated series that needs no division or inverse (see
+`_ThetaRing`); deg P >= 2 keeps the quotient kernel of A/(P^kappa).
 """
 
 from __future__ import annotations
@@ -369,7 +367,7 @@ class _ThetaRing(_LocalRing):
             return self.one
         hit = self.windows.get((d, n))
         if hit is not None and hit[0] >= L:
-            return hit[1] if hit[0] == L else self.truncate(hit[1], L)
+            return self.truncate(hit[1], L)
         spec, kernel = self.spec, self.kernel
         total = RawSum(kernel, kernel.scale_digit)
         # C(n, k) = C(n mod p^M, k) for k < L <= p^M

@@ -321,6 +321,13 @@ def test_verify_that_would_check_nothing_exits_2(capsys, argv, flag):
     assert (code, out, err) == (2, "", f"error: {flag} must be >= 1\n")
 
 
+def test_verify_charsum_whose_budget_admits_no_trial_exits_2(capsys):
+    # every trial enumerates p^dim >= 5 points, so a budget of 4 runs none
+    code, out, err = run_cli(capsys, "verify", "charsum", "--p", "5", "--budget", "4",
+                             "--trials", "30")
+    assert (code, out, err) == (2, "", "error: --budget 4 admits none of the 30 trials\n")
+
+
 @pytest.mark.parametrize("e", ["-1", "0"])
 def test_extension_degree_below_one_exits_2(capsys, e):
     code, out, err = run_cli(capsys, "powersum", "--p", "2", "--e", e, "--d", "1", "--n", "1")
