@@ -224,6 +224,8 @@ def _verify(args, spec) -> dict:
                                              budget=args.budget),
                    oracle_mod.threshold_scan("twisted", spec=spec, d_max=3, s_max=4,
                                              budget=args.budget)]
+        if not reports[0]["rows"]:
+            raise ValueError(f"--budget {args.budget} admits no power-sum cell")
         violations = [v for r in reports for v in r["violations"]]
         return {"suite": "thresholds", "seed": args.seed, "violations": violations,
                 "reports": reports}

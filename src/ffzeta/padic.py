@@ -11,6 +11,8 @@ exponents through the digit product of the infinite place,
 
 from __future__ import annotations
 
+import functools
+
 from . import fields
 from .fields import ZpExp
 from .polyring import APoly, is_irreducible
@@ -155,14 +157,45 @@ class PadicElem:
 
 def split_P_power(a: APoly, P: APoly, cap: int | None = None):
     """(v, u) with a = P^v u for nonzero a, where P does not divide u
-    unless trial division stopped at v = cap."""
-    v = 0
-    while cap is None or v < cap:
-        quo, rem = divmod(a, P)
+    unless trial division stopped at v = cap.
+
+    A unit costs one division by P.  Past it, the divisors climb through
+    P^p, P^(p^2), ... while they divide, and the rest of v is taken digit
+    by digit on the way back down, so v costs O(p log_p v) divisions, not
+    v + 1.  P^(p^j) has the support of P spread out, so it stays as
+    sparse as P.  The cap bounds every step."""
+    if cap is not None and cap < 1:
+        return 0, a
+    quo, rem = divmod(a, P)
+    if rem:
+        return 0, a
+    p = P.spec.p
+    a, v, j = quo, 1, 1
+
+    def divide(j):
+        nonlocal a, v
+        if cap is not None and v + p ** j > cap:
+            return False
+        quo, rem = divmod(a, _P_frobenius_power(P, j))
         if rem:
-            break
-        a, v = quo, v + 1
+            return False
+        a, v = quo, v + p ** j
+        return True
+
+    while divide(j):
+        j += 1
+    # what is left, min(v_P(a), cap - v), is below p^j: take its base-p digits
+    for i in range(j - 1, -1, -1):
+        for _ in range(p - 1):
+            if not divide(i):
+                break
     return v, a
+
+
+@functools.lru_cache(maxsize=256)
+def _P_frobenius_power(P: APoly, j: int) -> APoly:
+    """P^(p^j), by raising the cached P^(p^(j-1)) to the p-th power."""
+    return P if j == 0 else _P_frobenius_power(P, j - 1) ** P.spec.p
 
 
 def _invert_mod(F, a: APoly, m: APoly) -> APoly:

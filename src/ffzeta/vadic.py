@@ -21,10 +21,18 @@ that degree for the gap bound q^(k+1) - (|n_2|+...)(deg P + k) to
 hold (a degree cap of k + deg P provably fails, e.g. q = 2, P = theta,
 k = 0, n_1 = -3).
 
-Each piece of unit arithmetic is done once: `vadic_zeta_eval` takes
-the Teichmuller lift omega once per residue class mod P (it depends
-only on a mod P), and a shell's units are inverted together, by one
-Newton lift of their product.
+Each piece of unit arithmetic is done once.  At deg P = 1,
+`vadic_zeta_eval` needs none: for a unit a mod P,
+omega(a)^delta <a>^(-y) = a^m mod P^k with
+
+    N' = -y mod p^M' (p^M' >= k least),  r = (delta - N') mod (q - 1),
+    m = N' + r q^j  (q^j >= k least),
+
+since <a>^(p^M') = 1 and omega(a) = a^(q^j) mod P^k, so shell d is
+S_d(m) - P^m S_(d-1)(m) mod P^k, taken at theta (below).  At deg P >= 2
+it takes the Teichmuller lift omega once per residue class mod P (it
+depends only on a mod P), and a gap shell's units are inverted
+together, by one Newton lift of their product.
 
 Gap tables live in the localized ring P^e * A/(P^kappa), the
 finite-place analogue of a truncated Laurent series, so inner indices
@@ -39,7 +47,9 @@ P = theta - c to theta, so it maps every table (a sum over the monics of
 one degree, or over those prime to P) at theta - c to the same table at
 theta, and v_(theta - c)(f) = v_theta(f(theta + c)).  A/(theta^kappa) is
 a ring of truncated series that needs no division or inverse (see
-`_ThetaRing`); deg P >= 2 keeps the quotient kernel of A/(P^kappa).
+`_ThetaRing`); deg P >= 2 keeps the quotient kernel of A/(P^kappa).  A
+degree-one evaluation is the value at theta with theta replaced by
+P = theta - c, a polynomial of degree < k and so already reduced.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from math import inf
 from ._kernels import RawSum, get_kernel, raw_to_apoly, QuotientKernel
 from .fields import FieldSpec, FrozenValue, ZpExp, lq_digit_sum
 from .polyring import APoly, MPoly, chain_sum, enumerate_monic, is_irreducible
-from .padic import PadicCtx, teichmuller, padic_one_unit_pow, split_P_power, _invert_mod
+from .padic import PadicCtx, PadicElem, teichmuller, padic_one_unit_pow, split_P_power, _invert_mod
 from .seriesinf import PrecisionError
 from .zeta import (power_sum, power_sum_vanishes, exact_L, exact_L_degree_bound,
                    least_p_power, _lucas_support, _power_sum_raw)
@@ -131,14 +141,19 @@ def vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly:
 def vadic_zeta_eval(ptv: VadicPoint) -> MPoly:
     """sum_{d <= zdeg} z^d sum_{P not| a} omega(a)^delta <a>_P^(-y) in A/(P^k).
 
-    omega(a) depends only on a mod P, so each nonzero residue class is
-    lifted once per call, with its omega^(-1) and omega^delta; every
-    monic still takes its own one-unit power of <a> = a omega(a)^(-1).
-    For an integer exponent y = -n with delta = -n mod q^dP - 1 this
-    reduces to vadic_exact_L(n, 0, P) mod P^k.
+    At deg P = 1 every term is a^m mod P^k for one integer m (see the
+    module docstring), so shell d is S_d(m) - P^m S_(d-1)(m), read off
+    the low windows of `_ThetaRing` at theta and substituted back at P.
+    At deg P >= 2, omega(a) depends only on a mod P, so each nonzero
+    residue class is lifted once per call, with its omega^(-1) and
+    omega^delta; every monic still takes its own one-unit power of
+    <a> = a omega(a)^(-1).  For an integer exponent y = -n with
+    delta = -n mod q^dP - 1 this reduces to vadic_exact_L(n, 0, P) mod P^k.
     """
     ctx = ptv.ctx
     spec = ctx.field
+    if ctx.dP == 1:
+        return _degree_one_eval(ptv)
     order = ctx.residue_order()
     delta = ptv.delta % order if order > 1 else 0
     lifts = {}  # residue codes mod P -> (omega^(-1), omega^delta)
@@ -160,6 +175,26 @@ def vadic_zeta_eval(ptv: VadicPoint) -> MPoly:
             total = total + value
         if total:
             terms[(d,)] = total
+    return MPoly(("z",), terms)
+
+
+def _degree_one_eval(ptv: VadicPoint) -> MPoly:
+    """vadic_zeta_eval at P = theta - c from the power sums at one exponent m."""
+    ctx = ptv.ctx
+    spec, k = ctx.field, ctx.k
+    N = ptv.neg_y.as_int() % least_p_power(spec.p, k)
+    m = N + (ptv.delta - N) % (spec.q - 1) * least_p_power(spec.q, k)
+    # theta -> theta + c maps each shell at P = theta - c to the shell at theta
+    ring = _local_ring(spec, APoly.theta(spec), k)
+    P = ctx.P
+    terms = {}
+    for d in range(ptv.zdeg + 1):
+        codes = ring.kernel.to_codes(ring.local_power_sum(d, -m, True).raw)
+        if codes:
+            value = APoly.zero(spec)
+            for code in reversed(codes):
+                value = value * P + APoly.constant(spec, code)
+            terms[(d,)] = PadicElem(ctx, value)
     return MPoly(("z",), terms)
 
 

@@ -328,6 +328,17 @@ def test_verify_charsum_whose_budget_admits_no_trial_exits_2(capsys):
     assert (code, out, err) == (2, "", "error: --budget 4 admits none of the 30 trials\n")
 
 
+def test_verify_thresholds_whose_budget_admits_no_power_sum_cell_exits_2(capsys):
+    # at q = 2 the power-sum scan runs n <= 6, so a shell of q^d monics
+    # costs 6 q^d >= 6: a budget of 5 checks no cell, one of 6 checks d = 0
+    for budget in ("1", "5"):
+        code, out, err = run_cli(capsys, "verify", "thresholds", "--p", "2", "--budget", budget)
+        assert (code, out, err) == (2, "", f"error: --budget {budget} admits no power-sum cell\n")
+    code, out, _ = run_cli(capsys, "verify", "thresholds", "--p", "2", "--budget", "6")
+    assert code == 0
+    assert {row["d"] for row in json.loads(out)["reports"][0]["rows"]} == {0}
+
+
 @pytest.mark.parametrize("e", ["-1", "0"])
 def test_extension_degree_below_one_exits_2(capsys, e):
     code, out, err = run_cli(capsys, "powersum", "--p", "2", "--e", e, "--d", "1", "--n", "1")

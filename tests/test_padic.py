@@ -182,6 +182,43 @@ def test_split_P_power():
     assert split_P_power(a, P, 0) == (0, a)
 
 
+def _split_by_trial_division(a, P, cap):
+    v = 0
+    while cap is None or v < cap:
+        quo, rem = divmod(a, P)
+        if rem:
+            break
+        a, v = quo, v + 1
+    return v, a
+
+
+@pytest.mark.parametrize("q, Pc", [(2, (1, 1, 1)), (3, (1, 0, 1)), (3, (2, 1)), (4, (2, 1, 1)),
+                                   (5, (2, 0, 1)), (9, (0, 1))], ids=str)
+def test_split_P_power_matches_trial_division(q, Pc, monkeypatch):
+    # the climb through P^(p^j) and the digits back down give the values
+    # of one division by P per step, under every cap; a unit costs one
+    # division, and v about p log_p(v)
+    spec = FieldSpec.default(q)
+    P = APoly(spec, Pc)
+    rng = random.Random(q * 100 + len(Pc))
+    divisions = []
+    divide = APoly.__divmod__
+    monkeypatch.setattr(APoly, "__divmod__", lambda a, b: divisions.append(b) or divide(a, b))
+    for v in list(range(12)) + [25, 26, 27, 40, 63, 64, 80]:
+        u = rand_poly(spec, rng, rng.randrange(4))
+        while not u or not (u % P):
+            u = u + APoly.one(spec)
+        a = P ** v * u
+        for cap in (None, 0, 1, v - 1, v, v + 1, rng.randrange(-1, v + 3)):
+            want = _split_by_trial_division(a, P, cap)
+            divisions.clear()
+            assert split_P_power(a, P, cap) == want, (v, cap)
+            if v == 0 or cap == 0:
+                assert len(divisions) <= 1
+            digits = max(1, v).bit_length()
+            assert len(divisions) <= 2 + 2 * spec.p * digits, (v, cap)
+
+
 @pytest.mark.parametrize("q, P, k", [
     (2, (0, 1), 4), (2, (1, 1, 1), 3), (3, (1, 1), 3), (3, (1, 0, 1), 2), (4, (0, 1), 2),
     (5, (2, 1), 2)])

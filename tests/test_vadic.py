@@ -202,7 +202,8 @@ FINITE_PLACES = [(q, dP) for q in (2, 3, 4, 5, 9) for dP in (1, 2)]
 @pytest.mark.parametrize("q, dP", FINITE_PLACES, ids=str)
 def test_vadic_zeta_eval_matches_the_per_monic_oracle(q, dP, monkeypatch):
     # one Teichmuller lift per residue class gives the values of one lift,
-    # inverse and omega^delta per monic, and lifts at most q^dP - 1 times
+    # inverse and omega^delta per monic, and lifts at most q^dP - 1 times;
+    # a degree-one place lifts nothing
     spec = FieldSpec.default(q)
     P = _prime(spec, dP)
     rng = random.Random(q * 10 + dP)
@@ -218,8 +219,120 @@ def test_vadic_zeta_eval_matches_the_per_monic_oracle(q, dP, monkeypatch):
             ptv = VadicPoint(ctx, neg_y, delta, zdeg)
             lifts.clear()
             got = vadic_zeta_eval(ptv)
-            assert 0 < len(lifts) <= q ** dP - 1
+            if dP == 1:
+                assert not lifts  # one integer exponent, no lift at all
+            else:
+                assert 0 < len(lifts) <= q ** dP - 1
             assert got == enumerated_vadic_zeta_eval(ptv), (k, delta, zdeg)
+
+
+# degree-one evaluations at P = theta - c, c != 0, recorded with one
+# Teichmuller lift per residue class and one one-unit power per monic,
+# before degree one was taken from one integer exponent at theta
+EVAL_TRANSLATES = [  # (q, c, k, delta, digits of -y, codes of z^0..z^zdeg)
+    (2, 1, 1, 0, (0,), ((1,), (1,), (), (), (), (), (), (), ())),
+    (2, 1, 1, 1, (1, 0), ((1,), (1,), (), (), (), (), (), (), ())),
+    (2, 1, 1, 20, (1,), ((1,), (1,), (), (), (), (), (), (), ())),
+    (2, 1, 2, 0, (1, 0), ((1,), (0, 1), (1, 1), (), (), (), (), (), ())),
+    (2, 1, 2, 1, (1, 1, 1), ((1,), (0, 1), (1, 1), (), (), (), (), (), ())),
+    (2, 1, 2, 18, (0, 0, 0), ((1,), (1,), (), (), (), (), (), (), ())),
+    (2, 1, 4, 0, (0, 1, 0), ((1,), (0, 0, 1), (1, 0, 1), (), (), (), (), (), ())),
+    (2, 1, 4, 1, (0, 0, 0, 1), ((1,), (1,), (), (), (), (), (), (), ())),
+    (2, 1, 4, 8, (1, 1, 0), ((1,), (0, 0, 0, 1), (1, 0, 0, 1), (), (), (), (), (), ())),
+    (2, 1, 6, 0, (0, 0, 0, 1, 1, 1), ((1,), (1,), (), (), (), (), (), (), ())),
+    (2, 1, 6, 1, (0, 1, 0, 1, 1, 0), ((1,), (0, 0, 1), (1, 0, 1), (), (), (), (), (), ())),
+    (2, 1, 6, 22, (1, 0, 1, 0, 1), ((1,), (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1), (), (), (), (), (), ())),
+    (3, 2, 1, 0, (0, 1), ((1,), (2,), (), (), (), ())),
+    (3, 1, 1, 1, (2, 0), ((1,), (), (), (), (), ())),
+    (3, 2, 1, 10, (0, 0, 1), ((1,), (2,), (), (), (), ())),
+    (3, 2, 2, 0, (1, 1, 2, 0), ((1,), (2,), (), (), (), ())),
+    (3, 1, 2, 1, (1, 2, 0, 1), ((1,), (1, 2), (), (), (), ())),
+    (3, 1, 2, 21, (0, 2, 2), ((1,), (), (), (), (), ())),
+    (3, 1, 4, 0, (0, 1, 0), ((1,), (2,), (), (), (), ())),
+    (3, 2, 4, 1, (1, 0, 1, 0), ((1,), (2, 2), (), (), (), ())),
+    (3, 1, 4, 25, (2, 0, 2, 0), ((1,), (2, 1), (), (), (), ())),
+    (3, 2, 6, 0, (0, 0), ((1,), (2,), (), (), (), ())),
+    (3, 2, 6, 1, (1, 0, 0), ((1,), (2, 2), (), (), (), ())),
+    (3, 2, 6, 22, (1, 2), ((1,), (0, 1, 0, 1, 1), (2, 2, 0, 2, 2), (), (), ())),
+    (4, 3, 1, 0, (1, 0, 1, 1), ((1,), (1,), (), (), ())),
+    (4, 2, 1, 2, (0,), ((1,), (), (), (), ())),
+    (4, 1, 1, 39, (0, 0), ((1,), (1,), (), (), ())),
+    (4, 3, 2, 0, (0, 1, 0), ((1,), (1,), (), (), ())),
+    (4, 3, 2, 2, (1, 0, 0, 1), ((1,), (), (), (), ())),
+    (4, 3, 2, 41, (0,), ((1,), (), (), (), ())),
+    (4, 2, 4, 0, (1, 1, 0), ((1,), (0, 3, 2, 1), (1, 3, 2, 1), (), ())),
+    (4, 1, 4, 1, (0, 0, 1, 1), ((1,), (), (), (), ())),
+    (4, 1, 4, 12, (1, 0, 0), ((1,), (1,), (), (), ())),
+    (4, 2, 6, 0, (0, 0, 0, 1, 0, 0), ((1,), (1,), (), (), ())),
+    (4, 1, 6, 1, (1, 0, 1, 0, 0, 0), ((1,), (0, 1, 0, 0, 1), (), (), ())),
+    (4, 1, 6, 29, (1, 0, 0, 0, 1, 0), ((1,), (), (), (), ())),
+    (5, 3, 1, 0, (1,), ((1,), (4,), (), ())),
+    (5, 4, 1, 2, (1, 4), ((1,), (), (), ())),
+    (5, 2, 1, 27, (0, 3), ((1,), (), (), ())),
+    (5, 2, 2, 0, (0,), ((1,), (4,), (), ())),
+    (5, 4, 2, 1, (2,), ((1,), (3, 3), (), ())),
+    (5, 4, 2, 17, (2, 3, 2), ((1,), (3, 3), (), ())),
+    (5, 2, 4, 0, (4,), ((1,), (4,), (), ())),
+    (5, 2, 4, 1, (0, 4, 2, 2), ((1,), (), (), ())),
+    (5, 1, 4, 39, (0, 0, 3, 0), ((1,), (), (), ())),
+    (5, 4, 6, 0, (4, 4, 3), ((1,), (3, 1, 4, 1, 4), (1, 4, 1, 4, 1), ())),
+    (5, 2, 6, 3, (2, 3, 1, 4), ((1,), (), (), ())),
+    (5, 2, 6, 8, (1, 4, 3), ((1,), (4,), (), ())),
+    (9, 7, 1, 0, (2,), ((1,), (2,), ())),
+    (9, 1, 1, 3, (0,), ((1,), (), ())),
+    (9, 5, 1, 13, (2, 1, 1), ((1,), (), ())),
+    (9, 6, 2, 0, (0, 2, 1), ((1,), (2,), ())),
+    (9, 2, 2, 2, (1, 2, 2, 2), ((1,), (), ())),
+    (9, 4, 2, 31, (2,), ((1,), (), ())),
+    (9, 3, 4, 0, (1, 0, 0, 2), ((1,), (2,), ())),
+    (9, 1, 4, 2, (2, 2, 2, 2, 1), ((1,), (2, 2, 2), ())),
+    (9, 5, 4, 13, (2, 2, 2, 1, 2), ((1,), (), ())),
+    (9, 6, 6, 0, (2, 1, 1, 1, 2), ((1,), (2,), ())),
+    (9, 5, 6, 3, (1, 1), ((1,), (8, 0, 0, 2), ())),
+    (9, 3, 6, 19, (0, 1, 2, 1), ((1,), (6, 0, 0, 2), ())),
+]
+
+
+@pytest.mark.parametrize("case", EVAL_TRANSLATES, ids=str)
+def test_degree_one_eval_is_pinned_at_translates(case):
+    q, c, k, delta, digits, want = case
+    spec = FieldSpec.default(q)
+    ctx = PadicCtx(APoly(spec, (spec.neg_code(c), 1)), k)
+    Z = vadic_zeta_eval(VadicPoint(ctx, ZpExp(spec.p, digits), delta, len(want) - 1))
+    got = tuple(Z.terms[(d,)].rep.coeff_codes if (d,) in Z.terms else () for d in range(len(want)))
+    assert got == want
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_degree_one_eval_matches_the_oracle_at_random_points(q):
+    spec = FieldSpec.default(q)
+    p = spec.p
+    rng = random.Random(100 + q)
+    for c in range(q):
+        ctx = PadicCtx(APoly(spec, (spec.neg_code(c), 1)), rng.randrange(1, 9))
+        M = 1
+        while p ** M < ctx.k:
+            M += 1
+        for _ in range(3):
+            neg_y = ZpExp(p, [rng.randrange(p) for _ in range(M + rng.randrange(4))])
+            zdeg = rng.randrange(max(d for d in range(9) if q ** d <= 64) + 1)
+            ptv = VadicPoint(ctx, neg_y, rng.randrange(-20, 40), zdeg)
+            assert vadic_zeta_eval(ptv) == enumerated_vadic_zeta_eval(ptv), \
+                (c, ctx.k, neg_y.digits, ptv.delta, zdeg)
+
+
+def test_degree_one_eval_past_the_per_monic_sizes():
+    # 2^12 monics in the top shell; for y = -n the values are the exact
+    # prime-to-P polynomial mod P^k, and its shells 4..11 vanish there
+    P, k, n = APoly(F2, (1, 1)), 8, 1919
+    ctx = PadicCtx(P, k)
+    zdeg = vadic_degree_bound(F2, -n, 0, 1) + 1
+    assert zdeg >= 12
+    Z = vadic_zeta_eval(VadicPoint(ctx, ZpExp.from_int(n, 2, 11), 0, zdeg))
+    ref = vadic_exact_L(F2, -n, 0, P)
+    want = {e: ctx.reduce(c) for e, c in ref.terms.items() if ctx.reduce(c)}
+    assert Z.terms == want
+    assert max(d for (d,) in want) < 4 < ref.degree_in("z")
 
 
 @pytest.mark.parametrize("q, dP", FINITE_PLACES, ids=str)
