@@ -116,15 +116,11 @@ def mzv_eval_inf(spec: FieldSpec, idx: MzvIndex, prec: int, z_points=None) -> La
         if v is not None and v < 0:
             raise ValueError("z-points must have Gauss norm <= 1 (valuation >= 0)")
     cutoff = _numeric_shell_cutoff(spec.q, idx.ns[0], prec)
-    s_cache: dict = {}
 
     def table(i, d):
         # sum_a a^(-n) = pi^(d p^M') S_d(p^M' - n) mod pi^prec, p^M' >= max(prec, n)
-        n = idx.ns[i]
-        if (n, d) not in s_cache:
-            big = least_p_power(spec.p, max(prec, n))
-            s_cache[(n, d)] = shell_sum(spec, d, big - n, d * big, prec)
-        return s_cache[(n, d)] * z_points[i] ** d
+        big = least_p_power(spec.p, max(prec, idx.ns[i]))
+        return shell_sum(spec, d, big - idx.ns[i], d * big, prec) * z_points[i] ** d
 
     value = chain_sum(table, [cutoff - 1] * r, idx.mode == "strict",
                       LaurentSeries.zero(spec, prec))

@@ -21,7 +21,7 @@ that degree for the gap bound q^(k+1) - (|n_2|+...)(deg P + k) to
 hold (a degree cap of k + deg P provably fails, e.g. q = 2, P = theta,
 k = 0, n_1 = -3).
 
-Each piece of unit arithmetic is done once.  At deg P = 1,
+Each piece of unit arithmetic is done once.  At deg P = 1 and p <= 251,
 `vadic_zeta_eval` needs none: for a unit a mod P,
 omega(a)^delta <a>^(-y) = a^m mod P^k with
 
@@ -29,8 +29,8 @@ omega(a)^delta <a>^(-y) = a^m mod P^k with
     m = N' + r q^j  (q^j >= k least),
 
 since <a>^(p^M') = 1 and omega(a) = a^(q^j) mod P^k, so shell d is
-S_d(m) - P^m S_(d-1)(m) mod P^k, taken at theta (below).  At deg P >= 2
-it takes the Teichmuller lift omega once per residue class mod P (it
+S_d(m) - P^m S_(d-1)(m) mod P^k, taken at theta (below).  Otherwise it
+takes the Teichmuller lift omega once per residue class mod P (it
 depends only on a mod P), and a gap shell's units are inverted
 together, by one Newton lift of their product.
 
@@ -58,13 +58,13 @@ import functools
 import itertools
 from math import inf
 
-from ._kernels import RawSum, get_kernel, raw_to_apoly, QuotientKernel
+from ._kernels import MAX_PACKED_P, RawSum, get_kernel, raw_to_apoly, QuotientKernel
 from .fields import FieldSpec, FrozenValue, ZpExp, lq_digit_sum
 from .polyring import APoly, MPoly, chain_sum, enumerate_monic, is_irreducible
 from .padic import PadicCtx, PadicElem, teichmuller, padic_one_unit_pow, split_P_power, _invert_mod
 from .seriesinf import PrecisionError
-from .zeta import (power_sum, power_sum_vanishes, exact_L, exact_L_degree_bound,
-                   least_p_power, _lucas_support, _power_sum_raw)
+from .zeta import (power_sum, exact_L, exact_L_degree_bound, least_p_power, _power_sum_raw,
+                   _power_sum_window)
 
 
 class VadicPoint(FrozenValue):
@@ -141,10 +141,10 @@ def vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly:
 def vadic_zeta_eval(ptv: VadicPoint) -> MPoly:
     """sum_{d <= zdeg} z^d sum_{P not| a} omega(a)^delta <a>_P^(-y) in A/(P^k).
 
-    At deg P = 1 every term is a^m mod P^k for one integer m (see the
-    module docstring), so shell d is S_d(m) - P^m S_(d-1)(m), read off
-    the low windows of `_ThetaRing` at theta and substituted back at P.
-    At deg P >= 2, omega(a) depends only on a mod P, so each nonzero
+    At deg P = 1 and p <= 251 every term is a^m mod P^k for one integer m
+    (module docstring), so shell d is S_d(m) - P^m S_(d-1)(m), read off
+    the bottom windows at theta and substituted back at P.  Otherwise
+    omega(a) depends only on a mod P, so each nonzero
     residue class is lifted once per call, with its omega^(-1) and
     omega^delta; every monic still takes its own one-unit power of
     <a> = a omega(a)^(-1).  For an integer exponent y = -n with
@@ -152,7 +152,7 @@ def vadic_zeta_eval(ptv: VadicPoint) -> MPoly:
     """
     ctx = ptv.ctx
     spec = ctx.field
-    if ctx.dP == 1:
+    if ctx.dP == 1 and spec.p <= MAX_PACKED_P:  # the theta ring's digits are bytes
         return _degree_one_eval(ptv)
     order = ctx.residue_order()
     delta = ptv.delta % order if order > 1 else 0
@@ -186,14 +186,13 @@ def _degree_one_eval(ptv: VadicPoint) -> MPoly:
     m = N + (ptv.delta - N) % (spec.q - 1) * least_p_power(spec.q, k)
     # theta -> theta + c maps each shell at P = theta - c to the shell at theta
     ring = _local_ring(spec, APoly.theta(spec), k)
-    P = ctx.P
     terms = {}
     for d in range(ptv.zdeg + 1):
         codes = ring.kernel.to_codes(ring.local_power_sum(d, -m, True).raw)
         if codes:
             value = APoly.zero(spec)
             for code in reversed(codes):
-                value = value * P + APoly.constant(spec, code)
+                value = value * ctx.P + APoly.constant(spec, code)
             terms[(d,)] = PadicElem(ctx, value)
     return MPoly(("z",), terms)
 
@@ -361,17 +360,12 @@ class _ThetaRing(_LocalRing):
     A raw value keeps its low kappa digits: reduction is a mask, a
     product by theta^j a shift and v_theta the index of the first nonzero
     digit, so no quotient kernel, division or inverse is needed.  S_d(n)
-    mod theta^L is the low window of the degree recursion,
-
-        T(d, n, L) = -sum_(k < L) C(n, k) theta^k T(d-1, k, L-k),
-        T(0, n, L) = 1,
-
-    whose children above the window drop out; by Lucas only the base-p
-    digits of n below L are walked.  For a unit u mod theta^kappa,
+    mod theta^kappa is the bottom window of the degree recursion
+    (`zeta._power_sum_window`).  For a unit u mod theta^kappa,
     u^((q-1) q^j) = 1 once q^j >= kappa, so u^(-n) = u^m with
     m = (q-1) q^j - n; taking also m >= kappa, the multiples theta*b of a
     shell add theta^m S_(d-1)(m) = 0, and the shell's sum of u^(-n) over
-    its units is T(d, m, kappa).
+    its units is S_d(m) mod theta^kappa.
     """
 
     def __init__(self, spec: FieldSpec, kappa: int):
@@ -379,51 +373,26 @@ class _ThetaRing(_LocalRing):
         self.P = APoly.theta(spec)
         self.kappa = kappa
         self.kernel = get_kernel(spec)
-        self.one = self.kernel.from_codes((1,))
-        self.windows: dict = {}  # (d, n) -> (L, S_d(n) mod theta^L), the widest L asked
         self.table_cache: dict = {}
 
-    def truncate(self, raw, L=None):
-        """raw mod theta^L (default theta^kappa)."""
-        mask = (1 << self.kernel.digit_bits * (self.kappa if L is None else L)) - 1
-        return tuple(v & mask for v in raw)
-
     def times_p(self, raw, j):
-        return self.truncate(self.kernel.shift(raw, j))
+        """raw * theta^j mod theta^kappa: a shift and a mask."""
+        bits = self.kernel.digit_bits
+        return tuple((v << bits * j) & (1 << bits * self.kappa) - 1 for v in raw)
 
     def valuation(self, raw):
         """The first nonzero digit of a normalized raw value, or None."""
         low = [(v & -v).bit_length() - 1 for v in raw if v]
         return min(low) // self.kernel.digit_bits if low else None
 
-    def window(self, d: int, n: int, L: int):
-        """T(d, n, L) = S_d(n) mod theta^L, L >= 1, as a normalized raw value."""
-        if d == 0:
-            return self.one
-        hit = self.windows.get((d, n))
-        if hit is not None and hit[0] >= L:
-            return self.truncate(hit[1], L)
-        spec, kernel = self.spec, self.kernel
-        total = RawSum(kernel, kernel.scale_digit)
-        # C(n, k) = C(n mod p^M, k) for k < L <= p^M
-        for k, b in _lucas_support(n % least_p_power(spec.p, L), spec.p):
-            if k >= L or k >= n or (n - k) % (spec.q - 1) or power_sum_vanishes(spec, d - 1, k):
-                continue
-            child = self.window(d - 1, k, L - k)
-            if any(child):
-                total.add(kernel.scale(kernel.shift(child, k), spec.neg_code(b)))
-        value = kernel.normalize(total.value)
-        self.windows[(d, n)] = (L, value)
-        return value
-
     def reduced_power_sum(self, d, n):
-        return self.window(d, n, self.kappa)
+        return _power_sum_window(self.spec, d, n, self.kappa)
 
     def unit_power_sum(self, d: int, n: int):
         q, j = self.spec.q, 0
         while q ** j < self.kappa or (q - 1) * q ** j - n < self.kappa:
             j += 1
-        return self.window(d, (q - 1) * q ** j - n, self.kappa)
+        return _power_sum_window(self.spec, d, (q - 1) * q ** j - n, self.kappa)
 
 
 class _LocalValue:

@@ -14,8 +14,8 @@ over k < n with C(n, k) nonzero mod p and (q-1) | n - k, with
 S_0(n) = 1.  The recursion is cross-checked against plain enumeration
 by the scan oracle and the test suite; only `power_sum` caches on disk,
 under FFZETA_CACHE, one line per (field, d, n) keyed by that text.
-`vadic` runs the same loop in A/(P^kappa), with that ring's theta^k
-product and reduction.
+`vadic` runs it in A/(P^kappa), with that ring's theta^k product and
+reduction; A/(theta^kappa) and the shells read a window of it instead.
 
 Evaluation at a p-adic exponent y truncates the shell sum using the
 digit certificate: cutting the base-q digits of the exponent at level
@@ -31,10 +31,10 @@ by the digits of -y reduced mod p^M'; higher digits multiply each
 term by <a>^(p^M') = 1 mod pi^prec.  Every term is then exactly
 <a>^N mod pi^prec, and <a> = a / theta^d gives
 
-    c_d = sum_{a in A_{+,d}} <a>^N = pi^(dN) S_d(N)   (mod pi^prec).
+    c_d = sum_{a in A_{+,d}} <a>^N = pi^(dN) S_d(N)   (mod pi^prec),
 
-The numeric multiple zeta shells and the Pellarin series use the same
-identity a^(-n) = pi^(d p^M') a^(p^M' - n) mod pi^prec, p^M' >= max(prec, n).
+the top window of S_d(N).  The numeric multiple zeta shells and the
+Pellarin series use a^(-n) = pi^(d p^M') a^(p^M' - n), p^M' >= max(prec, n).
 These evaluations never touch the disk cache; `oracle.py` keeps the
 per-monic sums as checks.  The t-weights a(t_1)...a(t_s) keep a shell
 per monic: one t-shell sums them times a^N in A, for exact_L at N = -n.
@@ -300,11 +300,48 @@ def least_p_power(p: int, bound: int) -> int:
     return power
 
 
-def shell_sum(spec: FieldSpec, d: int, n: int, shift: int, prec: int) -> LaurentSeries:
-    """pi^shift * S_d(n) as a Laurent series known mod pi^prec.
+_windows_by_spec: dict = {}  # (field key, top) -> {(d, n): (L, window)}, the widest L asked
 
-    S_d(n) has degree at most d*n in theta, so the value has valuation at
-    least shift - d*n; it is computed from the memoized recursion, never
+
+def _power_sum_window(spec: FieldSpec, d: int, n: int, L: int, top: bool = False):
+    """S_d(n) mod theta^L (the bottom window) or, with `top`, pi^(dn) S_d(n)
+    mod pi^L (the top window, pi = 1/theta), L >= 1, as a normalized raw
+    value in theta or pi; p <= 251.  Both follow the degree recursion
+
+        W(d, n, L) = -sum_k C(n, k) x^s W(d-1, k, L - s),   W(0, n, L) = 1,
+
+    x = theta, s = k at the bottom and x = pi, s = d(n - k) at the top.  A
+    child with s >= L drops out, so as C(n, j) = C(n, n - j) = C(n mod p^M, j)
+    for j < p^M, only the base-p digits of n below L / (d if top else 1) are
+    walked.  The memo keeps the widest window asked per (d, n).
+    """
+    kernel = get_kernel(spec)
+    memo = _windows_by_spec.setdefault((spec._key(), top), {})
+    one = (1,) + kernel.zero()[1:]  # S_0 = 1: code 1 is the first plane's unit digit
+
+    def window(d, n, L):
+        if d == 0:
+            return one
+        if (hit := memo.get((d, n))) is not None and hit[0] >= L:
+            return tuple(v & (1 << kernel.digit_bits * L) - 1 for v in hit[1])
+        step = d if top else 1
+        total = RawSum(kernel, kernel.scale_digit)
+        for j, b in _lucas_support(n % least_p_power(spec.p, -(-L // step)), spec.p):
+            k = n - j if top else j
+            if step * j >= L or k >= n or (n - k) % (spec.q - 1) or power_sum_vanishes(spec, d - 1, k):
+                continue
+            child = window(d - 1, k, L - step * j)
+            if any(child):
+                total.add(kernel.scale(kernel.shift(child, step * j), spec.neg_code(b)))
+        memo[(d, n)] = (L, kernel.normalize(total.value))
+        return memo[(d, n)][1]
+
+    return window(d, n, L)
+
+
+def shell_sum(spec: FieldSpec, d: int, n: int, shift: int, prec: int) -> LaurentSeries:
+    """pi^shift * S_d(n) as a Laurent series known mod pi^prec: pi^(shift - d*n)
+    times the top window of S_d(n) of length prec - shift + d*n, never read
     from the disk cache.  Fields the packed kernel cannot hold (p > 251)
     sum pi^(shift - d*n) <a>^n over the monics instead.
     """
@@ -317,10 +354,8 @@ def shell_sum(spec: FieldSpec, d: int, n: int, shift: int, prec: int) -> Laurent
             bracket = LaurentSeries(spec, 0, (1,) + tuple(reversed(vec)), prec - low)
             total = total + bracket ** n
         return total.shift(low)
-    kernel = get_kernel(spec)
-    memo = _memo_by_spec.setdefault(spec._key(), {})
-    codes = kernel.to_codes(_power_sum_raw(spec, kernel, d, n, memo))
-    return LaurentSeries(spec, shift - len(codes) + 1, codes[::-1], prec)
+    codes = get_kernel(spec).to_codes(_power_sum_window(spec, d, n, prec - low, True))
+    return LaurentSeries(spec, low, codes, prec)
 
 
 # ---------------------------------------------------------------------------

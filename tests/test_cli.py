@@ -241,6 +241,14 @@ def test_powersum_past_the_packed_kernel_exits_2(capsys):
     assert "needs p <= 251" in err
 
 
+def test_degree_one_vadic_eval_past_the_packed_kernel_exits_0(capsys):
+    # p = 257 has no theta ring; the per-residue lifts give 1 mod P^2
+    code, out, err = run_cli(capsys, "vadic-eval", "--p", "257", "--P", "[3,1]", "--k", "2",
+                             "--neg-y-digits", "5,0", "--delta", "5", "--zdeg", "1")
+    assert code == 0 and not err
+    assert json.loads(out)["terms"] == [{"coeff": {"coeffs": [[1]]}, "exp": [0]}]
+
+
 def test_verify_suites_quick(capsys):
     code, out, _ = run_cli(capsys, "verify", "charsum", "--p", "3",
                            "--seed", "1", "--trials", "25", "--budget", "20000")

@@ -1,5 +1,6 @@
 """Kernel arithmetic against APoly, the quotient kernel against APoly % m."""
 
+import itertools
 import random
 
 import pytest
@@ -389,18 +390,26 @@ def test_raw_sum_normalizes_just_before_a_digit_reaches_2_24():
             assert kernel.to_codes(kernel.add((start << 24,), term)) != want
 
 
-def test_add_loops_keep_their_running_sums_bounded(monkeypatch):
-    """The power-sum recursion, exact_L shells and the enumerated power
-    sums and prime-to-P sums all accumulate through RawSum; a tiny digit
-    limit forces many normalizations and must not change any value."""
+def test_add_loops_keep_their_running_sums_bounded(monkeypatch, tmp_path):
+    """The power-sum recursion and its top window, exact_L shells and the
+    enumerated power sums and prime-to-P sums all accumulate through
+    RawSum; a tiny digit limit forces many normalizations and must not
+    change any value."""
     spec = FieldSpec.default(5)
     P = APoly(spec, (1, 1))
+    fresh = itertools.count()
 
-    def recursion():
-        monkeypatch.setattr(zeta, "_memo_by_spec", {})  # recompute every child
+    def window():
+        monkeypatch.setattr(zeta, "_windows_by_spec", {})  # recompute every child
         return zeta.shell_sum(spec, 2, 124, 248, 300)
 
-    runs = (recursion,
+    def recursion():
+        # a new memo and an empty disk cache: every child is recomputed
+        monkeypatch.setattr(zeta, "_memo_by_spec", {})
+        monkeypatch.setenv("FFZETA_CACHE", str(tmp_path / str(next(fresh))))
+        return zeta.power_sum(spec, 2, 124)
+
+    runs = (window, recursion,
             lambda: zeta.exact_L(spec, -24, 1),
             lambda: oracle.enumerated_prime_to_p_power_sum(spec, 2, 9, P),
             lambda: oracle.enumerated_vadic_exact_L(spec, -9, 1, P),

@@ -157,11 +157,11 @@ def test_threshold_scan_budget_flag():
 
 
 # The library routes the oracles check; oracle.py may not reach any of them.
-CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_recursion_children", "_lucas_support",
-                  "prime_to_p_power_sum", "exact_L", "vadic_exact_L", "reduced_power_sum",
-                  "_t_shell", "pellarin_L_series", "goss_zeta_eval", "mzv_eval_inf",
-                  "twisted_L_eval", "_merge_infinite", "_OneUnitBasis", "vadic_zeta_eval",
-                  "shell_unit_inverses"}
+CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_power_sum_window", "_recursion_children",
+                  "_lucas_support", "prime_to_p_power_sum", "exact_L", "vadic_exact_L",
+                  "reduced_power_sum", "_t_shell", "pellarin_L_series", "goss_zeta_eval",
+                  "mzv_eval_inf", "twisted_L_eval", "_merge_infinite", "_OneUnitBasis",
+                  "vadic_zeta_eval", "shell_unit_inverses"}
 CHECKED_MODULES = {"zeta", "vadic", "mzv"}
 
 

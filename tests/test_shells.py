@@ -13,6 +13,7 @@ import random
 import pytest
 
 from ffzeta import zeta
+from ffzeta._kernels import get_kernel
 from ffzeta.fields import FieldError, FieldSpec, ZpExp
 from ffzeta.mzv import MzvIndex, mzv_eval_inf
 from ffzeta.oracle import enumerated_bracket_shell, enumerated_inverse_shell
@@ -182,12 +183,46 @@ def test_mzv_eval_inf_matches_enumerated_shells(spec):
 
 def test_infinite_place_evaluation_writes_no_disk_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("FFZETA_CACHE", str(tmp_path))
-    monkeypatch.setattr(zeta, "_memo_by_spec", {})  # force the recursion to run
+    monkeypatch.setattr(zeta, "_windows_by_spec", {})  # force the recursion to run
     spec = FieldSpec.default(3)
     x = LaurentSeries.theta(spec, 60)
     assert goss_zeta_eval(SInftyPoint(x, ZpExp(3, (2, 1, 2, 1))), 50)
     assert mzv_eval_inf(spec, MzvIndex((2, 1), "strict"), 30)
-    assert zeta._memo_by_spec  # the shells did go through the recursion
+    assert zeta._windows_by_spec  # the shells did go through the recursion
     assert not (tmp_path / "powersums.jsonl").exists()
     zeta.power_sum(spec, 2, 8)  # control: the public entry point does write there
     assert (tmp_path / "powersums.jsonl").exists()
+
+
+def test_shell_sum_is_the_top_of_the_exact_power_sum():
+    """The top window against the exact power sum's coefficients, reversed
+    and cut to prec: val, coefficients and prec agree, also for windows
+    longer than S_d(n) and shifts below d*n.  n is capped at d*n <= 20000
+    so that the exact reference stays cheap."""
+    rng = random.Random(23)
+    for _ in range(400):
+        spec = FieldSpec.default(rng.choice((2, 3, 4, 5, 7, 8, 9)))
+        d = rng.randint(0, 6)
+        n = rng.randrange(min(spec.q ** 5, 20000 // max(d, 1)))
+        shift, prec = d * n + rng.randint(-30, 30), rng.randrange(1, 120)
+        codes = zeta.power_sum(spec, d, n).coeff_codes
+        want = LaurentSeries(spec, shift - len(codes) + 1, codes[::-1], prec)
+        got = shell_sum(spec, d, n, shift, prec)
+        assert (got.val, got.coeff_codes, got.prec) == (want.val, want.coeff_codes, want.prec), \
+            (spec.q, d, n, shift, prec)
+
+
+def test_goss_shells_keep_at_most_prec_coefficients(monkeypatch):
+    # every digit 2 at q = 3, prec 600: S_6(728) alone has degree 3,282, yet
+    # each shell keeps a window of at most prec coefficients, and the exact
+    # memo of power_sum gains no entry
+    spec, prec = FieldSpec.default(3), 600
+    monkeypatch.setattr(zeta, "_windows_by_spec", {})
+    monkeypatch.setattr(zeta, "_memo_by_spec", {spec._key(): {}})
+    x = LaurentSeries.theta(spec, prec)
+    assert goss_zeta_eval(SInftyPoint(x, ZpExp(3, [2] * 6)), prec)
+    windows = zeta._windows_by_spec[(spec._key(), True)]
+    kernel = get_kernel(spec)
+    assert (6, 728) in windows
+    assert all(L <= prec and len(kernel.to_codes(raw)) <= prec for L, raw in windows.values())
+    assert zeta._memo_by_spec == {spec._key(): {}}

@@ -6,13 +6,13 @@ import sys
 
 import pytest
 
-from ffzeta import vadic
-from ffzeta._kernels import QuotientKernel, raw_to_apoly
+from ffzeta import vadic, zeta
+from ffzeta._kernels import QuotientKernel, get_kernel, raw_to_apoly
 from ffzeta.fields import FieldSpec, ZpExp, lq_digit_sum, poly_powmod
 from ffzeta.polyring import APoly, MPoly, enumerate_monic, is_irreducible
 from ffzeta.padic import PadicCtx, _invert_mod
 from ffzeta.seriesinf import LaurentSeries, PrecisionError
-from ffzeta.zeta import exact_L, pellarin_L_series, power_sum
+from ffzeta.zeta import exact_L, pellarin_L_series, power_sum, _power_sum_window
 from ffzeta.oracle import (enumerated_power_sum, enumerated_prime_to_p_power_sum,
                            enumerated_vadic_exact_L, enumerated_vadic_zeta_eval)
 from ffzeta.vadic import (VadicPoint, vadic_exact_L, vadic_zeta_eval, mk_sequence,
@@ -335,6 +335,19 @@ def test_degree_one_eval_past_the_per_monic_sizes():
     assert max(d for (d,) in want) < 4 < ref.degree_in("z")
 
 
+def test_degree_one_eval_past_the_packed_kernel_lifts_each_residue():
+    # the theta ring's digits are bytes (p <= 251), so at p = 257 a degree-one
+    # place keeps the per-residue lifts of deg P >= 2
+    spec = FieldSpec(257, (0, 1))
+    rng = random.Random(257)
+    cases = [(3, 2, (5, 0), 5, 1)] + [(rng.randrange(257), k, [rng.randrange(257)] * k,
+                                      rng.randrange(-300, 300), 1) for k in (1, 2, 3)]
+    for c, k, digits, delta, zdeg in cases:
+        ptv = VadicPoint(PadicCtx(APoly(spec, (spec.neg_code(c), 1)), k), ZpExp(257, digits),
+                         delta, zdeg)
+        assert vadic_zeta_eval(ptv) == enumerated_vadic_zeta_eval(ptv), (c, k, digits, delta)
+
+
 @pytest.mark.parametrize("q, dP", FINITE_PLACES, ids=str)
 def test_shell_unit_inverses_match_one_newton_lift_per_unit(q, dP, monkeypatch):
     spec = FieldSpec.default(q)
@@ -583,19 +596,20 @@ def test_theta_ring_tables_are_the_general_tables_translated(q):
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
-def test_theta_window_matches_the_enumerated_power_sum(q):
+def test_theta_window_matches_the_enumerated_power_sum(q, monkeypatch):
     spec = FieldSpec.default(q)
+    kernel = get_kernel(spec)
     rng = random.Random(q)
     for L in (1, 2, 5, 9):
-        ring = _ThetaRing(spec, L)
+        monkeypatch.setattr(zeta, "_windows_by_spec", {})  # a fresh memo per window
         for d in (d for d in range(4) if q ** d <= 125):
             for n in sorted(rng.sample(range(200), 12)):
                 want = enumerated_power_sum(spec, d, n).coeff_codes[:L]
-                assert APoly(spec, ring.kernel.to_codes(ring.window(d, n, L))) == \
+                assert APoly(spec, kernel.to_codes(_power_sum_window(spec, d, n, L))) == \
                     APoly(spec, want), (L, d, n)
 
 
-def test_theta_window_matches_power_sum_at_large_exponents():
+def test_theta_window_matches_power_sum_at_large_exponents(monkeypatch):
     # only the base-p digits of n below the window are walked; the digits
     # here are sparse so that the exact power sums stay cheap
     rng = random.Random(9)
@@ -605,20 +619,24 @@ def test_theta_window_matches_power_sum_at_large_exponents():
             for d in (1, 2, 3):
                 exact = power_sum(spec, d, n).coeff_codes
                 for L in (1, 4, 9, 20):
-                    ring = _ThetaRing(spec, L)
-                    got = ring.kernel.to_codes(ring.window(d, n, L))
+                    monkeypatch.setattr(zeta, "_windows_by_spec", {})
+                    got = get_kernel(spec).to_codes(_power_sum_window(spec, d, n, L))
                     assert APoly(spec, got) == APoly(spec, exact[:L]), (spec.q, n, d, L)
 
 
-def test_theta_window_memo_keeps_the_widest_window():
-    ring = _ThetaRing(F3, 30)
+def test_theta_window_memo_keeps_the_widest_window(monkeypatch):
+    # both ends: the bottom window of the theta ring and the top one of the shells
     n = 3 ** 7 - 5
-    widest = {}
-    for d, L in ((2, 4), (2, 25), (2, 7), (3, 30), (3, 1), (2, 30)):
-        fresh = _ThetaRing(F3, 30)
-        assert ring.window(d, n, L) == fresh.window(d, n, L), (d, L)
-        widest[d] = max(widest.get(d, 0), L)
-        assert ring.windows[(d, n)][0] == widest[d]
+    for top in (False, True):
+        memo = {}
+        widest = {}
+        for d, L in ((2, 4), (2, 25), (2, 7), (3, 30), (3, 1), (2, 30)):
+            monkeypatch.setattr(zeta, "_windows_by_spec", {})
+            fresh = _power_sum_window(F3, d, n, L, top)
+            monkeypatch.setattr(zeta, "_windows_by_spec", memo)
+            assert _power_sum_window(F3, d, n, L, top) == fresh, (top, d, L)
+            widest[d] = max(widest.get(d, 0), L)
+            assert memo[(F3._key(), top)][(d, n)][0] == widest[d]
 
 
 def test_local_ring_arithmetic():
