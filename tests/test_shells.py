@@ -194,11 +194,12 @@ def test_infinite_place_evaluation_writes_no_disk_cache(tmp_path, monkeypatch):
     assert (tmp_path / "powersums.jsonl").exists()
 
 
-def test_shell_sum_is_the_top_of_the_exact_power_sum():
+def test_shell_sum_is_the_top_of_the_exact_power_sum(monkeypatch):
     """The top window against the exact power sum's coefficients, reversed
     and cut to prec: val, coefficients and prec agree, also for windows
     longer than S_d(n) and shifts below d*n.  n is capped at d*n <= 20000
     so that the exact reference stays cheap."""
+    monkeypatch.setattr(zeta, "_windows_by_spec", {})
     rng = random.Random(23)
     for _ in range(400):
         spec = FieldSpec.default(rng.choice((2, 3, 4, 5, 7, 8, 9)))
