@@ -2,8 +2,9 @@
 
 The public ring type is APoly; these kernels back the hot loops
 (power-sum shells, Pellarin coefficients, scan oracles, the quotient
-rings A/(m)).  A raw value is a tuple of e ints, one per F_p-coordinate
-plane, with the coefficient of theta^i at digit i:
+rings A/(m), the longer Laurent-series products and one-unit powers,
+where the variable is pi = 1/theta).  A raw value is a tuple of e ints,
+one per F_p-coordinate plane, with the coefficient of theta^i at digit i:
 
 * p = 2: one bit per digit; addition is XOR, multiplication carry-less.
 * p odd: 24-bit digits, so addition and convolution ride on Python's
@@ -20,7 +21,11 @@ do not, and a sum must be normalized before it reaches `mul`.  Loops
 that add many terms accumulate through RawSum, which normalizes before
 a digit of the running sum could reach 2^24.  A product digit of
 normalized operands is at most (p-1)^2 * w * L, with L the shorter
-operand's length and w the field's plane-reduction weight (w = 1 for
+operand's length and w the field's plane-reduction weight: plane i
+holds coordinate i, that of the unit u_i (code p^i), and the product of
+planes i and j adds into plane k coordinate k of u_i u_j, read from the
+field's table (a tower's u_i are not the powers of one element), so w is
+the largest sum over plane pairs of one such coordinate (w = 1 for
 e = 1).  `mul` keeps that bound under 2^24 by cutting a shorter operand
 of more than `max_mul_len` coefficients (p = 251, e = 1: 268) into
 pieces that long, so every product is exact.  Normalized digits are
@@ -34,7 +39,8 @@ so x^(q m + d) = frob_spread(x^m) * x^d: the small powers x^d, d < q,
 come first, then each digit below the top costs one spread and, when
 nonzero, one product with a small power.  Every product thus has an
 operand of at most (q - 1) deg x + 1 coefficients.  A negative n
-raises ValueError.
+raises ValueError.  `truncate(x, L)` is x mod theta^L, and
+`pow(x, n, limit)` works mod theta^limit.
 """
 
 from __future__ import annotations
@@ -63,33 +69,49 @@ def _clmul(a: int, b: int) -> int:
     return r
 
 
-def _generic_pow(kernel, x, n: int):
-    """x^n by Horner's rule on the base-q digits of n.
+def _generic_pow(kernel, x, n: int, limit: int | None = None):
+    """x^n by Horner's rule on the base-q digits of n; with `limit`, only
+    x^n mod theta^limit.
 
     Frobenius fixes F_q, so x^(q m + d) = frob_spread(x^m) * x^d: the
     small powers x^d, d < q, that the digits need come first, one
     product by x each; then, from the top digit down, the running
     power is spread and multiplied by the small power of the next
     nonzero digit.  Every product has an operand of at most
-    (q - 1) deg x + 1 coefficients.
+    (q - 1) deg x + 1 coefficients.  With `limit` every product is cut
+    to its low `limit` digits, and the running power to its low
+    ceil(limit / q) digits before each spread, which are all that reach
+    below theta^limit; this is the series power of `LaurentSeries`.
     """
     if n < 0:
         raise ValueError(f"kernel powers need n >= 0, got {n}")
-    if n == 0:
-        return kernel.from_codes((1,))
     q = kernel.q
+    mul, spread, truncate = kernel.mul, kernel.frob_spread, kernel.truncate
+    if limit is not None:
+        x = truncate(x, limit)
+        spread_len = -(-limit // q)
+
+        def mul(a, b):
+            return truncate(kernel.mul(a, b), limit)
+
+        def spread(a):
+            return kernel.frob_spread(truncate(a, spread_len))
+
+    if n == 0:
+        one = kernel.from_codes((1,))
+        return one if limit is None else truncate(one, limit)
     digits = []
     while n:
         n, d = divmod(n, q)
         digits.append(d)
     small = [None, x]
     for _ in range(max(digits) - 1):
-        small.append(kernel.mul(small[-1], x))
+        small.append(mul(small[-1], x))
     result = small[digits.pop()]
     for d in reversed(digits):
-        result = kernel.frob_spread(result)
+        result = spread(result)
         if d:
-            result = kernel.mul(result, small[d])
+            result = mul(result, small[d])
     return result
 
 
@@ -104,14 +126,18 @@ class _Planes:
         self.p, self.e, self.q = spec.p, spec.e, spec.q
         # digit bound of `scale` applied to a normalized value
         self.scale_digit = self.e * (self.p - 1) ** 2
-        # plane-product reduction: xi^k in coordinates, k <= 2e - 2
-        self.red = [spec.coords(spec.pow_code(spec.p, k))
-                    for k in range(2 * self.e - 1)] if self.e > 1 else []
         coords = [spec.coords(c) for c in range(self.q)]
-        # scale_matrix[c][j][i] = coordinate j of c u_i, u_i the unit of
-        # plane i (code p^i): a product by c adds plane i times it into
-        # plane j (at e = 1 the code is the coordinate, and no matrix is needed)
-        units = [self.p ** i for i in range(self.e)]
+        units = [self.p ** i for i in range(self.e)]  # u_i, the unit of plane i
+        # plane products: row slot[i][j] of `red` is u_i u_j in coordinates,
+        # read from the field's table, one row per distinct product; a power
+        # basis (u_i = xi^i) thus gathers the plane pairs of each degree i + j
+        rows = {}
+        self.slot = [[rows.setdefault(spec.mul_code(u, v), len(rows)) for v in units]
+                     for u in units] if self.e > 1 else []
+        self.red = [coords[c] for c in rows]
+        # scale_matrix[c][j][i] = coordinate j of c u_i: a product by c adds
+        # plane i times it into plane j (at e = 1 the code is the
+        # coordinate, and no matrix is needed)
         self.scale_matrix = [[list(row) for row in zip(*(coords[times[u]] for u in units))]
                              for times in spec.mul_table] if self.e > 1 else []
         if self.p > MAX_PACKED_P:  # coordinates do not fit the byte tables
@@ -149,6 +175,11 @@ class _Planes:
 
     def zero(self):
         return (0,) * self.e
+
+    def truncate(self, x, L):
+        """x mod theta^L: the low L digits of every plane."""
+        mask = (1 << self.digit_bits * L) - 1
+        return tuple(v & mask for v in x)
 
     def shift(self, x, k):
         """Multiply by theta^k."""
@@ -206,13 +237,14 @@ class _BitKernel(_Planes):
     def mul(self, x, y):
         if self.e == 1:
             return (_clmul(x[0], y[0]),)
-        partial = [0] * (2 * self.e - 1)
+        partial = [0] * len(self.red)
         for i in range(self.e):
             if not x[i]:
                 continue
+            slot = self.slot[i]
             for j in range(self.e):
                 if y[j]:
-                    partial[i + j] ^= _clmul(x[i], y[j])
+                    partial[slot[j]] ^= _clmul(x[i], y[j])
         out = [0] * self.e
         for k, v in enumerate(partial):
             if v:
@@ -240,10 +272,10 @@ class _PackedKernel(_Planes):
 
     def __init__(self, spec: FieldSpec):
         super().__init__(spec, 0)
-        # worst plane-reduction weight: sum over k of red[k][j] times the
-        # number of plane pairs (i, i') with i + i' = k
-        weight = max(sum(row[j] * min(k + 1, 2 * self.e - 1 - k)
-                         for k, row in enumerate(self.red)) for j in range(self.e)) or 1
+        # worst plane-reduction weight: sum over the plane pairs (i, i') of
+        # coordinate j of u_i u_i'
+        weight = max(sum(self.red[k][j] for row in self.slot for k in row)
+                     for j in range(self.e)) if self.e > 1 else 1
         self.max_mul_len = (_DIGIT_LIMIT - 1) // ((self.p - 1) ** 2 * weight)
         self._piece_bits = self.max_mul_len * _PACK_BITS
         if self.p > MAX_PACKED_P:  # residues do not fit the byte tables
@@ -326,19 +358,20 @@ class _PackedKernel(_Planes):
             short, long = (x, y) if x_bits <= y_bits else (y, x)
             total, k = self.zero(), 0
             while any(short):
-                piece = self.mul(tuple(v & ((1 << bits) - 1) for v in short), long)
+                piece = self.mul(self.truncate(short, self.max_mul_len), long)
                 total = self.normalize(self.add(total, self.shift(piece, k)))
                 short, k = tuple(v >> bits for v in short), k + self.max_mul_len
             return total
         if self.e == 1:
             return self.normalize((x[0] * y[0],))
-        partial = [0] * (2 * self.e - 1)
+        partial = [0] * len(self.red)
         for i in range(self.e):
             if not x[i]:
                 continue
+            slot = self.slot[i]
             for j in range(self.e):
                 if y[j]:
-                    partial[i + j] += x[i] * y[j]
+                    partial[slot[j]] += x[i] * y[j]
         out = [0] * self.e
         for k, v in enumerate(partial):
             if v:

@@ -88,9 +88,11 @@ def _is_prime(n: int) -> bool:
 # These operate on ascending coefficient lists whose entries are codes of
 # some FieldSpec `F`.  They back extension-field construction and every
 # code-list ring of the library: APoly in polyring.py (and PadicElem in
-# padic.py through it) and LaurentSeries in seriesinf.py, whose products
-# are the truncated `poly_mul(F, a, b, limit)`.  The raw kernels of
-# _kernels.py serve power sums, t-shells and A/(P^k) reduction.
+# padic.py through it), the independent reference of the kernel tests, and
+# LaurentSeries in seriesinf.py, whose sums, scalings, inverses and short
+# products run here (the truncated `poly_mul(F, a, b, limit)`).  The raw
+# kernels of _kernels.py serve power sums, t-shells, A/(P^k) reduction and
+# the longer series products and one-unit powers.
 
 def poly_trim(c):
     i = len(c)

@@ -472,18 +472,21 @@ def chain_sum(table, caps, strict: bool, zero):
     with d_i <= caps[i], of table(0, d_1) * table(1, d_2) * ... * table(r-1, d_r).
 
     r = len(caps).  The partial sums over the levels i.. are memoized on
-    (i, top degree), so each is formed once; the last level's table value
-    enters as it is.  `zero` starts every sum; a zero term is still added,
-    because a series zero carries a precision.
+    (i, top degree), so each is formed once, and table(i, d) is called at
+    most once per (i, d); the last level's table value enters as it is.
+    `zero` starts every sum; a zero term is still added, because a series
+    zero carries a precision.
     """
     r = len(caps)
-    memo = {}
+    memo, tables = {}, {}
 
     def level(i, hi):
         if (i, hi) not in memo:
             total = zero
             for d in range(hi + 1):
-                term = table(i, d)
+                if (i, d) not in tables:
+                    tables[i, d] = table(i, d)
+                term = tables[i, d]
                 if i + 1 < r:
                     term = term * level(i + 1, min(caps[i + 1], d - 1 if strict else d))
                 total = total + term

@@ -7,22 +7,37 @@ v(theta) = -1 and polynomial values of degree d sit at valuation -d.
 Precision propagates pessimistically: min rules everywhere, no interval
 tightening.
 
-This module keeps only those precision rules.  The coefficient
-arithmetic is that of code lists in `fields`, shared with APoly and
-PadicElem: sums are `poly_add`, products the truncated `poly_mul`,
-scalings `poly_scale`, and an inverse is a `poly_divmod` quotient.
+Coefficients are code lists.  Sums are `fields.poly_add`, scalings
+`poly_scale` and an inverse a `poly_divmod` quotient, as for APoly.  A
+product keeps only the coefficients below its relative precision: when
+the shorter operand, cut to that length, has at least KERNEL_MUL_MIN
+coefficients (and p <= 251) it is one packed-kernel product masked with
+`kernel.truncate`, otherwise the truncated code-list `poly_mul`.  APoly
+and PadicElem stay on code lists, the kernels' independent reference.
 
-One-units (valuation 0, constant term 1) carry Z_p-power structure via
-their base-p digit products; (1+w)^(p^i) = 1 + w^(p^i) makes each digit
-factor exact (the loop is `fields.one_unit_digit_power`, shared with A/(P^k)).
+One-units (valuation 0, constant term 1) carry Z_p-power structure:
+(1+w)^(p^i) = 1 + w^(p^i), so u^y modulo pi^min(prec, p^M v(w)) is
+u^N for the integer N of y's known digits.  Over p <= 251 that is one
+truncated kernel power; over larger p it is the digit product
+`fields.one_unit_digit_power`, shared with A/(P^k).
 """
 
 from __future__ import annotations
 
 import operator
 
+from ._kernels import MAX_PACKED_P, get_kernel
 from .fields import (FieldSpec, FqElem, FieldError, ZpExp, binary_power, one_unit_digit_power,
                      poly_add, poly_divmod, poly_mul, poly_scale)
+
+# A product whose shorter operand, cut to the result's length, has at least
+# this many coefficients is one packed-kernel product; shorter ones stay on
+# the code-list `poly_mul`.  Dense n x n products truncated at n, 40 random
+# pairs per cell, best of 7, two runs (CPython 3.11, 2-core Xeon VM): the
+# kernel overtook the code lists at n of about 8-10 for q = 2, 12-14 for
+# q = 3, 12 for q = 4, 10-12 for q = 5 and 16 for q = 9; at n = 24 the code
+# lists took 21-81 us a product, the kernel 7-45 us.
+KERNEL_MUL_MIN = 12
 
 
 class PrecisionError(ArithmeticError):
@@ -162,7 +177,13 @@ class LaurentSeries:
             return LaurentSeries.zero(self.spec, prec)
         prec = min(self.val + other.prec, other.val + self.prec)
         lo = self.val + other.val
-        out = poly_mul(self.spec, self.coeff_codes, other.coeff_codes, prec - lo)
+        a, b, n = self.coeff_codes, other.coeff_codes, prec - lo
+        if min(len(a), len(b), n) >= KERNEL_MUL_MIN and self.spec.p <= MAX_PACKED_P:
+            kernel = get_kernel(self.spec)
+            raw = kernel.mul(kernel.from_codes(a[:n]), kernel.from_codes(b[:n]))
+            out = kernel.to_codes(kernel.truncate(raw, n))
+        else:
+            out = poly_mul(self.spec, a, b, n)
         return LaurentSeries(self.spec, lo, out, prec)
 
     def scale_code(self, code: int) -> "LaurentSeries":
@@ -274,19 +295,33 @@ def decompose(x: LaurentSeries):
 
 
 def one_unit_pow(u: LaurentSeries, y: ZpExp) -> LaurentSeries:
-    """Raise a one-unit to a p-adic exponent via its digit product.
+    """Raise a one-unit to a p-adic exponent y known modulo p^M.
 
-    Writes y = sum d_i p^i over the known digits and returns
-    prod (1 + w^(p^i))^(d_i) with w = u - 1; the result is correct
-    modulo pi^min(prec, p^M * v(w)) and is again a one-unit.
+    The result is u^N modulo pi^g, a one-unit, with N = y.as_int(),
+    w = u - 1 and g = min(prec, p^M * v(w)): u^(p^i) = 1 + w^(p^i) is 1
+    modulo pi^g once p^i v(w) >= g, so the unknown digits of y do not
+    matter, and N may be cut to N mod p^i.  For p <= 251 this is one
+    kernel power truncated at pi^g; larger p keep the digit product
+    prod_i (1 + w^(p^i))^(d_i) of `fields.one_unit_digit_power`, the
+    same value.
     """
     if not u.is_one_unit():
         raise ValueError("one_unit_pow needs valuation 0 and constant term 1")
-    if y.p != u.spec.p:
+    spec, p = u.spec, y.p
+    if p != spec.p:
         raise ValueError("exponent digit base differs from the field characteristic")
-    prec = u.prec
-    one = LaurentSeries.one(u.spec, prec)
-    w = u - one  # zero to precision has w.val = prec, so the guarantee is prec
-    guarantee = min(prec, u.spec.p ** y.precision * w.val)
-    result = one_unit_digit_power(w, y.digits, one, lambda x: x.p_power().truncate(prec))
-    return result.truncate(min(guarantee, result.prec))
+    prec, codes = u.prec, u.coeff_codes
+    # v(w); a w that is zero to precision counts as prec, so the guarantee is prec
+    v = next((i for i in range(1, len(codes)) if codes[i]), prec)
+    guarantee = min(prec, p ** y.precision * v)
+    if p > MAX_PACKED_P:
+        one = LaurentSeries.one(spec, prec)
+        result = one_unit_digit_power(u - one, y.digits, one,
+                                      lambda x: x.p_power().truncate(prec))
+        return result.truncate(min(guarantee, result.prec))
+    period = 1
+    while period * v < guarantee:
+        period *= p
+    kernel = get_kernel(spec)
+    raw = kernel.pow(kernel.from_codes(codes), y.as_int() % period, limit=guarantee)
+    return LaurentSeries(spec, 0, kernel.to_codes(raw), guarantee)

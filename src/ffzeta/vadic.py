@@ -377,8 +377,7 @@ class _ThetaRing(_LocalRing):
 
     def times_p(self, raw, j):
         """raw * theta^j mod theta^kappa: a shift and a mask."""
-        bits = self.kernel.digit_bits
-        return tuple((v << bits * j) & (1 << bits * self.kappa) - 1 for v in raw)
+        return self.kernel.truncate(self.kernel.shift(raw, j), self.kappa)
 
     def valuation(self, raw):
         """The first nonzero digit of a normalized raw value, or None."""
@@ -486,7 +485,6 @@ def interpolation_gap(spec: FieldSpec, ns, P: APoly, k: int):
     # theta - c to theta, so a degree-one gap is the gap at theta
     ring = _local_ring(spec, APoly.theta(spec) if dP == 1 else P, q ** (k + 1) + bucket)
 
-    @functools.cache
     def table(i, d):
         if i:
             value = ring.local_power_sum(d, ns[i], False)

@@ -323,7 +323,7 @@ def _power_sum_window(spec: FieldSpec, d: int, n: int, L: int, top: bool = False
         if d == 0:
             return one
         if (hit := memo.get((d, n))) is not None and hit[0] >= L:
-            return tuple(v & (1 << kernel.digit_bits * L) - 1 for v in hit[1])
+            return kernel.truncate(hit[1], L)
         step = d if top else 1
         total = RawSum(kernel, kernel.scale_digit)
         for j, b in _lucas_support(n % least_p_power(spec.p, -(-L // step)), spec.p):

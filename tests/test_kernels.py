@@ -247,6 +247,70 @@ def test_pow_multiplies_by_short_powers_and_spreads_once_per_digit(q, monkeypatc
             assert len(seen["mul"]) == max(digits) - 1 + sum(map(bool, digits[:-1]))
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9, 251))
+def test_limited_pow_is_the_power_mod_theta_to_the_limit(q):
+    """pow(x, n, limit=L) against the APoly power cut to its low L codes."""
+    spec = FIELDS[q] if q in FIELDS else FieldSpec(q, (0, 1))
+    kernel = get_kernel(spec)
+    rng = random.Random(q)
+    for _ in range(40):
+        x = APoly(spec, [1] + [rng.randrange(q) for _ in range(rng.randrange(0, 8))])
+        n, limit = rng.randrange(0, 3 * q * q), rng.randrange(1, 40)
+        if (x.degree * n) > POW_REF_DEGREE:
+            continue
+        raw = kernel.pow(kernel.from_codes(x.coeff_codes), n, limit=limit)
+        assert kernel.to_codes(raw) == tuple(poly_trim((x ** n).coeff_codes[:limit])), (x, n, limit)
+        assert kernel.to_codes(kernel.truncate(kernel.from_codes(x.coeff_codes), limit)) \
+            == tuple(poly_trim(x.coeff_codes[:limit]))
+
+
+# -- towers: the coordinate basis is not a power basis -------------------------------
+
+# F_9[x]/(x^2 + 4x + 1): a tower over odd p, so the packed kernel's plane products
+ODD_TOWER = FieldSpec.extension(FIELDS[9], (1, 4, 1))
+
+
+@pytest.mark.parametrize("spec", [*TOWERS.values(), ODD_TOWER], ids=[*TOWERS, "F9[x]/(x^2+4x+1)"])
+def test_kernel_products_on_towers_match_apoly(spec):
+    """A tower's plane units u_i = code p^i are not the powers of one
+    element, so each plane product u_i u_j comes from the field's table;
+    products and powers against the code-list APoly ones."""
+    kernel = get_kernel(spec)
+    rng = random.Random(spec.q)
+    pairs = [(a, b) for a in range(spec.q) for b in range(spec.q)]
+    for a, b in pairs if spec.q <= 16 else rng.sample(pairs, 600):
+        got = kernel.to_codes(kernel.mul(kernel.from_codes((a,)), kernel.from_codes((b,))))
+        assert got == (APoly(spec, (a,)) * APoly(spec, (b,))).coeff_codes, (a, b)
+    for _ in range(30):
+        x, y = (APoly(spec, [rng.randrange(spec.q) for _ in range(rng.randrange(1, 20))])
+                for _ in range(2))
+        rx, ry = kernel.from_codes(x.coeff_codes), kernel.from_codes(y.coeff_codes)
+        assert kernel.to_codes(kernel.mul(rx, ry)) == (x * y).coeff_codes
+        n = rng.randrange(0, 2 * spec.q + 3)
+        if x.degree * n <= POW_REF_DEGREE:
+            assert kernel.to_codes(kernel.pow(rx, n)) == (x ** n).coeff_codes, (x, n)
+
+
+@pytest.mark.parametrize("name", [*map(str, sorted(FIELDS)), "F9[x]/(x^2+4x+1)"])
+def test_packed_digit_bound_weight_comes_from_the_plane_products(name):
+    """max_mul_len keeps (p-1)^2 * w * L < 2^24, w the largest sum over plane
+    pairs (i, i') of a coordinate of u_i u_i'; on a power basis u_i = xi^i
+    that is the count of pairs of each degree k times the coordinates of xi^k."""
+    spec = ODD_TOWER if name.startswith("F9[") else FIELDS[int(name)]
+    if spec.p == 2:
+        return
+    kernel, p, e = get_kernel(spec), spec.p, spec.e
+    if e == 1:
+        weight = 1
+    elif spec.base is None:
+        weight = max(sum(spec.coords(spec.pow_code(p, k))[j] * min(k + 1, 2 * e - 1 - k)
+                         for k in range(2 * e - 1)) for j in range(e))
+    else:
+        weight = max(sum(spec.coords(spec.mul_code(p ** i, p ** k))[j]
+                         for i in range(e) for k in range(e)) for j in range(e))
+    assert kernel.max_mul_len == (2 ** 24 - 1) // ((p - 1) ** 2 * weight)
+
+
 @pytest.mark.parametrize("q", (2, 3, 4, 9))
 def test_kernel_pow_rejects_negative_exponents(q, monkeypatch):
     kernel = get_kernel(FIELDS[q])

@@ -234,3 +234,21 @@ def test_mzv_vadic_exact_writes_only_its_own_cache(tmp_path, monkeypatch):
     asked = {PowerSumCache.key(F3, d, n) for d in range(3) for n in (5, 2)}
     lines = (tmp_path / "powersums.jsonl").read_text().splitlines()
     assert lines and {json.loads(line)["key"] for line in lines} <= asked
+
+
+def test_mzv_eval_inf_takes_each_shell_once(monkeypatch):
+    # polyring.chain_sum asks each table entry (level, degree) once: 3 levels
+    # of 9 degrees, 27 calls for 19 distinct shells (levels 1 and 2 share n)
+    from ffzeta import mzv
+    calls = []
+    real = mzv.shell_sum
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mzv, "shell_sum", counted)
+    want = mzv_eval_inf(F2, MzvIndex((2, 1, 1), "strict"), 200)
+    assert (len(calls), len(set(calls))) == (27, 19)
+    monkeypatch.setattr(mzv, "shell_sum", real)
+    assert mzv_eval_inf(F2, MzvIndex((2, 1, 1), "strict"), 200) == want

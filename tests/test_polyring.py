@@ -242,6 +242,21 @@ def test_chain_sum_matches_brute_force(caps):
             _brute_chain_sum(lambda i, d: values[i, d], caps, strict), strict
 
 
+@pytest.mark.parametrize("caps", [(4, 4, 4), (6, 3, 1), (3, 6, 0), (5, 5)])
+def test_chain_sum_calls_each_table_entry_once(caps):
+    calls = []
+
+    def table(i, d):
+        calls.append((i, d))
+        return i + d + 1
+
+    for strict in (True, False):
+        del calls[:]
+        assert chain_sum(table, list(caps), strict, 0) == _brute_chain_sum(
+            lambda i, d: i + d + 1, caps, strict)
+        assert len(calls) == len(set(calls)), (strict, sorted(calls))
+
+
 def test_mpoly_zero_pruning_and_arity():
     with pytest.raises(ValueError):
         MPoly(("t",), {(0, 1): FqElem(F2, 1)})

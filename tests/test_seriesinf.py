@@ -1,14 +1,19 @@
 import hashlib
 import json
+import operator
 import random
 
 import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul
 
-from ffzeta.fields import FieldSpec, ZpExp
+from ffzeta import seriesinf
+from ffzeta._kernels import get_kernel
+from ffzeta.fields import (FieldSpec, ZpExp, binary_power, one_unit_digit_power, poly_add,
+                           poly_mul, poly_trim)
 from ffzeta.polyring import APoly
-from ffzeta.seriesinf import LaurentSeries, PrecisionError, decompose, one_unit_pow
+from ffzeta.seriesinf import (KERNEL_MUL_MIN, LaurentSeries, PrecisionError, decompose,
+                              one_unit_pow)
 
 F2 = FieldSpec.default(2)
 F3 = FieldSpec.default(3)
@@ -260,3 +265,147 @@ def test_series_ring_laws_over_extension_fields(spec):
         assert lhs.agrees_with(rhs, prec=min(lhs.prec, rhs.prec))
         unit = x * x.inverse()
         assert unit.val == 0 and unit.agrees_with(one)
+
+
+# -- products and one-unit powers on the packed kernels ------------------------------
+
+# shorter-operand lengths on both sides of the kernel crossover
+CROSSOVER_LENGTHS = (1, 3, KERNEL_MUL_MIN - 1, KERNEL_MUL_MIN, KERNEL_MUL_MIN + 1,
+                     2 * KERNEL_MUL_MIN, 5 * KERNEL_MUL_MIN)
+
+
+def _dense(spec, rng, val, length, prec):
+    codes = [rng.randrange(1, spec.q)] + [rng.randrange(spec.q) for _ in range(length - 1)]
+    return LaurentSeries(spec, val, codes, prec)
+
+
+def _crossover_pairs(spec, rng):
+    """Dense operands whose shorter side, cut to the product's length, has
+    each of CROSSOVER_LENGTHS coefficients; the longer side is either as
+    long or longer than the product keeps."""
+    for n in CROSSOVER_LENGTHS:
+        for extra in (0, 7):
+            vx, vy = rng.randrange(-4, 5), rng.randrange(-4, 5)
+            x = _dense(spec, rng, vx, n, vx + n)
+            y = _dense(spec, rng, vy, n + extra, vy + n + extra)
+            yield (x, y) if rng.random() < 0.5 else (y, x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_series_product_matches_sympy_across_the_kernel_crossover(p, monkeypatch):
+    spec, rng = FieldSpec.default(p), random.Random(p + 100)
+    code_list = []
+    real = seriesinf.poly_mul
+    monkeypatch.setattr(seriesinf, "poly_mul", lambda *a: code_list.append(a) or real(*a))
+    short = 0
+    for x, y in _crossover_pairs(spec, rng):
+        prec = min(x.val + y.prec, y.val + x.prec)
+        short += min(len(x.coeff_codes), len(y.coeff_codes), prec - x.val - y.val) < KERNEL_MUL_MIN
+        _assert_series(x * y, x.val + y.val, gf_mul(_gf(x, x.val), _gf(y, y.val), p, ZZ), prec)
+    # products below the crossover ran on code lists, the others on the kernel
+    assert len(code_list) == short and 0 < short < 2 * len(CROSSOVER_LENGTHS)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.default(4), FieldSpec.default(9), TOWER],
+                         ids=["4", "9", "4^2"])
+def test_series_product_matches_the_code_list_product_across_the_crossover(spec):
+    rng = random.Random(spec.q + 200)
+    for x, y in _crossover_pairs(spec, rng):
+        prec = min(x.val + y.prec, y.val + x.prec)
+        lo = x.val + y.val
+        want = (APoly(spec, x.coeff_codes) * APoly(spec, y.coeff_codes)).coeff_codes
+        assert x * y == LaurentSeries(spec, lo, want[:prec - lo], prec)
+
+
+class _CodeListSeries:
+    """F_q[pi]/(pi^n) on code lists alone (fields.poly_add and poly_mul):
+    the ring of the reference digit product."""
+
+    def __init__(self, spec, codes, n):
+        self.spec, self.n = spec, n
+        self.codes = poly_trim(list(codes)[:n])
+
+    def is_zero(self):
+        return not self.codes
+
+    def __add__(self, other):
+        return _CodeListSeries(self.spec, poly_add(self.spec, self.codes, other.codes), self.n)
+
+    def __mul__(self, other):
+        return _CodeListSeries(self.spec, poly_mul(self.spec, self.codes, other.codes, self.n),
+                               self.n)
+
+    def __pow__(self, d):
+        return binary_power(self, d, operator.mul)
+
+    def p_power(self):
+        spread = [0] * (len(self.codes) * self.spec.p)
+        for i, c in enumerate(self.codes):
+            spread[i * self.spec.p] = self.spec.frob_code(c)
+        return _CodeListSeries(self.spec, spread, self.n)
+
+
+def _digit_product_reference(u, y):
+    """prod_i (1 + w^(p^i))^(d_i) in F_q[pi]/(pi^prec) on code lists, cut
+    to the certified min(prec, p^M v(w)), as (codes, precision)."""
+    spec, prec = u.spec, u.prec
+    one = _CodeListSeries(spec, [1], prec)
+    w = _CodeListSeries(spec, (0,) + u.coeff_codes[1:], prec)
+    v = next((i for i, c in enumerate(w.codes) if c), prec)
+    cert = min(prec, spec.p ** y.precision * v)
+    value = one_unit_digit_power(w, y.digits, one, _CodeListSeries.p_power)
+    return tuple(poly_trim(value.codes[:cert])), cert
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_one_unit_pow_matches_the_code_list_digit_product(q):
+    spec, rng = FieldSpec.default(q), random.Random(q + 300)
+    p = spec.p
+    for M in range(1, 9):
+        for _ in range(6):
+            prec = rng.randrange(1, 60)
+            # dense, sparse from a random valuation, and zero at precision
+            kind = rng.choice(("dense", "sparse", "one"))
+            codes = [1] + [0] * (prec - 1)
+            if kind != "one":
+                start = 1 if kind == "dense" else rng.randrange(1, prec + 1)
+                for i in range(start, prec):
+                    codes[i] = rng.randrange(q) if kind == "dense" or rng.random() < 0.3 else 0
+            u = LaurentSeries(spec, 0, codes, prec)
+            y = ZpExp(p, [rng.randrange(p) for _ in range(M)])
+            got = one_unit_pow(u, y)
+            want, cert = _digit_product_reference(u, y)
+            assert (got.val, got.coeff_codes, got.prec) == (0, want, cert), (u, y)
+    # u - 1 zero at precision: the value is 1, known to the full precision
+    u = LaurentSeries(spec, 0, (1,), 17)
+    assert one_unit_pow(u, ZpExp(p, (1,) * 5)) == LaurentSeries.one(spec, 17)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_one_unit_pow_is_one_kernel_power_without_code_list_products(q, monkeypatch):
+    spec, rng = FieldSpec.default(q), random.Random(q + 400)
+    kernel = get_kernel(spec)
+    products = []
+    real_mul = kernel.mul
+
+    def mul(a, b):
+        products.append(1)
+        return real_mul(a, b)
+
+    def no_code_lists(*args):
+        raise AssertionError("one_unit_pow ran a code-list product")
+
+    monkeypatch.setattr(kernel, "mul", mul)
+    monkeypatch.setattr(seriesinf, "poly_mul", no_code_lists)
+    for M in (1, 4, 8):
+        u = _dense(spec, rng, 0, 40, 40)
+        u = LaurentSeries(spec, 0, (1,) + u.coeff_codes[1:], 40)
+        y = ZpExp(spec.p, [rng.randrange(1, spec.p) for _ in range(M)])
+        del products[:]
+        one_unit_pow(u, y)
+        digits = 0
+        n = y.as_int()
+        while n:
+            n, digits = n // q, digits + 1
+        # the small powers u^2..u^(q-1) at most, then one product per digit
+        assert len(products) <= (q - 2) + digits

@@ -716,3 +716,16 @@ def test_prime_to_p_power_sum_bijection_identity():
                     else APoly.zero(spec)
                 assert full == sv + divisible
                 assert sv == enumerated_prime_to_p_power_sum(spec, d, n, P)
+
+
+def test_prime_to_p_power_sum_over_a_tower_matches_enumeration():
+    # F_4[x]/(x^2 + x + xi): P^n S is formed on the packed kernel, whose
+    # plane products must follow the tower's own multiplication table
+    tower = FieldSpec.extension(FieldSpec.default(4), (2, 1, 1))
+    P = APoly(tower, (5, 1))  # theta + 5
+    for d in (1, 2):
+        for n in range(0, 17):
+            assert prime_to_p_power_sum(tower, d, n, P) == \
+                enumerated_prime_to_p_power_sum(tower, d, n, P), (d, n)
+    for n in range(0, 4):
+        assert vadic_exact_L(tower, -n, 0, P) == enumerated_vadic_exact_L(tower, -n, 0, P), n
