@@ -7,32 +7,37 @@ where the variable is pi = 1/theta).  A raw value is a tuple of e ints,
 one per F_p-coordinate plane, with the coefficient of theta^i at digit i:
 
 * p = 2: one bit per digit; addition is XOR, multiplication carry-less.
-* p odd: 24-bit digits, so addition and convolution ride on Python's
-  big-int arithmetic; `normalize` reduces every digit mod p with byte
-  tables: byte k of a digit becomes (b << 8k) mod p by one
+* 2 < p <= 251: 24-bit digits, so addition and convolution ride on
+  Python's big-int arithmetic; `normalize` reduces every digit mod p
+  with byte tables: byte k of a digit becomes (b << 8k) mod p by one
   `bytes.translate` per byte position that is not all zero, the residue
   strings are added as big ints (in 16-bit lanes when they could pass
   255) and one more translate finishes the reduction.
+* 251 < p <= 1021: a reduced digit no longer fits a byte, and q <= 1024
+  forces e = 1, so `_WideKernel` keeps 32-bit digits that it reads,
+  reduces and packs one at a time; all else is the 24-bit kernel's.
 
-Packed digits never carry into their neighbours, so a digit must stay
-below 2^24.  `from_codes`, `mul`, `pow`, `normalize`, `frob_spread` and
-QuotientKernel return normalized values (digits < p); `add` and `scale`
-do not, and a sum must be normalized before it reaches `mul`.  Loops
-that add many terms accumulate through RawSum, which normalizes before
-a digit of the running sum could reach 2^24.  A product digit of
+This module alone knows how wide a digit is (MAX_PACKED_P picks the
+kernel); every other module sees raw values and `digit_bits`.  Packed
+digits never carry into their neighbours, so a digit must stay below
+2^digit_bits.  `from_codes`, `mul`, `pow`, `normalize`, `frob_spread`
+and QuotientKernel return normalized values (digits < p); `add` and
+`scale` do not, and a sum must be normalized before it reaches `mul`.
+Loops that add many terms accumulate through RawSum, which normalizes
+before a digit of the running sum could reach 2^24 (for 32-bit digits
+earlier than needed).  A product digit of
 normalized operands is at most (p-1)^2 * w * L, with L the shorter
 operand's length and w the field's plane-reduction weight: plane i
 holds coordinate i, that of the unit u_i (code p^i), and the product of
 planes i and j adds into plane k coordinate k of u_i u_j, read from the
 field's table (a tower's u_i are not the powers of one element), so w is
 the largest sum over plane pairs of one such coordinate (w = 1 for
-e = 1).  `mul` keeps that bound under 2^24 by cutting a shorter operand
-of more than `max_mul_len` coefficients (p = 251, e = 1: 268) into
-pieces that long, so every product is exact.  Normalized digits are
-single bytes, so p <= 251.  Codes convert through per-field tables, and
-`scale` reads the matrix of each constant's product, built once from
-the field's tables.  Like the rest of the library, the kernels use the
-standard library alone.
+e = 1).  `mul` keeps that bound under 2^digit_bits by cutting a shorter
+operand of more than `max_mul_len` coefficients (p = 251, e = 1: 268;
+p = 1021: 4128) into pieces that long, so every product is exact.
+Codes convert through per-field tables, and `scale` reads the matrix of
+each constant's product, built once from the field's tables.  Like the
+rest of the library, the kernels use the standard library alone.
 
 `pow` is Horner's rule on the base-q digits of n.  Frobenius fixes F_q,
 so x^(q m + d) = frob_spread(x^m) * x^d: the small powers x^d, d < q,
@@ -45,7 +50,9 @@ raises ValueError.  `truncate(x, L)` is x mod theta^L, and
 
 from __future__ import annotations
 
-from .fields import FieldError, FieldSpec, binary_power
+import struct
+
+from .fields import FieldSpec, binary_power, poly_trim
 
 _PACK_BITS = 24
 _DIGIT_LIMIT = 1 << _PACK_BITS
@@ -58,6 +65,12 @@ def _spread(digits: bytes, stride: int) -> int:
     buf = bytearray(max(stride * (len(digits) - 1) + 1, 0))
     buf[::stride] = digits
     return int.from_bytes(buf, "little")
+
+
+def _spread32(digits, stride: int = 1) -> int:
+    """The int whose 32-bit digit i * stride is digits[i] and whose other digits are 0."""
+    pad = f"I{4 * stride - 4}x"
+    return int.from_bytes(struct.pack("<" + pad * len(digits), *digits), "little")
 
 
 def _clmul(a: int, b: int) -> int:
@@ -266,7 +279,7 @@ class _BitKernel(_Planes):
 
 
 class _PackedKernel(_Planes):
-    """Odd-characteristic kernel: base-2^24 packed coordinate planes."""
+    """Odd-characteristic kernel for p <= 251: base-2^24 packed coordinate planes."""
 
     digit_bits = _PACK_BITS
 
@@ -276,19 +289,13 @@ class _PackedKernel(_Planes):
         # coordinate j of u_i u_i'
         weight = max(sum(self.red[k][j] for row in self.slot for k in row)
                      for j in range(self.e)) if self.e > 1 else 1
-        self.max_mul_len = (_DIGIT_LIMIT - 1) // ((self.p - 1) ** 2 * weight)
-        self._piece_bits = self.max_mul_len * _PACK_BITS
+        self.max_mul_len = ((1 << self.digit_bits) - 1) // ((self.p - 1) ** 2 * weight)
+        self._piece_bits = self.max_mul_len * self.digit_bits
         if self.p > MAX_PACKED_P:  # residues do not fit the byte tables
-            self.from_codes = self.to_codes = self.normalize = self.frob_spread = self._no_bytes
             return
         self._reduced = bytes(range(self.p))
         # byte b at position k of a digit (or of a 16-bit lane) -> (b << 8k) mod p
         self._byte_mod = [bytes((b << 8 * k) % self.p for b in range(256)) for k in range(3)]
-
-    def _no_bytes(self, *args):
-        """Stands in for every digit-reading method when p > 251."""
-        raise FieldError(f"packed kernel digits are bytes: needs p <= {MAX_PACKED_P}, "
-                         f"got p = {self.p}")
 
     def is_zero(self, x):
         return not any(self.normalize(x))
@@ -385,6 +392,30 @@ class _PackedKernel(_Planes):
         return tuple(_spread(self._digits(*self._split(v)), 3 * self.q) for v in x)
 
     pow = _generic_pow
+
+
+class _WideKernel(_PackedKernel):
+    """The packed kernel for 251 < p <= 1021, where q <= 1024 forces e = 1:
+    32-bit digits, read, reduced and packed one at a time."""
+
+    digit_bits = 32
+
+    def _reduced_digits(self, v):
+        raw = v.to_bytes(-(-v.bit_length() // 32) * 4, "little")
+        return [d % self.p for (d,) in struct.iter_unpack("<I", raw)]
+
+    def from_codes(self, codes):
+        return (_spread32(codes),)
+
+    def to_codes(self, x):
+        return tuple(poly_trim(self._reduced_digits(x[0])))
+
+    def normalize(self, x):
+        return (_spread32(self._reduced_digits(x[0])),)
+
+    def frob_spread(self, x):
+        """x(theta) -> x(theta)^q: digit i moves to digit i*q."""
+        return (_spread32(self._reduced_digits(x[0]), self.q),)
 
 
 class QuotientKernel:
@@ -503,7 +534,8 @@ _KERNELS: dict = {}
 def get_kernel(spec: FieldSpec):
     key = spec._key()
     if key not in _KERNELS:
-        _KERNELS[key] = _BitKernel(spec) if spec.p == 2 else _PackedKernel(spec)
+        _KERNELS[key] = (_BitKernel if spec.p == 2 else _PackedKernel if spec.p <= MAX_PACKED_P
+                         else _WideKernel)(spec)
     return _KERNELS[key]
 
 

@@ -18,10 +18,11 @@ here are the independent side of the dual routes: the library computes
 the same values from the degree recursion and the Euler-factor
 identity, never by visiting the q^d monics.  The enumerated sums raise
 each monic to its power with `_digit_power` here, not with the
-kernels' `pow`.  The twisted evaluation keeps the library's per-monic
-loop without its merged factors and per-shell one-unit basis, and the
-v-adic evaluation lifts and inverts every monic's Teichmuller part
-itself, with no lift shared by a residue class.
+kernels' `pow`, and the one-units at infinity with `_one_unit_power`,
+not with `seriesinf.one_unit_pow`.  The twisted evaluation keeps the
+library's per-monic loop without its merged factors and per-shell
+one-unit basis, and the v-adic evaluation lifts and inverts every
+monic's Teichmuller part itself, with no lift shared by a residue class.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from .fields import FieldSpec, FqElem, FrozenValue, ResidueChar, ZpExp, lq_digit_sum
+from .fields import (FieldSpec, FqElem, FrozenValue, ResidueChar, ZpExp, lq_digit_sum,
+                     one_unit_digit_power)
 from ._kernels import RawSum, get_kernel
 from .polyring import (APoly, MPoly, enumerate_monic, frobenius_twist, hyperderivative,
                        is_irreducible, monic_coeff_vectors)
 from .padic import padic_one_unit_pow, teichmuller
-from .seriesinf import LaurentSeries, PrecisionError, one_unit_pow
+from .seriesinf import LaurentSeries, PrecisionError
 from .zeta import (power_sum, twisted_power_sum, twisted_stop_shell, twist_degree_weight,
                    char_power_sum, TwistFactor, _symbolic_factor)
 from .vadic import vadic_degree_bound
@@ -256,6 +258,17 @@ def enumerated_vadic_zeta_eval(ptv) -> MPoly:
     return MPoly(("z",), terms)
 
 
+def _one_unit_power(u: LaurentSeries, y: ZpExp) -> LaurentSeries:
+    """u^y for a one-unit u as the digit product prod_i (1 + w^(p^i))^(y_i),
+    w = u - 1, known mod pi^min(prec, p^M v(w)).  The oracle's own power,
+    kept apart from `seriesinf.one_unit_pow`."""
+    p, prec = y.p, u.prec
+    one = LaurentSeries.one(u.spec, prec)
+    w = u - one  # a w that is zero at its precision has val = prec
+    value = one_unit_digit_power(w, y.digits, one, lambda x: (x ** p).truncate(prec))
+    return value.truncate(min(prec, p ** y.precision * w.val))
+
+
 def enumerated_bracket_shell(spec: FieldSpec, d: int, neg_y: ZpExp, prec: int) -> LaurentSeries:
     """sum of <a>^(-y) over monic degree-d a, one one-unit power per monic.
 
@@ -265,7 +278,7 @@ def enumerated_bracket_shell(spec: FieldSpec, d: int, neg_y: ZpExp, prec: int) -
     total = LaurentSeries.zero(spec, prec)
     for vec in monic_coeff_vectors(spec, d):
         bracket = LaurentSeries(spec, 0, (1,) + tuple(reversed(vec)), prec)
-        total = total + one_unit_pow(bracket, neg_y)
+        total = total + _one_unit_power(bracket, neg_y)
     return total
 
 
@@ -318,7 +331,7 @@ def enumerated_twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
                 continue
             for f, yid in zip(infinite, y_inv_d):
                 u = frobenius_twist(a, f.frob).eval(f.point) * yid
-                value = value * one_unit_pow(u, f.zexp)
+                value = value * _one_unit_power(u, f.zexp)
             if symbolic:
                 piece = sym_part.map_coefficients(
                     lambda c: LaurentSeries.constant(spec, c.code, prec) * value)

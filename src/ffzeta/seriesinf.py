@@ -11,24 +11,23 @@ Coefficients are code lists.  Sums are `fields.poly_add`, scalings
 `poly_scale` and an inverse a `poly_divmod` quotient, as for APoly.  A
 product keeps only the coefficients below its relative precision: when
 the shorter operand, cut to that length, has at least KERNEL_MUL_MIN
-coefficients (and p <= 251) it is one packed-kernel product masked with
-`kernel.truncate`, otherwise the truncated code-list `poly_mul`.  APoly
-and PadicElem stay on code lists, the kernels' independent reference.
+coefficients it is one packed-kernel product masked with
+`kernel.truncate` (for every field), otherwise the truncated code-list
+`poly_mul`.  APoly and PadicElem stay on code lists, the kernels'
+independent reference.
 
 One-units (valuation 0, constant term 1) carry Z_p-power structure:
 (1+w)^(p^i) = 1 + w^(p^i), so u^y modulo pi^min(prec, p^M v(w)) is
-u^N for the integer N of y's known digits.  Over p <= 251 that is one
-truncated kernel power; over larger p it is the digit product
-`fields.one_unit_digit_power`, shared with A/(P^k).
+u^N for the integer N of y's known digits, one truncated kernel power.
 """
 
 from __future__ import annotations
 
 import operator
 
-from ._kernels import MAX_PACKED_P, get_kernel
-from .fields import (FieldSpec, FqElem, FieldError, ZpExp, binary_power, one_unit_digit_power,
-                     poly_add, poly_divmod, poly_mul, poly_scale)
+from ._kernels import get_kernel
+from .fields import (FieldSpec, FqElem, FieldError, ZpExp, binary_power, poly_add, poly_divmod,
+                     poly_mul, poly_scale)
 
 # A product whose shorter operand, cut to the result's length, has at least
 # this many coefficients is one packed-kernel product; shorter ones stay on
@@ -178,7 +177,7 @@ class LaurentSeries:
         prec = min(self.val + other.prec, other.val + self.prec)
         lo = self.val + other.val
         a, b, n = self.coeff_codes, other.coeff_codes, prec - lo
-        if min(len(a), len(b), n) >= KERNEL_MUL_MIN and self.spec.p <= MAX_PACKED_P:
+        if min(len(a), len(b), n) >= KERNEL_MUL_MIN:
             kernel = get_kernel(self.spec)
             raw = kernel.mul(kernel.from_codes(a[:n]), kernel.from_codes(b[:n]))
             out = kernel.to_codes(kernel.truncate(raw, n))
@@ -211,18 +210,6 @@ class LaurentSeries:
         if n == 0:
             return LaurentSeries.one(self.spec, self.rel_prec())
         return binary_power(self, n, operator.mul)
-
-    def p_power(self) -> "LaurentSeries":
-        """x -> x^p; exact coefficient spread, O(len)."""
-        p = self.spec.p
-        if not self.coeff_codes:
-            return LaurentSeries.zero(self.spec, self.prec * p)
-        codes = [0] * ((len(self.coeff_codes) - 1) * p + 1)
-        frob = self.spec.frob_code
-        for i, c in enumerate(self.coeff_codes):
-            if c:
-                codes[i * p] = frob(c)
-        return LaurentSeries(self.spec, self.val * p, codes, self.prec * p)
 
     def truncate(self, prec: int) -> "LaurentSeries":
         if prec > self.prec:
@@ -300,10 +287,8 @@ def one_unit_pow(u: LaurentSeries, y: ZpExp) -> LaurentSeries:
     The result is u^N modulo pi^g, a one-unit, with N = y.as_int(),
     w = u - 1 and g = min(prec, p^M * v(w)): u^(p^i) = 1 + w^(p^i) is 1
     modulo pi^g once p^i v(w) >= g, so the unknown digits of y do not
-    matter, and N may be cut to N mod p^i.  For p <= 251 this is one
-    kernel power truncated at pi^g; larger p keep the digit product
-    prod_i (1 + w^(p^i))^(d_i) of `fields.one_unit_digit_power`, the
-    same value.
+    matter, and N may be cut to N mod p^i.  This is one kernel power
+    truncated at pi^g.
     """
     if not u.is_one_unit():
         raise ValueError("one_unit_pow needs valuation 0 and constant term 1")
@@ -314,11 +299,6 @@ def one_unit_pow(u: LaurentSeries, y: ZpExp) -> LaurentSeries:
     # v(w); a w that is zero to precision counts as prec, so the guarantee is prec
     v = next((i for i in range(1, len(codes)) if codes[i]), prec)
     guarantee = min(prec, p ** y.precision * v)
-    if p > MAX_PACKED_P:
-        one = LaurentSeries.one(spec, prec)
-        result = one_unit_digit_power(u - one, y.digits, one,
-                                      lambda x: x.p_power().truncate(prec))
-        return result.truncate(min(guarantee, result.prec))
     period = 1
     while period * v < guarantee:
         period *= p

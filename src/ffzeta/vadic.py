@@ -21,7 +21,7 @@ that degree for the gap bound q^(k+1) - (|n_2|+...)(deg P + k) to
 hold (a degree cap of k + deg P provably fails, e.g. q = 2, P = theta,
 k = 0, n_1 = -3).
 
-Each piece of unit arithmetic is done once.  At deg P = 1 and p <= 251,
+Each piece of unit arithmetic is done once.  At deg P = 1,
 `vadic_zeta_eval` needs none: for a unit a mod P,
 omega(a)^delta <a>^(-y) = a^m mod P^k with
 
@@ -29,10 +29,10 @@ omega(a)^delta <a>^(-y) = a^m mod P^k with
     m = N' + r q^j  (q^j >= k least),
 
 since <a>^(p^M') = 1 and omega(a) = a^(q^j) mod P^k, so shell d is
-S_d(m) - P^m S_(d-1)(m) mod P^k, taken at theta (below).  Otherwise it
-takes the Teichmuller lift omega once per residue class mod P (it
-depends only on a mod P), and a gap shell's units are inverted
-together, by one Newton lift of their product.
+S_d(m) - P^m S_(d-1)(m) mod P^k, taken at theta (below).  At
+deg P >= 2 it takes the Teichmuller lift omega once per residue class
+mod P (it depends only on a mod P), and a gap shell's units are
+inverted together, by one Newton lift of their product.
 
 Gap tables live in the localized ring P^e * A/(P^kappa), the
 finite-place analogue of a truncated Laurent series, so inner indices
@@ -58,7 +58,7 @@ import functools
 import itertools
 from math import inf
 
-from ._kernels import MAX_PACKED_P, RawSum, get_kernel, raw_to_apoly, QuotientKernel
+from ._kernels import RawSum, get_kernel, raw_to_apoly, QuotientKernel
 from .fields import FieldSpec, FrozenValue, ZpExp, lq_digit_sum
 from .polyring import APoly, MPoly, chain_sum, enumerate_monic, is_irreducible
 from .padic import PadicCtx, PadicElem, teichmuller, padic_one_unit_pow, split_P_power, _invert_mod
@@ -141,18 +141,17 @@ def vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly:
 def vadic_zeta_eval(ptv: VadicPoint) -> MPoly:
     """sum_{d <= zdeg} z^d sum_{P not| a} omega(a)^delta <a>_P^(-y) in A/(P^k).
 
-    At deg P = 1 and p <= 251 every term is a^m mod P^k for one integer m
+    At deg P = 1 every term is a^m mod P^k for one integer m
     (module docstring), so shell d is S_d(m) - P^m S_(d-1)(m), read off
-    the bottom windows at theta and substituted back at P.  Otherwise
-    omega(a) depends only on a mod P, so each nonzero
-    residue class is lifted once per call, with its omega^(-1) and
-    omega^delta; every monic still takes its own one-unit power of
-    <a> = a omega(a)^(-1).  For an integer exponent y = -n with
+    the bottom windows at theta and substituted back at P.  At deg P >= 2
+    omega(a) depends only on a mod P, so each nonzero residue class is
+    lifted once per call, with its omega^(-1) and omega^delta; every
+    monic still takes its own one-unit power of <a> = a omega(a)^(-1).  For an integer exponent y = -n with
     delta = -n mod q^dP - 1 this reduces to vadic_exact_L(n, 0, P) mod P^k.
     """
     ctx = ptv.ctx
     spec = ctx.field
-    if ctx.dP == 1 and spec.p <= MAX_PACKED_P:  # the theta ring's digits are bytes
+    if ctx.dP == 1:
         return _degree_one_eval(ptv)
     order = ctx.residue_order()
     delta = ptv.delta % order if order > 1 else 0

@@ -40,7 +40,8 @@ per-monic sums as checks.  The t-weights a(t_1)...a(t_s) keep a shell
 per monic: one t-shell sums them times a^N in A, for exact_L at N = -n.
 
 The twisted evaluation still visits the monics of each shell, with no
-series product before a monic's one-unit power.  Infinite factors at
+series product before a monic's one-unit power, and a monic's product
+starts at its first factor, not at 1.  Infinite factors at
 one point whose Frobenius orders agree mod e share the base
 <phi^l(a)(y) / y^d> and merge into one factor with the Z_p sum of their
 exponents.  Each remaining factor forms B_j = y^j y^(-d), j = 0..d,
@@ -58,7 +59,7 @@ import os
 from pathlib import Path
 
 from . import fields
-from ._kernels import MAX_PACKED_P, RawSum, get_kernel, raw_to_apoly
+from ._kernels import RawSum, get_kernel, raw_to_apoly
 from .fields import FieldSpec, FqElem, FrozenValue, ZpExp, ResidueChar, lq_digit_sum
 from .polyring import APoly, MPoly, enumerate_monic, monic_coeff_vectors, frobenius_twist, hyperderivative
 from .seriesinf import LaurentSeries, PrecisionError, one_unit_pow
@@ -306,7 +307,7 @@ _windows_by_spec: dict = {}  # (field key, top) -> {(d, n): (L, window)}, the wi
 def _power_sum_window(spec: FieldSpec, d: int, n: int, L: int, top: bool = False):
     """S_d(n) mod theta^L (the bottom window) or, with `top`, pi^(dn) S_d(n)
     mod pi^L (the top window, pi = 1/theta), L >= 1, as a normalized raw
-    value in theta or pi; p <= 251.  Both follow the degree recursion
+    value in theta or pi.  Both follow the degree recursion
 
         W(d, n, L) = -sum_k C(n, k) x^s W(d-1, k, L - s),   W(0, n, L) = 1,
 
@@ -342,18 +343,11 @@ def _power_sum_window(spec: FieldSpec, d: int, n: int, L: int, top: bool = False
 def shell_sum(spec: FieldSpec, d: int, n: int, shift: int, prec: int) -> LaurentSeries:
     """pi^shift * S_d(n) as a Laurent series known mod pi^prec: pi^(shift - d*n)
     times the top window of S_d(n) of length prec - shift + d*n, never read
-    from the disk cache.  Fields the packed kernel cannot hold (p > 251)
-    sum pi^(shift - d*n) <a>^n over the monics instead.
+    from the disk cache.
     """
     low = shift - d * n
     if power_sum_vanishes(spec, d, n) or low >= prec:
         return LaurentSeries.zero(spec, prec)
-    if spec.p > MAX_PACKED_P:
-        total = LaurentSeries.zero(spec, prec - low)
-        for vec in monic_coeff_vectors(spec, d):
-            bracket = LaurentSeries(spec, 0, (1,) + tuple(reversed(vec)), prec - low)
-            total = total + bracket ** n
-        return total.shift(low)
     codes = get_kernel(spec).to_codes(_power_sum_window(spec, d, n, prec - low, True))
     return LaurentSeries(spec, low, codes, prec)
 
@@ -501,8 +495,7 @@ def pellarin_L_series(spec: FieldSpec, n: int, s: int, zdeg: int, prec: int) -> 
     certifies the tail below pi^prec for evaluation points of Gauss
     norm <= 1.  Shell d is the t-shell at p^M' - n times pi^(d p^M')
     (module docstring), so it vanishes past
-    exact_L_degree_bound(spec, n - p^M', s) and the loop stops there; like
-    exact_L, it needs p <= 251.
+    exact_L_degree_bound(spec, n - p^M', s) and the loop stops there.
     """
     if n < 1:
         raise ValueError("pellarin_L_series needs n >= 1; use exact_L for n <= 0")
@@ -746,12 +739,18 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     bases = [(_OneUnitBasis(point, frob), zexp)
              for point, frob, zexp in _merge_infinite(spec, infinite)]
 
+    def times(value, f):
+        """value * f, where None is the exact 1 that starts a monic's product."""
+        if value is None:
+            return f.truncate(min(f.prec, f.val + prec))
+        return value * f
+
     def shell_value(d):
         acc = None
         for basis, _ in bases:
             basis.start_shell(d)
         for a in enumerate_monic(spec, d):
-            value = LaurentSeries.one(spec, prec)
+            value = None
             sym_part = MPoly.const(sym_names, FqElem(spec, 1))
             sym_index = 0
             for f in finite:
@@ -762,11 +761,12 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
                         break  # an exactly-zero hyperderivative factor
                 else:
                     b = frobenius_twist(hyperderivative(a, f.hyper), f.frob)
-                    value = value * b.eval(f.point)
+                    value = times(value, b.eval(f.point))
             if sym_part.is_zero():
                 continue
             for basis, zexp in bases:
-                value = value * one_unit_pow(basis.one_unit(a.coeff_codes), zexp)
+                value = times(value, one_unit_pow(basis.one_unit(a.coeff_codes), zexp))
+            value = LaurentSeries.one(spec, prec) if value is None else value
             if symbolic:
                 piece = sym_part.map_coefficients(
                     lambda c: LaurentSeries.constant(spec, c.code, prec) * value)

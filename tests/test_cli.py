@@ -231,18 +231,20 @@ def test_options_a_route_would_ignore_or_misread_exit_2(capsys, argv, message):
     assert err.startswith(f"error: {message}")
 
 
-def test_powersum_past_the_packed_kernel_exits_2(capsys):
-    code, out, err = run_cli(capsys, "powersum", "--p", "257", "--d", "1", "--n", "3")
-    assert code == 2 and not out
-    assert "needs p <= 251" in err
-    code, out, err = run_cli(capsys, "pellarin", "--p", "257", "--n", "1", "--zdeg", "1",
+def test_powersum_and_pellarin_past_p_251_exit_0(capsys):
+    # S_1(q - 1) = -1 for every q
+    code, out, err = run_cli(capsys, "powersum", "--p", "257", "--d", "1", "--n", "256")
+    assert code == 0 and not err
+    assert json.loads(out) == {"coeffs": [[256]]}
+    code, out, err = run_cli(capsys, "pellarin", "--p", "257", "--n", "256", "--zdeg", "1",
                              "--prec", "5")
-    assert code == 2 and not out
-    assert "needs p <= 251" in err
+    assert code == 0 and not err
+    assert json.loads(out) == {"vars": ["z"], "terms": [
+        {"exp": [0], "coeff": {"val": 0, "prec": 5, "coeffs": [[1]]}}]}
 
 
 def test_degree_one_vadic_eval_past_the_packed_kernel_exits_0(capsys):
-    # p = 257 has no theta ring; the per-residue lifts give 1 mod P^2
+    # at p = 257 too a degree-one place takes the theta ring; the value is 1 mod P^2
     code, out, err = run_cli(capsys, "vadic-eval", "--p", "257", "--P", "[3,1]", "--k", "2",
                              "--neg-y-digits", "5,0", "--delta", "5", "--zdeg", "1")
     assert code == 0 and not err

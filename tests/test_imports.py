@@ -92,6 +92,13 @@ def test_unused_private_helper_guard_catches_each_form(sources, unused):
     assert _unreferenced_private_defs(sources) == unused
 
 
+def test_only_the_kernels_know_the_digit_width():
+    """The packed digit width is chosen in `_kernels` alone: no other module
+    names MAX_PACKED_P, so none branches on how wide a digit is."""
+    assert [p.name for p in MODULES if p.name != "_kernels.py"
+            and "MAX_PACKED_P" in _referenced_names(ast.parse(p.read_text()))] == []
+
+
 def _asserts(source):
     """Line numbers of the `assert` statements of `source`."""
     return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]

@@ -1,6 +1,7 @@
 """Kernel arithmetic against APoly, the quotient kernel against APoly % m."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from sympy.polys.galoistools import gf_pow
 
 from ffzeta import fields, oracle, zeta
 from ffzeta._kernels import QuotientKernel, RawSum, get_kernel
-from ffzeta.fields import FieldError, FieldSpec, binary_power, poly_mod, poly_mul, poly_trim
+from ffzeta.fields import FieldSpec, binary_power, poly_mod, poly_mul, poly_trim
 from ffzeta.padic import _invert_mod
 from ffzeta.polyring import APoly
 
@@ -413,24 +414,49 @@ def test_packed_digit_bound_at_p_251(monkeypatch):
     assert kernel.to_codes(kernel.mul(rc, rc)) == (c * c).coeff_codes
 
 
-def test_packed_kernel_rejects_p_above_251():
-    kernel = get_kernel(FieldSpec(257, (0, 1)))
-    with pytest.raises(FieldError, match="p <= 251"):
-        kernel.from_codes((1, 256))
-
-
-def test_packed_kernel_above_p_251_raises_on_every_digit_use():
-    kernel = get_kernel(FieldSpec(257, (0, 1)))
-    zero, one = kernel.zero(), (1,)
-    for use in (lambda: kernel.from_codes((1,)), lambda: kernel.to_codes(zero),
-                lambda: kernel.normalize(zero), lambda: kernel.is_zero(zero),
-                lambda: kernel.frob_spread(one), lambda: kernel.mul(one, one),
-                lambda: kernel.pow(one, 0), lambda: kernel.pow(one, 3)):
-        with pytest.raises(FieldError, match="p <= 251"):
-            use()
-    # the recursion reaches normalize without a child: S_1(3) over F_257
-    with pytest.raises(FieldError, match="p <= 251"):
-        zeta._power_sum_raw(kernel.spec, kernel, 1, 3, {})
+@pytest.mark.parametrize("p", (257, 263, 1021))
+def test_wide_kernel_matches_apoly(p, monkeypatch):
+    """Past p = 251 a digit is 32 bits: the codec, products (whole and cut
+    into pieces), powers with and without a limit, Frobenius spreads and
+    normalized sums against APoly."""
+    spec = FieldSpec(p, (0, 1))
+    kernel = get_kernel(spec)
+    assert kernel.max_mul_len == (2 ** 32 - 1) // (p - 1) ** 2
+    rng = random.Random(p)
+    polys = [APoly(spec, [rng.randrange(p) for _ in range(n)] + [p - 1]) for n in (0, 1, 4, 16, 39)]
+    raws = [kernel.from_codes(a.coeff_codes) for a in polys]
+    assert kernel.to_codes(kernel.from_codes(())) == ()
+    for a, ra in zip(polys, raws):
+        assert kernel.to_codes(ra) == a.coeff_codes
+        spread = [0] * (p * a.degree + 1)
+        spread[::p] = a.coeff_codes
+        assert kernel.to_codes(kernel.frob_spread(ra)) == tuple(spread)
+        for b, rb in zip(polys, raws):
+            assert kernel.to_codes(kernel.mul(ra, rb)) == (a * b).coeff_codes
+            assert kernel.to_codes(kernel.normalize(kernel.add(ra, rb))) == (a + b).coeff_codes
+    # 40 scaled terms: digits pass 2^24 but stay below 2^32
+    total, want = kernel.zero(), APoly.zero(spec)
+    for i in range(40):
+        c = rng.randrange(1, p)
+        total = kernel.add(total, kernel.scale(raws[i % 5], c))
+        want = want + polys[i % 5] * APoly.constant(spec, c)
+    assert max(map(int.bit_length, total)) > 24
+    assert kernel.to_codes(kernel.normalize(total)) == want.coeff_codes
+    assert kernel.is_zero(kernel.add(raws[2], kernel.scale(raws[2], p - 1)))
+    c = rng.randrange(1, p)
+    rx = kernel.from_codes((c, 1))
+    for n in (0, 1, 5, p, p + 2, 2 * p + 1):
+        want = [math.comb(n, j) * pow(c, n - j, p) % p for j in range(n + 1)]  # (theta + c)^n
+        assert kernel.to_codes(kernel.pow(rx, n)) == tuple(want), n
+        for limit in (1, 3, 50):
+            assert kernel.to_codes(kernel.pow(rx, n, limit=limit)) \
+                == tuple(poly_trim(want[:limit])), (n, limit)
+    # products whose shorter operand passes max_mul_len go in pieces
+    monkeypatch.setattr(kernel, "max_mul_len", 3)
+    monkeypatch.setattr(kernel, "_piece_bits", 3 * 32)
+    for a, ra in zip(polys, raws):
+        for b, rb in zip(polys, raws):
+            assert kernel.to_codes(kernel.mul(ra, rb)) == (a * b).coeff_codes
 
 
 def test_raw_sum_normalizes_just_before_a_digit_reaches_2_24():

@@ -5,12 +5,13 @@ from pathlib import Path
 import pytest
 
 from ffzeta._kernels import get_kernel
-from ffzeta.fields import FieldSpec, FqElem
+from ffzeta.fields import FieldSpec, FqElem, ZpExp
 from ffzeta.polyring import APoly, MPoly
 from ffzeta.oracle import (CharsumConfig, charsum_trial, random_charsum_config,
                            enumerated_power_sum, threshold_scan,
                            ENUMERATION_BUDGET)
 from ffzeta import oracle
+from ffzeta.seriesinf import LaurentSeries, one_unit_pow
 from ffzeta.zeta import power_sum
 
 F2 = FieldSpec.default(2)
@@ -161,7 +162,7 @@ CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_power_sum_window", "_recursio
                   "_lucas_support", "prime_to_p_power_sum", "exact_L", "vadic_exact_L",
                   "reduced_power_sum", "_t_shell", "pellarin_L_series", "goss_zeta_eval",
                   "mzv_eval_inf", "twisted_L_eval", "_merge_infinite", "_OneUnitBasis",
-                  "vadic_zeta_eval", "shell_unit_inverses"}
+                  "vadic_zeta_eval", "shell_unit_inverses", "one_unit_pow"}
 CHECKED_MODULES = {"zeta", "vadic", "mzv"}
 
 
@@ -226,3 +227,17 @@ def test_digit_power_matches_apoly_power(q):
             == (x ** n).coeff_codes
     with pytest.raises(ValueError):
         oracle._digit_power(kernel, kernel.from_codes(x.coeff_codes), -1)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 257))
+def test_one_unit_power_matches_one_unit_pow(q):
+    """The oracle's digit product against the library's kernel power, value
+    and precision, exponents with too few digits for prec among them."""
+    spec = FieldSpec(q, (0, 1)) if q == 257 else FieldSpec.default(q)
+    rng = random.Random(q)
+    for _ in range(40):
+        prec = rng.randrange(1, 30)
+        codes = (1,) + tuple(rng.randrange(q) * (rng.random() < 0.5) for _ in range(prec - 1))
+        u = LaurentSeries(spec, 0, codes, prec)
+        y = ZpExp(spec.p, tuple(rng.randrange(spec.p) for _ in range(rng.randrange(1, 5))))
+        assert oracle._one_unit_power(u, y) == one_unit_pow(u, y), (codes, y.digits)

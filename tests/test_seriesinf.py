@@ -147,14 +147,6 @@ def test_one_unit_pow_homomorphism_laws():
             assert lhs2.agrees_with(rhs2, prec=cut2)
 
 
-def test_p_power_is_exact_frobenius_spread():
-    rng = random.Random(21)
-    for spec in (F2, F3):
-        for _ in range(50):
-            x = rand_series(spec, rng, 12)
-            assert x.p_power().agrees_with(x ** spec.p, prec=(x ** spec.p).prec)
-
-
 def test_json_roundtrip():
     x = LaurentSeries(F3, -2, (2, 0, 1), 6)
     assert LaurentSeries.from_json(F3, x.to_json()) == x

@@ -14,7 +14,7 @@ import pytest
 
 from ffzeta import zeta
 from ffzeta._kernels import get_kernel
-from ffzeta.fields import FieldError, FieldSpec, ZpExp
+from ffzeta.fields import FieldSpec, ZpExp
 from ffzeta.mzv import MzvIndex, mzv_eval_inf
 from ffzeta.oracle import enumerated_bracket_shell, enumerated_inverse_shell
 from ffzeta.polyring import APoly
@@ -83,9 +83,20 @@ def test_pellarin_series_matches_enumerated_shells(spec):
                 assert pellarin_L_series(spec, n, s, zdeg, prec).terms == expected, (s, prec, n)
 
 
-def test_pellarin_series_past_the_packed_kernel_raises():
-    with pytest.raises(FieldError, match="p <= 251"):
-        pellarin_L_series(FieldSpec(257, (0, 1)), 1, 0, 1, 5)
+@pytest.mark.parametrize("p", (257, 263, 1021))
+def test_pellarin_series_past_p_251_matches_enumerated_shells(p):
+    # (n, s, zdeg, prec).  At p = 257 the t-shell of n = 1 sits at exponent
+    # p - 1 and first reaches pi^(p-1), so shell 1 is nonzero below pi^p; at
+    # p = 263, n = p - 1 puts it at exponent 1.  A degree-one shell at
+    # p = 1021 takes either side about a minute, so there only shell 0 is
+    # compared.
+    spec = FieldSpec(p, (0, 1))
+    cases = {257: [(1, 1, 1, p)], 263: [(p - 1, 1, 1, p)],
+             1021: [(p - 1, 0, 0, 5), (p - 1, 1, 0, 5)]}[p]
+    for n, s, zdeg, prec in cases:
+        expected = {js + (d,): c for d in range(zdeg + 1) for js, c in
+                    enumerated_inverse_shell(spec, d, n, prec, s).items() if c}
+        assert pellarin_L_series(spec, n, s, zdeg, prec).terms == expected, (n, s)
 
 
 def _oracle_goss(spec, x, y, prec):
@@ -134,7 +145,7 @@ def test_goss_keeps_its_errors():
 
 
 def test_fields_past_the_packed_kernel_sum_shells_per_monic():
-    # p = 257 > 251: codes do not fit the packed kernel
+    # p = 257: 32-bit kernel digits, against the per-monic oracles
     spec = FieldSpec(257, (0, 1))
     for prec, digits in ((2, (5,)), (9, (256, 256, 7))):
         y = ZpExp(257, digits)

@@ -336,8 +336,8 @@ def test_degree_one_eval_past_the_per_monic_sizes():
 
 
 def test_degree_one_eval_past_the_packed_kernel_lifts_each_residue():
-    # the theta ring's digits are bytes (p <= 251), so at p = 257 a degree-one
-    # place keeps the per-residue lifts of deg P >= 2
+    # at p = 257 the theta ring has 32-bit digits; the oracle lifts every
+    # monic's Teichmuller part itself
     spec = FieldSpec(257, (0, 1))
     rng = random.Random(257)
     cases = [(3, 2, (5, 0), 5, 1)] + [(rng.randrange(257), k, [rng.randrange(257)] * k,
@@ -346,6 +346,21 @@ def test_degree_one_eval_past_the_packed_kernel_lifts_each_residue():
         ptv = VadicPoint(PadicCtx(APoly(spec, (spec.neg_code(c), 1)), k), ZpExp(257, digits),
                          delta, zdeg)
         assert vadic_zeta_eval(ptv) == enumerated_vadic_zeta_eval(ptv), (c, k, digits, delta)
+
+
+@pytest.mark.parametrize("p", (257, 263, 1021))
+def test_power_sums_past_p_251_match_enumeration(p):
+    # enumeration takes up to p - 1 kernel products per base-p digit of n,
+    # so it sees small digits only; S_1(q - 1) = -1 for every q
+    spec = FieldSpec(p, (0, 1))
+    P = APoly(spec, (spec.neg_code(3), 1))
+    assert power_sum(spec, 1, p - 1) == APoly.constant(spec, p - 1)
+    for d, n in ((0, 0), (1, 1), (1, 2 * p + 1)):
+        assert power_sum(spec, d, n) == enumerated_power_sum(spec, d, n), (d, n)
+    for n in (1, p + 1):
+        for s in (0, 1):
+            assert vadic_exact_L(spec, -n, s, P) == enumerated_vadic_exact_L(spec, -n, s, P)
+    assert interpolation_gap(spec, (-2, 1), P, 0) >= interpolation_gap_bound(spec, (-2, 1), 1, 0)
 
 
 @pytest.mark.parametrize("q, dP", FINITE_PLACES, ids=str)

@@ -695,7 +695,7 @@ def test_infinite_place_evaluations_reject_precision_below_one():
 
 
 def test_char_power_sum_at_n_0_needs_no_packed_kernel():
-    # p = 257 > 251: n = 0 reads only character values
+    # p = 257: n = 0 reads only character values
     spec = FieldSpec(257, (0, 1))
     chi = ResidueChar(spec, (0, 1), 2)
     assert char_power_sum(spec, 1, chi, 0).code == sum(c * c for c in range(1, 257)) % 257
