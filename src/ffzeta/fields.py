@@ -194,19 +194,12 @@ def binary_power(base, n: int, mul):
         base = mul(base, base)
 
 
-def one_unit_digit_power(w, digits, one, frobenius):
-    """(1 + w)^y for y = sum_i digits[i] p^i, as prod_i (1 + w^(p^i))^digits[i];
-    `frobenius` maps w^(p^i) to w^(p^(i+1)) and the product stops once
-    that power is zero in the caller's ring."""
-    result = one
-    for i, d in enumerate(digits):
-        if i:
-            w = frobenius(w)  # w^(p^i)
-        if w.is_zero():
-            break
-        if d:
-            result = result * (one + w) ** d
-    return result
+def least_p_power(p: int, bound: int) -> int:
+    """The least power p^M with p^M >= bound."""
+    power = 1
+    while power < bound:
+        power *= p
+    return power
 
 
 def poly_powmod(F, a, n, m):

@@ -19,10 +19,10 @@ power sum pi^(d p^M) S_d(p^M - n) mod pi^prec, for p^M >= max(prec, n).
 
 from __future__ import annotations
 
-from .fields import FieldSpec, FrozenValue, lq_digit_sum
+from .fields import FieldSpec, FrozenValue, least_p_power, lq_digit_sum
 from .polyring import APoly, MPoly, chain_sum, is_irreducible
 from .seriesinf import LaurentSeries
-from .zeta import power_sum, least_p_power, shell_sum
+from .zeta import power_sum, shell_sum
 from .vadic import prime_to_p_power_sum
 
 

@@ -23,6 +23,11 @@ not with `seriesinf.one_unit_pow`.  The twisted evaluation keeps the
 library's per-monic loop without its merged factors and per-shell
 one-unit basis, and the v-adic evaluation lifts and inverts every
 monic's Teichmuller part itself, with no lift shared by a residue class.
+Where the library takes one integer power, the oracle keeps the
+structural algorithms: one-units are raised by the digit product
+prod_i (1 + w^(p^i))^(y_i) (`_one_unit_digit_power`), at infinity and in
+A/(P^k), and the Teichmuller lift is the fixed point of x -> x^(q^dP)
+(`_fixed_point_lift`), not `padic.teichmuller`'s single power.
 """
 
 from __future__ import annotations
@@ -30,12 +35,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from .fields import (FieldSpec, FqElem, FrozenValue, ResidueChar, ZpExp, lq_digit_sum,
-                     one_unit_digit_power)
+from .fields import FieldSpec, FqElem, FrozenValue, ResidueChar, ZpExp, lq_digit_sum
 from ._kernels import RawSum, get_kernel
 from .polyring import (APoly, MPoly, enumerate_monic, frobenius_twist, hyperderivative,
                        is_irreducible, monic_coeff_vectors)
-from .padic import padic_one_unit_pow, teichmuller
 from .seriesinf import LaurentSeries, PrecisionError
 from .zeta import (power_sum, twisted_power_sum, twisted_stop_shell, twist_degree_weight,
                    char_power_sum, TwistFactor, _symbolic_factor)
@@ -237,7 +240,8 @@ def enumerated_vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly
 
 def enumerated_vadic_zeta_eval(ptv) -> MPoly:
     """vadic_zeta_eval's sum for a VadicPoint, monic by monic: every monic
-    prime to P takes its own Teichmuller lift, inverse and omega^delta."""
+    prime to P takes its own fixed-point Teichmuller lift, inverse and
+    omega^delta, and the digit product of its one-unit part."""
     ctx = ptv.ctx
     order = ctx.residue_order()
     delta = ptv.delta % order if order > 1 else 0
@@ -248,8 +252,8 @@ def enumerated_vadic_zeta_eval(ptv) -> MPoly:
             ar = ctx.reduce(a)
             if ar.vP() > 0:
                 continue
-            omega = teichmuller(ar, ctx)
-            value = padic_one_unit_pow(ar * omega.inverse(), ptv.neg_y)
+            omega = _fixed_point_lift(ar)
+            value = _padic_one_unit_power(ar * omega.inverse(), ptv.neg_y)
             if delta:
                 value = value * omega ** delta
             total = total + value
@@ -258,15 +262,64 @@ def enumerated_vadic_zeta_eval(ptv) -> MPoly:
     return MPoly(("z",), terms)
 
 
+def _one_unit_digit_power(w, digits, one, frobenius):
+    """(1 + w)^y for y = sum_i digits[i] p^i, as prod_i (1 + w^(p^i))^digits[i];
+    `frobenius` maps w^(p^i) to w^(p^(i+1)) and the product stops once
+    that power is zero in the caller's ring."""
+    result = one
+    for i, d in enumerate(digits):
+        if i:
+            w = frobenius(w)  # w^(p^i)
+        if w.is_zero():
+            break
+        if d:
+            result = result * (one + w) ** d
+    return result
+
+
+def _fixed_point_lift(x):
+    """The Teichmuller lift of a unit x of A/(P^k) as the fixed point of
+    x -> x^(q^dP), which gains at least one P-adic digit a step, so k
+    steps reach it.  The oracle's own lift, kept apart from
+    `padic.teichmuller`."""
+    ctx = x.ctx
+    e = ctx.field.q ** ctx.dP
+    for _ in range(ctx.k):
+        nxt = x ** e
+        if nxt == x:
+            break
+        x = nxt
+    return x
+
+
+def _padic_one_unit_power(u, y: ZpExp):
+    """u^y for a one-unit u of A/(P^k) by the digit product, which stops
+    once w^(p^i) = 0, at the latest when p^i >= k.  The oracle's own
+    power, kept apart from `padic.padic_one_unit_pow`."""
+    one = u.ctx.one()
+    return _one_unit_digit_power(u - one, y.digits, one, lambda x: x ** y.p)
+
+
+def _frobenius_step(x: LaurentSeries, prec: int) -> LaurentSeries:
+    """x^p mod pi^prec.  While p v(x) < prec, x^p = x'^p mod pi^prec for x'
+    the cut of x to pi^c, c = prec - (p-1) v(x), as (x - x')^p has
+    valuation >= p c >= prec; x'^p is then known to exactly pi^prec.
+    Past that, x^p is zero mod pi^prec."""
+    p, v = x.spec.p, x.val
+    if p * v >= prec:
+        return LaurentSeries.zero(x.spec, prec)
+    return x.truncate(prec - (p - 1) * v) ** p
+
+
 def _one_unit_power(u: LaurentSeries, y: ZpExp) -> LaurentSeries:
     """u^y for a one-unit u as the digit product prod_i (1 + w^(p^i))^(y_i),
     w = u - 1, known mod pi^min(prec, p^M v(w)).  The oracle's own power,
     kept apart from `seriesinf.one_unit_pow`."""
-    p, prec = y.p, u.prec
+    prec = u.prec
     one = LaurentSeries.one(u.spec, prec)
     w = u - one  # a w that is zero at its precision has val = prec
-    value = one_unit_digit_power(w, y.digits, one, lambda x: (x ** p).truncate(prec))
-    return value.truncate(min(prec, p ** y.precision * w.val))
+    value = _one_unit_digit_power(w, y.digits, one, lambda x: _frobenius_step(x, prec))
+    return value.truncate(min(prec, y.p ** y.precision * w.val))
 
 
 def enumerated_bracket_shell(spec: FieldSpec, d: int, neg_y: ZpExp, prec: int) -> LaurentSeries:

@@ -4,9 +4,10 @@ P is a monic irreducible polynomial of A = F_q[theta] and also serves
 as the uniformizer, so every computation stays inside A: elements are
 canonical representatives of degree < k*deg(P).  The Teichmuller part
 of a unit is the q^deg(P)-power fixed point congruent to it mod P; the
-bracket part is the complementary one-unit.  One-units admit p-adic
-exponents through the digit product of the infinite place,
-`fields.one_unit_digit_power`.
+bracket part is the complementary one-unit.  Both are one integer
+power: a one-unit u has u^(p^M) = 1 once p^M >= k, so u^y = u^(N mod p^M)
+for the integer N of y's digits, and omega(a) = a^(Q^j) for
+Q = q^deg(P) once Q^j >= k.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import functools
 
 from . import fields
-from .fields import ZpExp
+from .fields import ZpExp, least_p_power
 from .polyring import APoly, is_irreducible
 from .seriesinf import PrecisionError
 
@@ -215,19 +216,13 @@ def _invert_mod(F, a: APoly, m: APoly) -> APoly:
 def teichmuller(a, ctx: PadicCtx) -> PadicElem:
     """The q^dP-power fixed point congruent to a mod P (requires P not | a).
 
-    Iterating x -> x^(q^dP) gains one P-adic digit per step, so at most k
-    iterations reach the fixed point in A/(P^k); multiplicativity follows.
+    With Q = q^dP, a^(Q-1) is a one-unit, so a^((Q-1) Q^j) = 1 in A/(P^k)
+    once the p-power Q^j is >= k: then omega(a) = a^(Q^j), one power.
     """
     x = a if isinstance(a, PadicElem) else ctx.reduce(a)
     if x.vP() > 0:
         raise ZeroDivisionError("Teichmuller lift needs a unit (P does not divide a)")
-    e = ctx.field.q ** ctx.dP
-    for _ in range(ctx.k):
-        nxt = x ** e
-        if nxt == x:
-            break
-        x = nxt
-    return x
+    return x ** least_p_power(ctx.field.q ** ctx.dP, ctx.k)
 
 
 def padic_bracket(a, ctx: PadicCtx) -> PadicElem:
@@ -237,10 +232,10 @@ def padic_bracket(a, ctx: PadicCtx) -> PadicElem:
 
 
 def padic_one_unit_pow(u: PadicElem, y: ZpExp) -> PadicElem:
-    """Digit product for a p-adic power of a one-unit in A/(P^k).
+    """A p-adic power of a one-unit in A/(P^k), again a one-unit.
 
-    Needs p^M >= k so the ignored digits sit above P^k; the output is
-    again a one-unit.
+    u^(p^M') = 1 in A/(P^k) once p^M' >= k, so u^y = u^(N mod p^M') for
+    the integer N of y's digits, one power; y needs p^M >= k digits.
     """
     ctx = u.ctx
     if not u.is_one_unit():
@@ -252,4 +247,4 @@ def padic_one_unit_pow(u: PadicElem, y: ZpExp) -> PadicElem:
         raise PrecisionError(
             f"need p^M >= k = {ctx.k}; got p^{y.precision} = {p ** y.precision}",
             precision=p ** y.precision)
-    return fields.one_unit_digit_power(u - ctx.one(), y.digits, ctx.one(), lambda x: x ** p)
+    return u ** (y.as_int() % least_p_power(p, ctx.k))

@@ -26,8 +26,8 @@ from __future__ import annotations
 import operator
 
 from ._kernels import get_kernel
-from .fields import (FieldSpec, FqElem, FieldError, ZpExp, binary_power, poly_add, poly_divmod,
-                     poly_mul, poly_scale)
+from .fields import (FieldSpec, FqElem, FieldError, ZpExp, binary_power, least_p_power, poly_add,
+                     poly_divmod, poly_mul, poly_scale)
 
 # A product whose shorter operand, cut to the result's length, has at least
 # this many coefficients is one packed-kernel product; shorter ones stay on
@@ -299,9 +299,7 @@ def one_unit_pow(u: LaurentSeries, y: ZpExp) -> LaurentSeries:
     # v(w); a w that is zero to precision counts as prec, so the guarantee is prec
     v = next((i for i in range(1, len(codes)) if codes[i]), prec)
     guarantee = min(prec, p ** y.precision * v)
-    period = 1
-    while period * v < guarantee:
-        period *= p
+    period = least_p_power(p, -(-guarantee // v))
     kernel = get_kernel(spec)
     raw = kernel.pow(kernel.from_codes(codes), y.as_int() % period, limit=guarantee)
     return LaurentSeries(spec, 0, kernel.to_codes(raw), guarantee)

@@ -30,9 +30,11 @@ omega(a)^delta <a>^(-y) = a^m mod P^k with
 
 since <a>^(p^M') = 1 and omega(a) = a^(q^j) mod P^k, so shell d is
 S_d(m) - P^m S_(d-1)(m) mod P^k, taken at theta (below).  At
-deg P >= 2 it takes the Teichmuller lift omega once per residue class
-mod P (it depends only on a mod P), and a gap shell's units are
-inverted together, by one Newton lift of their product.
+deg P >= 2 it takes the Teichmuller lift omega = a^(Q^j) (Q = q^deg P,
+Q^j >= k least) once per residue class mod P (it depends only on
+a mod P), and each monic's <a>^(-y) as the one power <a>^(N'), with N'
+as above.  A gap shell's units are inverted together, by one Newton
+lift of their product.
 
 Gap tables live in the localized ring P^e * A/(P^kappa), the
 finite-place analogue of a truncated Laurent series, so inner indices
@@ -59,12 +61,11 @@ import itertools
 from math import inf
 
 from ._kernels import RawSum, get_kernel, raw_to_apoly, QuotientKernel
-from .fields import FieldSpec, FrozenValue, ZpExp, lq_digit_sum
+from .fields import FieldSpec, FrozenValue, ZpExp, least_p_power, lq_digit_sum
 from .polyring import APoly, MPoly, chain_sum, enumerate_monic, is_irreducible
 from .padic import PadicCtx, PadicElem, teichmuller, padic_one_unit_pow, split_P_power, _invert_mod
 from .seriesinf import PrecisionError
-from .zeta import (power_sum, exact_L, exact_L_degree_bound, least_p_power, _power_sum_raw,
-                   _power_sum_window)
+from .zeta import power_sum, exact_L, exact_L_degree_bound, _power_sum_raw, _power_sum_window
 
 
 class VadicPoint(FrozenValue):
@@ -146,7 +147,8 @@ def vadic_zeta_eval(ptv: VadicPoint) -> MPoly:
     the bottom windows at theta and substituted back at P.  At deg P >= 2
     omega(a) depends only on a mod P, so each nonzero residue class is
     lifted once per call, with its omega^(-1) and omega^delta; every
-    monic still takes its own one-unit power of <a> = a omega(a)^(-1).  For an integer exponent y = -n with
+    monic still takes its own one-unit power of <a> = a omega(a)^(-1),
+    one integer power.  For an integer exponent y = -n with
     delta = -n mod q^dP - 1 this reduces to vadic_exact_L(n, 0, P) mod P^k.
     """
     ctx = ptv.ctx
@@ -387,10 +389,9 @@ class _ThetaRing(_LocalRing):
         return _power_sum_window(self.spec, d, n, self.kappa)
 
     def unit_power_sum(self, d: int, n: int):
-        q, j = self.spec.q, 0
-        while q ** j < self.kappa or (q - 1) * q ** j - n < self.kappa:
-            j += 1
-        return _power_sum_window(self.spec, d, (q - 1) * q ** j - n, self.kappa)
+        q = self.spec.q
+        qj = least_p_power(q, max(self.kappa, -(-(self.kappa + n) // (q - 1))))
+        return _power_sum_window(self.spec, d, (q - 1) * qj - n, self.kappa)
 
 
 class _LocalValue:

@@ -60,7 +60,8 @@ from pathlib import Path
 
 from . import fields
 from ._kernels import RawSum, get_kernel, raw_to_apoly
-from .fields import FieldSpec, FqElem, FrozenValue, ZpExp, ResidueChar, lq_digit_sum
+from .fields import (FieldSpec, FqElem, FrozenValue, ZpExp, ResidueChar, least_p_power,
+                     lq_digit_sum)
 from .polyring import APoly, MPoly, enumerate_monic, monic_coeff_vectors, frobenius_twist, hyperderivative
 from .seriesinf import LaurentSeries, PrecisionError, one_unit_pow
 
@@ -266,19 +267,22 @@ _memo_by_spec: dict = {}
 def power_sum(spec: FieldSpec, d: int, n: int) -> APoly:
     """S_d(n) = sum of a^n over monic degree-d polynomials, exactly.
 
-    Zero whenever d(q-1) > lq(n).  Taken from the memo, a plausible disk
+    Zero whenever d(q-1) > lq(n).  S_0(n) = 1 is neither looked up nor
+    stored; at d >= 1 the value is taken from the memo, a plausible disk
     line or the recursion, then stored under FFZETA_CACHE keyed by
     (field, d, n).
     """
     if d < 0 or n < 0:
         raise ValueError("power_sum needs d, n >= 0")
+    if d == 0:
+        return APoly.one(spec)
     cache = _cache()
     kernel = get_kernel(spec)
     memo = _memo_by_spec.setdefault(spec._key(), {})
     ckey = PowerSumCache.key(spec, d, n)
     raw = memo.get((d, n))
     if raw is None:
-        hit = cache.get(ckey) if d else None  # S_0(n) = 1 needs no lookup
+        hit = cache.get(ckey)
         if hit is not None and _plausible_power_sum(spec, d, n, hit):
             raw = memo[(d, n)] = kernel.from_codes(hit)
         else:
@@ -291,14 +295,6 @@ def power_sum(spec: FieldSpec, d: int, n: int) -> APoly:
 def power_sum_vanishes(spec: FieldSpec, d: int, n: int) -> bool:
     """The digit-sum vanishing predicate d(q-1) > lq(n)."""
     return d * (spec.q - 1) > lq_digit_sum(n, spec.q)
-
-
-def least_p_power(p: int, bound: int) -> int:
-    """The least power p^M with p^M >= bound."""
-    power = 1
-    while power < bound:
-        power *= p
-    return power
 
 
 _windows_by_spec: dict = {}  # (field key, top) -> {(d, n): (L, window)}, the widest L asked

@@ -6,7 +6,8 @@ import pytest
 
 from ffzeta._kernels import get_kernel
 from ffzeta.fields import FieldSpec, FqElem, ZpExp
-from ffzeta.polyring import APoly, MPoly
+from ffzeta.padic import PadicCtx, padic_one_unit_pow, teichmuller
+from ffzeta.polyring import APoly, MPoly, is_irreducible
 from ffzeta.oracle import (CharsumConfig, charsum_trial, random_charsum_config,
                            enumerated_power_sum, threshold_scan,
                            ENUMERATION_BUDGET)
@@ -162,7 +163,8 @@ CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_power_sum_window", "_recursio
                   "_lucas_support", "prime_to_p_power_sum", "exact_L", "vadic_exact_L",
                   "reduced_power_sum", "_t_shell", "pellarin_L_series", "goss_zeta_eval",
                   "mzv_eval_inf", "twisted_L_eval", "_merge_infinite", "_OneUnitBasis",
-                  "vadic_zeta_eval", "shell_unit_inverses", "one_unit_pow"}
+                  "vadic_zeta_eval", "shell_unit_inverses", "one_unit_pow", "teichmuller",
+                  "padic_one_unit_pow"}
 CHECKED_MODULES = {"zeta", "vadic", "mzv"}
 
 
@@ -241,3 +243,53 @@ def test_one_unit_power_matches_one_unit_pow(q):
         u = LaurentSeries(spec, 0, codes, prec)
         y = ZpExp(spec.p, tuple(rng.randrange(spec.p) for _ in range(rng.randrange(1, 5))))
         assert oracle._one_unit_power(u, y) == one_unit_pow(u, y), (codes, y.digits)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_frobenius_step_cut_first_matches_the_uncut_power(q):
+    """x cut to pi^(prec - (p-1) v) before the p-th power gives the value,
+    valuation and precision of the whole power cut at prec, p v >= prec
+    (a zero at prec) among the cases."""
+    spec, rng = FieldSpec.default(q), random.Random(q + 700)
+    p = spec.p
+    large = 0
+    for _ in range(120):
+        prec = rng.randrange(2, 40)
+        v = rng.randrange(1, prec)
+        codes = (rng.randrange(1, q),) + tuple(rng.randrange(q) * (rng.random() < 0.6)
+                                               for _ in range(prec - v - 1))
+        x = LaurentSeries(spec, v, codes, prec)
+        large += p * v >= prec
+        assert oracle._frobenius_step(x, prec) == (x ** p).truncate(prec), (v, codes, prec)
+    assert large
+
+
+TOWER = FieldSpec.extension(FieldSpec.default(4), (2, 1, 1))  # x^2 + x + xi over F_4
+
+
+@pytest.mark.parametrize("dP", (1, 2, 3))
+@pytest.mark.parametrize("spec", [FieldSpec.default(q) for q in (2, 3, 4, 5, 9)] + [TOWER],
+                         ids=["2", "3", "4", "5", "9", "4^2"])
+def test_integer_powers_in_A_mod_P_k_match_the_oracle(spec, dP):
+    """teichmuller's single power against the fixed-point lift, and
+    padic_one_unit_pow's against the digit product, for k <= 12 and
+    exponents with 0-3 digits past the least p^M' >= k."""
+    rng = random.Random(spec.q * 10 + dP)
+    p = spec.p
+    while not is_irreducible(P := APoly(spec, [rng.randrange(spec.q) for _ in range(dP)] + [1])):
+        pass
+    for k in (1, 2, 3, 5, 8, 12):
+        ctx = PadicCtx(P, k)
+        M = 0
+        while p ** M < k:
+            M += 1
+        for _ in range(6):
+            a = APoly(spec, [rng.randrange(spec.q) for _ in range(k * dP)])
+            if not a % P:
+                a = a + APoly.one(spec)
+            assert teichmuller(a, ctx) == oracle._fixed_point_lift(ctx.reduce(a)), (k, a)
+            # w = P^v b with v from 1 up to past k, where u = 1
+            b = APoly(spec, [rng.randrange(spec.q) for _ in range(k * dP)])
+            u = ctx.reduce(APoly.one(spec) + P ** rng.randrange(1, k + 2) * b)
+            y = ZpExp(p, [rng.randrange(p) for _ in range(max(1, M + rng.randrange(4)))])
+            assert padic_one_unit_pow(u, y) == oracle._padic_one_unit_power(u, y), (k, u, y)

@@ -9,8 +9,8 @@ from sympy.polys.galoistools import gf_add, gf_mul
 
 from ffzeta import seriesinf
 from ffzeta._kernels import get_kernel
-from ffzeta.fields import (FieldSpec, ZpExp, binary_power, one_unit_digit_power, poly_add,
-                           poly_mul, poly_trim)
+from ffzeta.fields import FieldSpec, ZpExp, binary_power, poly_add, poly_mul, poly_trim
+from ffzeta.oracle import _one_unit_digit_power
 from ffzeta.polyring import APoly
 from ffzeta.seriesinf import (KERNEL_MUL_MIN, LaurentSeries, PrecisionError, decompose,
                               one_unit_pow)
@@ -345,7 +345,7 @@ def _digit_product_reference(u, y):
     w = _CodeListSeries(spec, (0,) + u.coeff_codes[1:], prec)
     v = next((i for i, c in enumerate(w.codes) if c), prec)
     cert = min(prec, spec.p ** y.precision * v)
-    value = one_unit_digit_power(w, y.digits, one, _CodeListSeries.p_power)
+    value = _one_unit_digit_power(w, y.digits, one, _CodeListSeries.p_power)
     return tuple(poly_trim(value.codes[:cert])), cert
 
 

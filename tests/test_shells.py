@@ -14,13 +14,13 @@ import pytest
 
 from ffzeta import zeta
 from ffzeta._kernels import get_kernel
-from ffzeta.fields import FieldSpec, ZpExp
+from ffzeta.fields import FieldSpec, ZpExp, least_p_power
 from ffzeta.mzv import MzvIndex, mzv_eval_inf
 from ffzeta.oracle import enumerated_bracket_shell, enumerated_inverse_shell
 from ffzeta.polyring import APoly
 from ffzeta.seriesinf import LaurentSeries, PrecisionError
 from ffzeta.zeta import (SInftyPoint, goss_zeta_eval, infty_coeff_valuation_bound,
-                         least_p_power, pellarin_L_series, shell_sum)
+                         pellarin_L_series, shell_sum)
 
 FIELDS = [FieldSpec.default(q) for q in (2, 3, 4, 5, 9)]
 PRECS = (1, 6, 20, 80)

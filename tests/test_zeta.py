@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ffzeta.fields import FieldSpec, FqElem, ZpExp, ResidueChar
+from ffzeta.fields import FieldSpec, FqElem, ZpExp, ResidueChar, least_p_power
 from ffzeta.polyring import APoly, MPoly, enumerate_monic
 from ffzeta.seriesinf import LaurentSeries, PrecisionError, one_unit_pow
 from ffzeta._kernels import get_kernel
@@ -16,8 +16,7 @@ from ffzeta.zeta import (PowerSumCache, SInftyPoint, TwistFactor, power_sum,
                          power_sum_vanishes, twisted_power_sum, char_power_sum,
                          exact_L, exact_L_degree_bound, pellarin_L_series,
                          goss_zeta_eval, twisted_L_eval, zpoly_eval_laurent,
-                         infty_coeff_valuation_bound, least_p_power, twisted_stop_shell,
-                         twist_degree_weight)
+                         infty_coeff_valuation_bound, twisted_stop_shell, twist_degree_weight)
 
 F2 = FieldSpec.default(2)
 F3 = FieldSpec.default(3)
@@ -93,6 +92,15 @@ def test_power_sum_cache_corrupt_line_leaves_other_keys_readable(tmp_path, monke
     assert fresh._line(keys[0]).endswith(keys[0] + '"')  # indexed, yet unreadable
     assert fresh.get(keys[0]) is None
     assert fresh.get(keys[1]) == tuple(power_sum(F3, 2, 4).coeff_codes)
+
+
+def test_power_sum_at_degree_0_writes_no_line(tmp_path, monkeypatch):
+    monkeypatch.setenv("FFZETA_CACHE", str(tmp_path))
+    for n in (0, 1, 5):
+        assert power_sum(F3, 0, n) == APoly.one(F3)
+    assert not PowerSumCache(tmp_path).path.exists()
+    power_sum(F3, 1, 2)
+    assert PowerSumCache(tmp_path).path.read_text().count("\n") == 1
 
 
 def test_power_sum_cache_put_of_a_stored_key_appends_nothing(tmp_path, monkeypatch):
