@@ -12,6 +12,7 @@ inverses, powers and Frobenius are exponent arithmetic mod q - 1.
 from __future__ import annotations
 
 import json
+import math
 from functools import cached_property
 
 MAX_FIELD_SIZE = 1024
@@ -625,20 +626,11 @@ def base_digits(n: int, q: int):
 
 def binom_mod_p(k: int, m: int, p: int) -> int:
     """Binomial coefficient C(k, m) mod p by the digit-wise Lucas product."""
-    if m < 0 or k < 0:
-        return 0
-    if k < m:
+    if m < 0 or k < m:
         return 0
     result = 1
-    while m or k:
-        km, mm = k % p, m % p
-        if mm > km:
-            return 0
-        num = den = 1
-        for i in range(mm):
-            num = num * (km - i) % p
-            den = den * (i + 1) % p
-        result = result * num * pow(den, p - 2, p) % p if p > 2 else result * num % p
+    while m and result:
+        result = result * math.comb(k % p, m % p) % p
         k //= p
         m //= p
     return result

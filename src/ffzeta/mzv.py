@@ -19,10 +19,10 @@ power sum pi^(d p^M) S_d(p^M - n) mod pi^prec, for p^M >= max(prec, n).
 
 from __future__ import annotations
 
-from .fields import FieldSpec, FrozenValue, least_p_power, lq_digit_sum
+from .fields import FieldSpec, FrozenValue, least_p_power
 from .polyring import APoly, MPoly, chain_sum, is_irreducible
 from .seriesinf import LaurentSeries
-from .zeta import power_sum, shell_sum
+from .zeta import exact_L_degree_bound, power_sum, shell_sum
 from .vadic import prime_to_p_power_sum
 
 
@@ -53,7 +53,7 @@ def _exact_chain_sum(spec: FieldSpec, idx: MzvIndex, P: APoly | None = None) -> 
         raise ValueError("P is reducible")
     r = idx.depth
     names = tuple(f"z{i + 1}" for i in range(r))
-    caps = [lq_digit_sum(-n, spec.q) // (spec.q - 1) for n in idx.ns]
+    caps = [exact_L_degree_bound(spec, n, 0) for n in idx.ns]
     if P is not None:
         caps[0] += P.degree
 

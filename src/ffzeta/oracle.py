@@ -11,7 +11,9 @@ pointwise products are then added up with the same tables.
 threshold_scan sweeps the concrete vanishing claims (plain, twisted
 and character power sums) against enumeration and reports any row
 where a bound predicts zero but the value is not: such a row is a
-failure of the build, not of the scan.
+failure of the build, not of the scan.  The plain and twisted scans
+also list every cell where the library's value differs from the
+enumerated one (`fast_path_mismatches`).
 
 The enumerated power sums, prime-to-P sums and infinite-place shells
 here are the independent side of the dual routes: the library computes
@@ -19,10 +21,14 @@ the same values from the degree recursion and the Euler-factor
 identity, never by visiting the q^d monics.  The enumerated sums raise
 each monic to its power with `_digit_power` here, not with the
 kernels' `pow`, and the one-units at infinity with `_one_unit_power`,
-not with `seriesinf.one_unit_pow`.  The twisted evaluation keeps the
-library's per-monic loop without its merged factors and per-shell
-one-unit basis, and the v-adic evaluation lifts and inverts every
-monic's Teichmuller part itself, with no lift shared by a residue class.
+not with `seriesinf.one_unit_pow`.  A monic's product of symbolic
+twisted factors is one MPoly product per factor here
+(`_symbolic_product`), where the library reads it off a table of
+coefficient codes; the twisted power sum adds those products up, and
+the twisted evaluation keeps the library's per-monic loop without its
+code tables, merged factors and per-shell one-unit basis.  The v-adic
+evaluation lifts and inverts every monic's Teichmuller part itself,
+with no lift shared by a residue class.
 Where the library takes one integer power, the oracle keeps the
 structural algorithms: one-units are raised by the digit product
 prod_i (1 + w^(p^i))^(y_i) (`_one_unit_digit_power`), at infinity and in
@@ -41,7 +47,7 @@ from .polyring import (APoly, MPoly, enumerate_monic, frobenius_twist, hyperderi
                        is_irreducible, monic_coeff_vectors)
 from .seriesinf import LaurentSeries, PrecisionError
 from .zeta import (power_sum, twisted_power_sum, twisted_stop_shell, twist_degree_weight,
-                   char_power_sum, TwistFactor, _symbolic_factor)
+                   char_power_sum, TwistFactor)
 from .vadic import vadic_degree_bound
 
 ENUMERATION_BUDGET = 10 ** 7
@@ -351,6 +357,37 @@ def enumerated_inverse_shell(spec: FieldSpec, d: int, n: int, prec: int, s: int 
     return total
 
 
+def _symbolic_product(a: APoly, factors, names, target: FieldSpec, code: int = 1) -> MPoly:
+    """code * prod_i phi^(e_i)(a^(m_i))(t_i), factor i in the variable
+    names[i], as one MPoly product per factor."""
+    prod = MPoly.const(names, FqElem(target, code))
+    for i, f in enumerate(factors):
+        b = frobenius_twist(hyperderivative(a, f.hyper), f.frob)
+        prod = prod * MPoly(names, {(0,) * i + (j,) + (0,) * (len(names) - i - 1):
+                                    FqElem(target, c) for j, c in enumerate(b.coeff_codes)})
+        if prod.is_zero():
+            break
+    return prod
+
+
+def enumerated_twisted_power_sum(spec: FieldSpec, d: int, factors,
+                                 char: ResidueChar | None = None) -> MPoly:
+    """twisted_power_sum monic by monic, each monic's product of factors
+    an MPoly product."""
+    factors = list(factors)
+    for f in factors:
+        if f.kind != "finite" or f.point is not None:
+            raise ValueError("twisted_power_sum takes symbolic finite factors only")
+    target = char.residue_field if char is not None else spec
+    names = tuple(f"t{i + 1}" for i in range(len(factors)))
+    total = MPoly.zero(names)
+    for a in enumerate_monic(spec, d):
+        chi_code = char.eval_codes(a.coeff_codes) if char is not None else 1
+        if chi_code:
+            total = total + _symbolic_product(a, factors, names, target, chi_code)
+    return total
+
+
 def enumerated_twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     """twisted_L_eval's sum over the same shells, monic by monic: every
     factor is evaluated by Horner's rule at its point, and every infinite
@@ -368,20 +405,15 @@ def enumerated_twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
         acc = None
         y_inv_d = [yi ** d for yi in y_inv]
         for a in enumerate_monic(spec, d):
-            value = LaurentSeries.one(spec, prec)
-            sym_part = MPoly.const(sym_names, FqElem(spec, 1))
-            sym_index = 0
-            for f in finite:
-                if f.point is None:
-                    sym_part = sym_part * _symbolic_factor(a, f, sym_names, sym_index, spec)
-                    sym_index += 1
-                    if sym_part.is_zero():
-                        break
-                else:
-                    b = frobenius_twist(hyperderivative(a, f.hyper), f.frob)
-                    value = value * b.eval(f.point)
+            sym_part = _symbolic_product(a, [f for f in finite if f.point is None],
+                                         sym_names, spec)
             if sym_part.is_zero():
                 continue
+            value = LaurentSeries.one(spec, prec)
+            for f in finite:
+                if f.point is not None:
+                    b = frobenius_twist(hyperderivative(a, f.hyper), f.frob)
+                    value = value * b.eval(f.point)
             for f, yid in zip(infinite, y_inv_d):
                 u = frobenius_twist(a, f.frob).eval(f.point) * yid
                 value = value * _one_unit_power(u, f.zexp)
@@ -466,6 +498,7 @@ def _scan_powersum(spec, d_max, n_max, budget):
 def _scan_twisted(spec, d_max, s_max, budget):
     rows = []
     violations = []
+    mismatches = []
     complete = True
     q = spec.q
     for s in range(s_max + 1):
@@ -476,15 +509,17 @@ def _scan_twisted(spec, d_max, s_max, budget):
                 if q ** d * (d + 1) ** s > budget:
                     complete = False
                     continue
-                value = twisted_power_sum(spec, d, factors)
+                value = enumerated_twisted_power_sum(spec, d, factors)
                 zero = value.is_zero()
                 predicted = d * (q - 1) > weight
                 rows.append({"q": q, "s": s, "orders": list(orders), "d": d, "zero": zero,
                              "predicted": predicted})
                 if predicted and not zero:
                     violations.append(rows[-1])
+                if twisted_power_sum(spec, d, factors) != value:
+                    mismatches.append({"q": q, "s": s, "orders": list(orders), "d": d})
     return {"kind": "twisted", "q": q, "rows": rows, "violations": violations,
-            "complete": complete}
+            "fast_path_mismatches": mismatches, "complete": complete}
 
 
 def _scan_char(spec, P, delta, d_max, budget):

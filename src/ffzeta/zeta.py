@@ -36,17 +36,22 @@ term by <a>^(p^M') = 1 mod pi^prec.  Every term is then exactly
 the top window of S_d(N).  The numeric multiple zeta shells and the
 Pellarin series use a^(-n) = pi^(d p^M') a^(p^M' - n), p^M' >= max(prec, n).
 These evaluations never touch the disk cache; `oracle.py` keeps the
-per-monic sums as checks.  The t-weights a(t_1)...a(t_s) keep a shell
-per monic: one t-shell sums them times a^N in A, for exact_L at N = -n.
+per-monic sums as checks.  With t-weights a(t_1)...a(t_s), s >= 1, the
+shells visit the monics: one t-shell sums them times a^N in A, for
+exact_L at N = -n and for the Pellarin series at N = p^M' - n.
 
-The twisted evaluation still visits the monics of each shell, with no
-series product before a monic's one-unit power, and a monic's product
-starts at its first factor, not at 1.  Infinite factors at
-one point whose Frobenius orders agree mod e share the base
-<phi^l(a)(y) / y^d> and merge into one factor with the Z_p sum of their
-exponents.  Each remaining factor forms B_j = y^j y^(-d), j = 0..d,
-once per shell, and a monic's one-unit sum_j phi^l(c_j) B_j is added
-up with field-code arithmetic.
+Every finite twisted factor phi^(e_i)(a^(m_i)) is linear in a's
+coefficients, so a monic's product of symbolic factors is a table of
+field codes, one per t-monomial (`_monomial_codes`): twisted_power_sum
+adds the tables up with field-code arithmetic, and the twisted
+evaluation builds one MPoly per shell from them.  That evaluation
+visits the monics of each shell, with no series product before a
+monic's one-unit power, and a monic's product starts at its first
+factor, not at 1.  Infinite factors at one point whose Frobenius orders
+agree mod e share the base <phi^l(a)(y) / y^d> and merge into one
+factor with the Z_p sum of their exponents.  Each remaining factor
+forms B_j = y^j y^(-d), j = 0..d, once per shell, and a monic's
+one-unit sum_j phi^l(c_j) B_j is added up with field-code arithmetic.
 """
 
 from __future__ import annotations
@@ -352,16 +357,15 @@ def shell_sum(spec: FieldSpec, d: int, n: int, shift: int, prec: int) -> Laurent
 # twisted and character power sums
 
 
-def _symbolic_factor(a: APoly, factor: TwistFactor, var_names, index, target_spec):
-    b = frobenius_twist(hyperderivative(a, factor.hyper), factor.frob)
-    terms = {}
-    arity = len(var_names)
-    for j, code in enumerate(b.coeff_codes):
-        if code:
-            exp = [0] * arity
-            exp[index] = j
-            terms[tuple(exp)] = FqElem(target_spec, code)
-    return MPoly(var_names, terms)
+def _monomial_codes(spec: FieldSpec, rows) -> dict:
+    """The t-monomials of prod_i sum_j rows[i][j] t_i^j, rows of codes:
+    {(j_1..j_s): product of codes}, zero codes left out."""
+    table = {(): 1}
+    for row in rows:
+        support = [(j, c) for j, c in enumerate(row) if c]
+        table = {key + (j,): spec.mul_code(code, c)
+                 for key, code in table.items() for j, c in support}
+    return table
 
 
 def twisted_power_sum(spec: FieldSpec, d: int, factors, char: ResidueChar | None = None) -> MPoly:
@@ -370,6 +374,8 @@ def twisted_power_sum(spec: FieldSpec, d: int, factors, char: ResidueChar | None
     All factor points are symbolic.  Without a character, the sum is
     exactly zero once d(q-1) > twist_degree_weight(factors); for equal
     Frobenius orders that is d > s/(q-1), and mixed orders vanish later.
+    Each factor is linear in a's coefficients, so a monic's product is
+    the table of `_monomial_codes`, added up with field-code arithmetic.
     """
     factors = list(factors)
     for f in factors:
@@ -377,21 +383,15 @@ def twisted_power_sum(spec: FieldSpec, d: int, factors, char: ResidueChar | None
             raise ValueError("twisted_power_sum takes symbolic finite factors only")
     target = char.residue_field if char is not None else spec
     names = tuple(f"t{i + 1}" for i in range(len(factors)))
-    total = MPoly.zero(names)
+    total = {}
     for a in enumerate_monic(spec, d):
-        if char is not None:
-            chi_code = char.eval_codes(a.coeff_codes)
-            if chi_code == 0:
-                continue
-            prod = MPoly.const(names, FqElem(target, chi_code))
-        else:
-            prod = MPoly.const(names, FqElem(target, 1))
-        for i, f in enumerate(factors):
-            prod = prod * _symbolic_factor(a, f, names, i, target)
-            if prod.is_zero():
-                break
-        total = total + prod
-    return total
+        chi_code = char.eval_codes(a.coeff_codes) if char is not None else 1
+        if chi_code == 0:
+            continue
+        rows = [frobenius_twist(hyperderivative(a, f.hyper), f.frob).coeff_codes for f in factors]
+        for key, code in _monomial_codes(target, rows).items():
+            total[key] = target.add_code(total.get(key, 0), target.mul_code(chi_code, code))
+    return MPoly(names, {key: FqElem(target, code) for key, code in total.items()})
 
 
 def char_power_sum(spec: FieldSpec, d: int, chi: ResidueChar, n: int):
@@ -492,6 +492,7 @@ def pellarin_L_series(spec: FieldSpec, n: int, s: int, zdeg: int, prec: int) -> 
     norm <= 1.  Shell d is the t-shell at p^M' - n times pi^(d p^M')
     (module docstring), so it vanishes past
     exact_L_degree_bound(spec, n - p^M', s) and the loop stops there.
+    At s = 0 it is the top window `shell_sum`, as in `mzv_eval_inf`.
     """
     if n < 1:
         raise ValueError("pellarin_L_series needs n >= 1; use exact_L for n <= 0")
@@ -505,8 +506,13 @@ def pellarin_L_series(spec: FieldSpec, n: int, s: int, zdeg: int, prec: int) -> 
     kernel = get_kernel(spec)
     # shells with d n >= prec vanish mod pi^prec, and so do those past the degree count
     for d in range(min(zdeg, (prec - 1) // n, exact_L_degree_bound(spec, n - big, s)) + 1):
-        terms.update(_t_shell(spec, kernel, d, s, big - n, lambda codes: LaurentSeries(
-            spec, d * big - len(codes) + 1, codes[::-1], prec)))
+        if s == 0:
+            coeff = shell_sum(spec, d, big - n, d * big, prec)
+            if coeff:
+                terms[(d,)] = coeff
+        else:
+            terms.update(_t_shell(spec, kernel, d, s, big - n, lambda codes: LaurentSeries(
+                spec, d * big - len(codes) + 1, codes[::-1], prec)))
     return MPoly(names, terms)
 
 
@@ -718,8 +724,9 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
                        prod_j <phi^(l_j)(a)(y_j) / y_j^d> ^ (z_j)
 
     Finite factors with symbolic points produce an MPoly with Laurent
-    coefficients; otherwise the value is a LaurentSeries.  The shells
-    run to `twisted_stop_shell`.  Infinite factors at one point whose
+    coefficients, built once per shell from each monic's table of codes
+    (`_monomial_codes`); otherwise the value is a LaurentSeries.  The
+    shells run to `twisted_stop_shell`.  Infinite factors at one point whose
     Frobenius orders agree mod e merge into one factor with the Z_p sum
     of their exponents.  Each remaining factor builds its one-units from
     the per-shell basis y^j y^(-d) (`_OneUnitBasis`) and raises them with
@@ -742,36 +749,35 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
         return value * f
 
     def shell_value(d):
-        acc = None
+        acc, terms = None, {}
         for basis, _ in bases:
             basis.start_shell(d)
         for a in enumerate_monic(spec, d):
+            twists = [frobenius_twist(hyperderivative(a, f.hyper), f.frob) for f in finite]
+            table = _monomial_codes(spec, [b.coeff_codes for f, b in zip(finite, twists)
+                                           if f.point is None])
+            if not table:
+                continue  # an exactly-zero hyperderivative factor
             value = None
-            sym_part = MPoly.const(sym_names, FqElem(spec, 1))
-            sym_index = 0
-            for f in finite:
-                if f.point is None:
-                    sym_part = sym_part * _symbolic_factor(a, f, sym_names, sym_index, spec)
-                    sym_index += 1
-                    if sym_part.is_zero():
-                        break  # an exactly-zero hyperderivative factor
-                else:
-                    b = frobenius_twist(hyperderivative(a, f.hyper), f.frob)
+            for f, b in zip(finite, twists):
+                if f.point is not None:
                     value = times(value, b.eval(f.point))
-            if sym_part.is_zero():
-                continue
             for basis, zexp in bases:
                 value = times(value, one_unit_pow(basis.one_unit(a.coeff_codes), zexp))
             value = LaurentSeries.one(spec, prec) if value is None else value
-            if symbolic:
-                piece = sym_part.map_coefficients(
-                    lambda c: LaurentSeries.constant(spec, c.code, prec) * value)
-                acc = piece if acc is None else acc + piece
-            else:
+            if not symbolic:
                 acc = value if acc is None else acc + value
-        if acc is None:
-            acc = MPoly.zero(sym_names) if symbolic else LaurentSeries.zero(spec, prec)
-        return acc
+                continue
+            # as in MPoly addition, a term or a sum zero at its precision drops out
+            for key, code in table.items():
+                term = LaurentSeries.constant(spec, code, prec) * value
+                if term and key in terms:
+                    term = terms.pop(key) + term
+                if term:
+                    terms[key] = term
+        if symbolic:
+            return MPoly(sym_names, terms)
+        return LaurentSeries.zero(spec, prec) if acc is None else acc
 
     x_pow = LaurentSeries.one(spec, prec + stop * (abs(x.valuation()) + 1))
     total = None

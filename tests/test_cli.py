@@ -8,7 +8,7 @@ import pytest
 
 import ffzeta
 from ffzeta.cli import COMMANDS, main
-from ffzeta.fields import FieldSpec
+from ffzeta.fields import FieldSpec, FqElem
 from ffzeta.polyring import APoly, MPoly
 from ffzeta.seriesinf import LaurentSeries
 from ffzeta.zeta import exact_L
@@ -273,6 +273,21 @@ def test_verify_thresholds_exits_3_on_a_fast_path_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(ffzeta.oracle, "power_sum", real)
     code, out, _ = run_cli(capsys, "verify", "thresholds", "--p", "2", "--budget", "2000")
     assert code == 0 and not json.loads(out)["reports"][0]["fast_path_mismatches"]
+
+
+def test_verify_thresholds_exits_3_on_a_twisted_fast_path_mismatch(capsys, monkeypatch):
+    real = ffzeta.oracle.twisted_power_sum
+    monkeypatch.setattr(ffzeta.oracle, "twisted_power_sum",
+                        lambda spec, d, factors: real(spec, d, factors) + MPoly.const(
+                            tuple(f"t{i + 1}" for i in range(len(factors))), FqElem(spec, 1)))
+    code, out, _ = run_cli(capsys, "verify", "thresholds", "--p", "2", "--budget", "2000")
+    report = json.loads(out)
+    assert report["violations"] == []
+    assert report["reports"][1]["fast_path_mismatches"]
+    assert code == 3
+    monkeypatch.setattr(ffzeta.oracle, "twisted_power_sum", real)
+    code, out, _ = run_cli(capsys, "verify", "thresholds", "--p", "2", "--budget", "2000")
+    assert code == 0 and not json.loads(out)["reports"][1]["fast_path_mismatches"]
 
 
 def test_unreadable_json_file_is_a_validation_error(capsys, tmp_path):

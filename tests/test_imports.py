@@ -99,6 +99,69 @@ def test_only_the_kernels_know_the_digit_width():
             and "MAX_PACKED_P" in _referenced_names(ast.parse(p.read_text()))] == []
 
 
+# The only library functions that visit the q^d monics of a degree; the
+# list may only shrink.  oracle.py enumerates freely: that is its job.
+MONIC_LOOPS = {"zeta.twisted_power_sum", "zeta.char_power_sum", "zeta._t_shell",
+               "zeta.twisted_L_eval", "vadic.vadic_zeta_eval",
+               "vadic._LocalRing.shell_unit_inverses"}
+ENUMERATORS = {"enumerate_monic", "monic_coeff_vectors"}
+
+
+def _monic_loops(module, source):
+    """module.function (module.Class.method) for every top-level function
+    or method of `source` that reaches an enumerator by name, alias or
+    attribute; a reach outside any function reads as module.<module>."""
+    tree = ast.parse(source)
+    names = set(ENUMERATORS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {a.asname for a in node.names if a.name in ENUMERATORS and a.asname}
+
+    def reaches(node):
+        return any(isinstance(sub, ast.Name) and sub.id in names
+                   or isinstance(sub, ast.Attribute) and sub.attr in ENUMERATORS
+                   for sub in ast.walk(node))
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{node.name}.{f.name}" if isinstance(f, functions) else node.name, f)
+                      for f in node.body]
+        elif isinstance(node, functions):
+            scopes = [(node.name, node)]
+        else:
+            scopes = [("<module>", node)]
+        found |= {f"{module}.{name}" for name, scope in scopes if reaches(scope)}
+    return found
+
+
+def test_only_the_listed_functions_visit_the_monics():
+    found = set()
+    for path in MODULES:
+        if path.name != "oracle.py":
+            found |= _monic_loops(path.stem, path.read_text())
+    assert found <= MONIC_LOOPS, sorted(found - MONIC_LOOPS)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .polyring import enumerate_monic\ndef f(s):\n    return list(enumerate_monic(s, 2))",
+     {"m.f"}),
+    ("from .polyring import monic_coeff_vectors as vecs\ndef f(s):\n    return vecs(s, 2)",
+     {"m.f"}),
+    ("from . import polyring\ndef f(s):\n    return polyring.enumerate_monic(s, 2)", {"m.f"}),
+    ("import ffzeta.polyring\nclass C:\n    def g(self, s):\n"
+     "        return ffzeta.polyring.monic_coeff_vectors(s, 1)", {"m.C.g"}),
+    ("from .polyring import *\ndef f(s):\n    def inner():\n"
+     "        return enumerate_monic(s, 1)\n    return inner()", {"m.f"}),
+    ("from .polyring import enumerate_monic\nMONICS = list(enumerate_monic(None, 0))",
+     {"m.<module>"}),
+    ("from .polyring import APoly\ndef f(s):\n    return APoly.one(s)", set()),
+])
+def test_monic_loop_guard_catches_each_import_form(source, found):
+    assert _monic_loops("m", source) == found
+
+
 def _asserts(source):
     """Line numbers of the `assert` statements of `source`."""
     return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]

@@ -163,6 +163,7 @@ CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_power_sum_window", "_recursio
                   "_lucas_support", "prime_to_p_power_sum", "exact_L", "vadic_exact_L",
                   "reduced_power_sum", "_t_shell", "pellarin_L_series", "goss_zeta_eval",
                   "mzv_eval_inf", "twisted_L_eval", "_merge_infinite", "_OneUnitBasis",
+                  "_monomial_codes",
                   "vadic_zeta_eval", "shell_unit_inverses", "one_unit_pow", "teichmuller",
                   "padic_one_unit_pow"}
 CHECKED_MODULES = {"zeta", "vadic", "mzv"}
@@ -196,6 +197,7 @@ def test_oracle_shares_no_code_path_with_what_it_checks():
 @pytest.mark.parametrize("source", [
     "from .zeta import power_sum, shell_sum",
     "from .zeta import _t_shell as t",
+    "from .zeta import twisted_power_sum, _monomial_codes",
     "from ffzeta.zeta import exact_L",
     "from . import zeta",
     "from ffzeta import mzv",

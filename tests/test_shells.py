@@ -87,11 +87,12 @@ def test_pellarin_series_matches_enumerated_shells(spec):
 def test_pellarin_series_past_p_251_matches_enumerated_shells(p):
     # (n, s, zdeg, prec).  At p = 257 the t-shell of n = 1 sits at exponent
     # p - 1 and first reaches pi^(p-1), so shell 1 is nonzero below pi^p; at
-    # p = 263, n = p - 1 puts it at exponent 1.  A degree-one shell at
-    # p = 1021 takes either side about a minute, so there only shell 0 is
-    # compared.
+    # s = 0 it is sum_c 1/(theta + c) = -pi^p + ..., zero mod pi^5 and
+    # nonzero mod pi^(p+1).  At p = 263, n = p - 1 puts the t-shell at
+    # exponent 1.  A degree-one shell at p = 1021 takes either side about a
+    # minute, so there only shell 0 is compared.
     spec = FieldSpec(p, (0, 1))
-    cases = {257: [(1, 1, 1, p)], 263: [(p - 1, 1, 1, p)],
+    cases = {257: [(1, 1, 1, p), (1, 0, 1, 5), (1, 0, 1, p + 1)], 263: [(p - 1, 1, 1, p)],
              1021: [(p - 1, 0, 0, 5), (p - 1, 1, 0, 5)]}[p]
     for n, s, zdeg, prec in cases:
         expected = {js + (d,): c for d in range(zdeg + 1) for js, c in

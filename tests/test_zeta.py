@@ -6,11 +6,11 @@ import random
 import pytest
 
 from ffzeta.fields import FieldSpec, FqElem, ZpExp, ResidueChar, least_p_power
-from ffzeta.polyring import APoly, MPoly, enumerate_monic
+from ffzeta.polyring import APoly, MPoly, enumerate_monic, is_irreducible
 from ffzeta.seriesinf import LaurentSeries, PrecisionError, one_unit_pow
 from ffzeta._kernels import get_kernel
 from ffzeta.oracle import (enumerated_bracket_shell, enumerated_power_sum,
-                           enumerated_twisted_L_eval)
+                           enumerated_twisted_L_eval, enumerated_twisted_power_sum)
 from ffzeta import polyring, seriesinf, zeta
 from ffzeta.zeta import (PowerSumCache, SInftyPoint, TwistFactor, power_sum,
                          power_sum_vanishes, twisted_power_sum, char_power_sum,
@@ -456,19 +456,35 @@ def test_pellarin_computes_no_shell_past_the_degree_count(monkeypatch, q, n, s, 
     bound = exact_L_degree_bound(spec, n - big, s)
     zdeg = -(-prec // n)
     assert bound < min(zdeg, (prec - 1) // n)
-    real = zeta._t_shell
-    shells = []
+    real, real_top = zeta._t_shell, zeta.shell_sum
+    shells = []  # the shells of either route: t-shells, or top windows at s = 0
 
     def counted(spec_, kernel, d, s_, N, convert):
         shells.append(d)
         return real(spec_, kernel, d, s_, N, convert)
 
+    def counted_top(spec_, d, N, shift, prec_):
+        shells.append(d)
+        return real_top(spec_, d, N, shift, prec_)
+
     monkeypatch.setattr(zeta, "_t_shell", counted)
+    monkeypatch.setattr(zeta, "shell_sum", counted_top)
     L = pellarin_L_series(spec, n, s, zdeg, prec)
     assert shells == list(range(bound + 1))
     assert max(exp[-1] for exp in L.terms) <= bound
     # the first shell it skips is zero
     assert real(spec, get_kernel(spec), bound + 1, s, big - n, lambda codes: codes) == {}
+
+
+def test_pellarin_at_s_0_calls_no_t_shell(monkeypatch):
+    # s = 0 shells are top windows of S_d(p^M' - n), as in mzv_eval_inf
+    def refuse(*args):
+        raise AssertionError("pellarin_L_series took a t-shell at s = 0")
+
+    monkeypatch.setattr(zeta, "_t_shell", refuse)
+    for q in (2, 3, 4):
+        L = pellarin_L_series(FieldSpec.default(q), 1, 0, 6, 20)
+        assert max(exp[-1] for exp in L.terms) >= 1, q
 
 
 # -- evaluation at p-adic exponents -------------------------------------------
@@ -639,6 +655,71 @@ def test_twisted_L_eval_matches_the_per_monic_oracle(q):
         assert value == enumerated_twisted_L_eval(finite, infinite, x, prec), name
         if isinstance(value, MPoly):
             assert value.terms, name
+
+
+def _random_finite(rng, spec, point=None, hypers=None):
+    """A finite factor with a Frobenius order up to 2e - 1 and by default
+    a hyperderivative order among 0, 1, p - 1, p, p + 1: at order 1 the
+    coefficient of theta^p has C(p, 1) = 0 mod p."""
+    p = spec.p
+    hypers = hypers or (0, 0, 1, 1, p - 1, p, p + 1)
+    return TwistFactor("finite", frob=rng.randrange(2 * spec.e), hyper=rng.choice(hypers),
+                       point=point)
+
+
+def _outcome(fn, *args):
+    """The value of fn, or the precision a PrecisionError reported."""
+    try:
+        return fn(*args)
+    except PrecisionError as exc:
+        return ("PrecisionError", exc.precision)
+
+
+@pytest.mark.parametrize("q", sorted(TWISTED_ORACLE_PREC))
+def test_coefficient_tables_match_the_per_monic_mpoly_products(q):
+    """twisted_power_sum and twisted_L_eval against the oracle's per-monic
+    MPoly products, values and precisions: random mixed Frobenius and
+    hyperderivative orders, characters whose residue field is an extension
+    of F_q (deg P = 2), and numeric points of valuation -1, 0 and 1."""
+    spec = FieldSpec.default(q)
+    p = spec.p
+    rng = random.Random(q + 2700)
+    d_max = max(d for d in range(7) if q ** d <= 100)
+    nonzero = 0
+    for i in range(24):
+        factors = [_random_finite(rng, spec) for _ in range(rng.randrange(4))]
+        char = None
+        if i % 2:  # deg P = 1, 2 in turn
+            while not is_irreducible(P := APoly(spec, [rng.randrange(q) for _ in range(
+                    1 + i % 4 // 2)] + [1])):
+                pass
+            char = ResidueChar(spec, P.coeff_codes, rng.randrange(1, q ** P.degree))
+        for d in range(d_max + 1):
+            value = twisted_power_sum(spec, d, factors, char)
+            assert value == enumerated_twisted_power_sum(spec, d, factors, char), (factors, char, d)
+            nonzero += bool(value)
+    assert nonzero >= 8
+    prec = TWISTED_ORACLE_PREC[q]
+    x = LaurentSeries.from_apoly(APoly(spec, (rng.randrange(q), 1)), prec + 8)
+    symbolic_nonzero = 0
+    for v in (-1, 0, 1, -1, 0, 1):
+        codes = (rng.randrange(1, q),) + tuple(rng.randrange(q) for _ in range(prec + 6))
+        point = LaurentSeries(spec, v, codes, v + prec + rng.randrange(2, 8))
+        finite = [_random_finite(rng, spec, hypers=(0, 0, 1)),
+                  _random_finite(rng, spec, point, hypers=(0, 0, 1))]
+        if rng.random() < 0.5:
+            finite.append(_random_finite(rng, spec, hypers=(0, 1, p)))
+        rng.shuffle(finite)
+        infinite = [TwistFactor("infinite", frob=rng.randrange(2 * spec.e),
+                                point=LaurentSeries.theta(spec, prec + 8),
+                                zexp=ZpExp.from_int(rng.randrange(1, 30), p, 6))
+                    for _ in range(rng.randrange(3))]
+        for fin in (finite, [f for f in finite if f.point is not None]):
+            value = _outcome(twisted_L_eval, fin, infinite, x, prec)
+            assert value == _outcome(enumerated_twisted_L_eval, fin, infinite, x, prec), \
+                (v, fin, infinite)
+            symbolic_nonzero += isinstance(value, MPoly) and bool(value)
+    assert symbolic_nonzero >= 2
 
 
 def test_twisted_L_eval_builds_one_units_without_series_evaluation(monkeypatch):
