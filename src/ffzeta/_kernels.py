@@ -45,7 +45,8 @@ come first, then each digit below the top costs one spread and, when
 nonzero, one product with a small power.  Every product thus has an
 operand of at most (q - 1) deg x + 1 coefficients.  A negative n
 raises ValueError.  `truncate(x, L)` is x mod theta^L, and
-`pow(x, n, limit)` works mod theta^limit.
+`pow(x, n, limit)` works mod theta^limit.  `keep_residues(x, r, m)`
+zeroes every digit at theta^k with k != r mod m, by one mask per (r, m).
 """
 
 from __future__ import annotations
@@ -137,6 +138,7 @@ class _Planes:
     def __init__(self, spec: FieldSpec, table_offset: int):
         self.spec = spec
         self.p, self.e, self.q = spec.p, spec.e, spec.q
+        self._masks = {}  # (r mod m, m) -> the digit mask of keep_residues
         # digit bound of `scale` applied to a normalized value
         self.scale_digit = self.e * (self.p - 1) ** 2
         coords = [spec.coords(c) for c in range(self.q)]
@@ -188,6 +190,24 @@ class _Planes:
 
     def zero(self):
         return (0,) * self.e
+
+    def keep_residues(self, x, r, m):
+        """x with every digit at theta^k, k != r mod m, set to zero; digits
+        never carry, so x need not be normalized.  One mask per (r mod m, m)
+        is kept, widened as longer values ask for it."""
+        if m == 1:
+            return x
+        r %= m
+        bits = max(map(int.bit_length, x))
+        mask = self._masks.get((r, m), 0)
+        if mask.bit_length() < bits:
+            width = self.digit_bits
+            mask, span = ((1 << width) - 1) << (r * width), m * width
+            while mask.bit_length() < bits:
+                mask |= mask << span
+                span *= 2
+            self._masks[(r, m)] = mask
+        return tuple(v & mask for v in x)
 
     def truncate(self, x, L):
         """x mod theta^L: the low L digits of every plane."""
@@ -298,6 +318,11 @@ class _PackedKernel(_Planes):
         self._byte_mod = [bytes((b << 8 * k) % self.p for b in range(256)) for k in range(3)]
 
     def is_zero(self, x):
+        """Whether x is zero mod p: a plane whose top digit is not a multiple
+        of p is nonzero, and only otherwise is x normalized."""
+        bits, p = self.digit_bits, self.p
+        if any(v and (v >> (v.bit_length() - 1) // bits * bits) % p for v in x):
+            return False
         return not any(self.normalize(x))
 
     def from_codes(self, codes):

@@ -416,6 +416,11 @@ class FieldSpec:
         return exp[log[a] * n % (self.q - 1)]
 
     @cached_property
+    def generator(self) -> int:
+        """The code of the generator g of F_q^x that the tables walk (1 at q = 2)."""
+        return self._tables[5][1 % (self.q - 1)]
+
+    @cached_property
     def add_table(self):
         return self._tables[0]
 

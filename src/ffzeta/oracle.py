@@ -18,7 +18,9 @@ enumerated one (`fast_path_mismatches`).
 The enumerated power sums, prime-to-P sums and infinite-place shells
 here are the independent side of the dual routes: the library computes
 the same values from the degree recursion and the Euler-factor
-identity, never by visiting the q^d monics.  The enumerated sums raise
+identity, never by visiting the q^d monics.  The zeta polynomials with
+t-weights (`enumerated_exact_L`) visit every monic, where the library's
+t-shell visits one per scaling orbit.  The enumerated sums raise
 each monic to its power with `_digit_power` here, not with the
 kernels' `pow`, and the one-units at infinity with `_one_unit_power`,
 not with `seriesinf.one_unit_pow`.  A monic's product of symbolic
@@ -202,32 +204,19 @@ def enumerated_prime_to_p_power_sum(spec: FieldSpec, d: int, n: int, P: APoly) -
     return APoly(spec, kernel.to_codes(total.value))
 
 
-def enumerated_vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly:
-    """sum_d z^d sum_{P not| a} a(t_1)...a(t_s) a^(-n) for n <= 0, by
-    enumeration of the monics prime to P up to the z-degree bound; each
-    t-exponent tuple (j_1..j_s) gets its own sum, one coefficient position
-    at a time."""
-    if n > 0:
-        raise ValueError("needs n <= 0")
-    if not is_irreducible(P):
-        raise ValueError("P is reducible")
-    nn = -n
+def _enumerated_t_shells(spec: FieldSpec, N: int, s: int, degrees, skip=None) -> MPoly:
+    """sum_d z^d sum_a a(t_1)...a(t_s) a^N over the monics a of each degree
+    in `degrees`, those with skip(a) left out: each t-exponent tuple
+    (j_1..j_s) gets its own sum, one coefficient position at a time."""
     names = tuple(f"t{i + 1}" for i in range(s)) + ("z",)
-    bound = vadic_degree_bound(spec, n, s, P.degree)
-    terms = {}
     kernel = get_kernel(spec)
-    for d in range(bound + 1):
-        if s == 0:
-            coeff = enumerated_prime_to_p_power_sum(spec, d, nn, P)
-            if coeff:
-                terms[(d,)] = coeff
-            continue
-        shell = {}
+    shell = {}
+    for d in degrees:
         for a in enumerate_monic(spec, d):
-            if (a % P).is_zero():
+            if skip is not None and skip(a):
                 continue
             codes = a.coeff_codes
-            apow = _digit_power(kernel, kernel.from_codes(codes), nn)
+            apow = _digit_power(kernel, kernel.from_codes(codes), N)
             for js in itertools.product(range(d + 1), repeat=s):
                 code = 1
                 for j in js:
@@ -237,11 +226,27 @@ def enumerated_vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly
                     if key not in shell:
                         shell[key] = RawSum(kernel, kernel.scale_digit)
                     shell[key].add(kernel.scale(apow, code))
-        for key, acc in shell.items():
-            coeff = APoly(spec, kernel.to_codes(acc.value))
-            if coeff:
-                terms[key] = coeff
-    return MPoly(names, terms)
+    terms = {key: APoly(spec, kernel.to_codes(acc.value)) for key, acc in shell.items()}
+    return MPoly(names, {key: coeff for key, coeff in terms.items() if coeff})
+
+
+def enumerated_exact_L(spec: FieldSpec, n: int, s: int, zdeg: int) -> MPoly:
+    """exact_L's sum_d z^d sum_a a(t_1)...a(t_s) a^(-n), n <= 0, over every
+    monic of degree d <= zdeg, with no degree bound and no scaling orbits."""
+    if n > 0:
+        raise ValueError("needs n <= 0")
+    return _enumerated_t_shells(spec, -n, s, range(zdeg + 1))
+
+
+def enumerated_vadic_exact_L(spec: FieldSpec, n: int, s: int, P: APoly) -> MPoly:
+    """sum_d z^d sum_{P not| a} a(t_1)...a(t_s) a^(-n) for n <= 0, by
+    enumeration of the monics prime to P up to the z-degree bound."""
+    if n > 0:
+        raise ValueError("needs n <= 0")
+    if not is_irreducible(P):
+        raise ValueError("P is reducible")
+    return _enumerated_t_shells(spec, -n, s, range(vadic_degree_bound(spec, n, s, P.degree) + 1),
+                                lambda a: (a % P).is_zero())
 
 
 def enumerated_vadic_zeta_eval(ptv) -> MPoly:
@@ -402,7 +407,7 @@ def enumerated_twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     y_inv = [f.point.inverse() for f in infinite]
 
     def shell_value(d):
-        acc = None
+        acc = {}  # t-exponents -> series, zero sums kept for their precision
         y_inv_d = [yi ** d for yi in y_inv]
         for a in enumerate_monic(spec, d):
             sym_part = _symbolic_product(a, [f for f in finite if f.point is None],
@@ -417,32 +422,26 @@ def enumerated_twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
             for f, yid in zip(infinite, y_inv_d):
                 u = frobenius_twist(a, f.frob).eval(f.point) * yid
                 value = value * _one_unit_power(u, f.zexp)
-            if symbolic:
-                piece = sym_part.map_coefficients(
-                    lambda c: LaurentSeries.constant(spec, c.code, prec) * value)
-                acc = piece if acc is None else acc + piece
-            else:
-                acc = value if acc is None else acc + value
-        if acc is None:
-            acc = MPoly.zero(sym_names) if symbolic else LaurentSeries.zero(spec, prec)
+            for key, c in sym_part.terms.items():
+                piece = LaurentSeries.constant(spec, c.code, prec) * value if symbolic else value
+                acc[key] = acc[key] + piece if key in acc else piece
         return acc
 
     x_pow = LaurentSeries.one(spec, prec + stop * (abs(x.valuation()) + 1))
-    total = None
+    total = {}
     for d in range(stop):
         if d:
             x_pow = x_pow * x_inv
-        shell = shell_value(d)
-        term = shell.scale(x_pow) if symbolic else shell * x_pow
-        total = term if total is None else total + term
-    if symbolic:
-        return total.map_coefficients(
-            lambda c: c.truncate(min(prec, c.prec)) if c.prec > prec else c)
-    if total.prec < prec:
+        for key, c in shell_value(d).items():
+            total[key] = total[key] + c * x_pow if key in total else c * x_pow
+    # every coefficient counts, also one whose sum is zero at its precision
+    low = min((c.prec for c in total.values()), default=prec)
+    if low < prec:
         raise PrecisionError(
-            f"propagated precision {total.prec} fell below the requested {prec}",
-            precision=total.prec)
-    return total.truncate(prec)
+            f"propagated precision {low} fell below the requested {prec}", precision=low)
+    if symbolic:
+        return MPoly(sym_names, {key: c.truncate(prec) for key, c in total.items()})
+    return total[()].truncate(prec)
 
 
 # ---------------------------------------------------------------------------

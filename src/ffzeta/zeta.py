@@ -36,15 +36,19 @@ term by <a>^(p^M') = 1 mod pi^prec.  Every term is then exactly
 the top window of S_d(N).  The numeric multiple zeta shells and the
 Pellarin series use a^(-n) = pi^(d p^M') a^(p^M' - n), p^M' >= max(prec, n).
 These evaluations never touch the disk cache; `oracle.py` keeps the
-per-monic sums as checks.  With t-weights a(t_1)...a(t_s), s >= 1, the
-shells visit the monics: one t-shell sums them times a^N in A, for
-exact_L at N = -n and for the Pellarin series at N = p^M' - n.
+per-monic sums as checks.  With t-weights a(t_1)...a(t_s), s >= 1, one
+t-shell sums them times a^N in A, for exact_L at N = -n and for the
+Pellarin series at N = p^M' - n.  It visits one monic per orbit of
+F_q^x acting by a -> lambda^(-d) a(lambda theta): an orbit's terms add up
+to -1/(stabilizer size) times those of one member whose theta- and
+t-degrees satisfy k + |J| = d(N + s) mod (q - 1) (`_t_shell`).
 
 Every finite twisted factor phi^(e_i)(a^(m_i)) is linear in a's
 coefficients, so a monic's product of symbolic factors is a table of
 field codes, one per t-monomial (`_monomial_codes`): twisted_power_sum
 adds the tables up with field-code arithmetic, and the twisted
-evaluation builds one MPoly per shell from them.  That evaluation
+evaluation adds each table times a monic's numeric value into one series
+per t-monomial, zero sums kept for their precision.  That evaluation
 visits the monics of each shell, with no series product before a
 monic's one-unit power, and a monic's product starts at its first
 factor, not at 1.  Infinite factors at one point whose Frobenius orders
@@ -432,18 +436,42 @@ def exact_L_degree_bound(spec: FieldSpec, n: int, s: int) -> int:
 
 
 def _t_shell(spec: FieldSpec, kernel, d: int, s: int, N: int, convert) -> dict:
-    """The z^d terms of sum_a a(t_1)...a(t_s) a^N over monic degree-d a.
+    """The z^d terms of sum_a a(t_1)...a(t_s) a^N over monic degree-d a,
+    from one monic per scaling orbit.
+
+    lambda in F_q^x sends a to lambda^(-d) a(lambda theta), a monic of degree
+    d, and multiplies the theta^k t^J term of a(t_1)...a(t_s) a^N by
+    lambda^(k + |J| - d(N + s)); a sum of lambda^m over F_q^x is -1 when
+    (q - 1) | m and 0 otherwise.  So an orbit adds up to -1/h times the terms
+    of one member with k + |J| = d(N + s) mod (q - 1), h its stabilizer.  The
+    members visited are theta^d (h = q - 1) and, for e = 1..d, the monics with
+    c_(d-1) = ... = c_(d-e+1) = 0 and c_(d-e) = g^i, i < gcd(e, q - 1), g the
+    field's generator, lower coefficients free: gcd(e, q - 1)/h of each orbit,
+    so each takes the weight -1/gcd(e, q - 1).  `keep_residues` keeps those
+    theta^k per t-monomial.  At q = 2 every monic is visited with weight 1.
 
     All arrangements of one multiset of t-exponents share a coefficient,
     so each is summed once, its codes go through `convert` and the
     result is shared; zero coefficients are left out."""
+    q = spec.q
+
+    def orbit_members():
+        """(codes, -1/g as an F_p code) per member visited."""
+        yield (0,) * d + (1,), spec.neg_code(spec.inv_code((q - 1) % spec.p))
+        for e in range(1, d + 1):
+            g = math.gcd(e, q - 1)
+            weight = spec.neg_code(spec.inv_code(g % spec.p))
+            for i in range(g):
+                top = (spec.pow_code(spec.generator, i),) + (0,) * (e - 1) + (1,)
+                for vec in monic_coeff_vectors(spec, d - e):
+                    yield vec + top, weight
+
     shell = {}
-    for vec in monic_coeff_vectors(spec, d):
-        codes = vec + (1,)
+    for codes, weight in orbit_members():
         apow = kernel.pow(kernel.from_codes(codes), N)
         support = [(j, c) for j, c in enumerate(codes) if c]
         for ms in itertools.combinations_with_replacement(support, s):
-            prod_code = 1
+            prod_code = weight
             for _, c in ms:
                 prod_code = spec.mul_code(prod_code, c)
             key = tuple(j for j, _ in ms)
@@ -452,7 +480,8 @@ def _t_shell(spec: FieldSpec, kernel, d: int, s: int, N: int, convert) -> dict:
             shell[key].add(kernel.scale(apow, prod_code))
     terms = {}
     for ms_key, acc in shell.items():
-        coeff = convert(kernel.to_codes(acc.value))
+        kept = kernel.keep_residues(acc.value, d * (N + s) - sum(ms_key), q - 1)
+        coeff = convert(kernel.to_codes(kept))
         if coeff:
             for perm in set(itertools.permutations(ms_key)):
                 terms[perm + (d,)] = coeff
@@ -724,13 +753,15 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
                        prod_j <phi^(l_j)(a)(y_j) / y_j^d> ^ (z_j)
 
     Finite factors with symbolic points produce an MPoly with Laurent
-    coefficients, built once per shell from each monic's table of codes
-    (`_monomial_codes`); otherwise the value is a LaurentSeries.  The
-    shells run to `twisted_stop_shell`.  Infinite factors at one point whose
-    Frobenius orders agree mod e merge into one factor with the Z_p sum
-    of their exponents.  Each remaining factor builds its one-units from
+    coefficients, one series per t-monomial added up from each monic's
+    table of codes (`_monomial_codes`); otherwise the value is a
+    LaurentSeries.  The shells run to `twisted_stop_shell`.  Infinite
+    factors at one point whose Frobenius orders agree mod e merge into one
+    factor with the Z_p sum of their exponents.  Each remaining factor builds its one-units from
     the per-shell basis y^j y^(-d) (`_OneUnitBasis`) and raises them with
-    one `one_unit_pow` per monic.
+    one `one_unit_pow` per monic.  A value known to less than prec raises
+    PrecisionError; for a symbolic value that is any coefficient, also one
+    whose sum is zero at its precision and so left out of the MPoly.
     """
     finite = list(finite)
     infinite = list(infinite)
@@ -749,7 +780,7 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
         return value * f
 
     def shell_value(d):
-        acc, terms = None, {}
+        terms = {}
         for basis, _ in bases:
             basis.start_shell(d)
         for a in enumerate_monic(spec, d):
@@ -765,33 +796,25 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
             for basis, zexp in bases:
                 value = times(value, one_unit_pow(basis.one_unit(a.coeff_codes), zexp))
             value = LaurentSeries.one(spec, prec) if value is None else value
-            if not symbolic:
-                acc = value if acc is None else acc + value
-                continue
-            # as in MPoly addition, a term or a sum zero at its precision drops out
             for key, code in table.items():
-                term = LaurentSeries.constant(spec, code, prec) * value
-                if term and key in terms:
-                    term = terms.pop(key) + term
-                if term:
-                    terms[key] = term
-        if symbolic:
-            return MPoly(sym_names, terms)
-        return LaurentSeries.zero(spec, prec) if acc is None else acc
+                term = LaurentSeries.constant(spec, code, prec) * value if symbolic else value
+                terms[key] = terms[key] + term if key in terms else term
+        return terms
 
+    # one series per t-monomial (the key () without symbolic factors); a
+    # sum that is zero at its precision stays, so that precision is checked
     x_pow = LaurentSeries.one(spec, prec + stop * (abs(x.valuation()) + 1))
-    total = None
+    total = {}
     for d in range(stop):
         if d:
             x_pow = x_pow * x_inv
-        shell = shell_value(d)
-        term = shell.scale(x_pow) if symbolic else shell * x_pow
-        total = term if total is None else total + term
-    if symbolic:
-        return total.map_coefficients(
-            lambda c: c.truncate(min(prec, c.prec)) if c.prec > prec else c)
-    if total.prec < prec:
+        for key, c in shell_value(d).items():
+            term = c * x_pow
+            total[key] = total[key] + term if key in total else term
+    low = min((c.prec for c in total.values()), default=prec)
+    if low < prec:
         raise PrecisionError(
-            f"propagated precision {total.prec} fell below the requested {prec}",
-            precision=total.prec)
-    return total.truncate(prec)
+            f"propagated precision {low} fell below the requested {prec}", precision=low)
+    if symbolic:
+        return MPoly(sym_names, {key: c.truncate(prec) for key, c in total.items()})
+    return total[()].truncate(prec)

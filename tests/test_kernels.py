@@ -589,3 +589,53 @@ def test_bit_kernel_to_codes_matches_per_bit_reference(q):
         planes = [rng.getrandbits(rng.randrange(length + 1)) for _ in range(spec.e)]
         want = [spec.from_coords([(v >> i) & 1 for v in planes]) for i in range(length)]
         assert kernel.to_codes(tuple(planes)) == _trim(want)
+
+
+# -- the cheap zero test and the residue masks ---------------------------------------
+
+def _plane(kernel, digits):
+    return sum(d << (kernel.digit_bits * i) for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("name", ["3", "5", "9", "25", "27", "289", "251", "257", "1021",
+                                  "F9[x]/(x^2+4x+1)"])
+def test_is_zero_matches_normalize_on_unnormalized_raws(name):
+    # digits up to the digit width, most of them multiples of p; the top
+    # digit of a plane is a multiple of p in about half the raws, so both
+    # the early answer and the normalizing fallback are reached
+    spec = ODD_TOWER if name.startswith("F9") else FIELDS.get(int(name)) or FieldSpec(int(name), (0, 1))
+    kernel = get_kernel(spec)
+    p, top = spec.p, (1 << kernel.digit_bits) - 1
+    rng = random.Random(spec.q)
+    outcomes = set()
+    for _ in range(300):
+        x = []
+        for _ in range(spec.e):
+            length = rng.choice((0, 1, 2, 7, 40))
+            digits = [rng.randrange(top // p + 1) * p for _ in range(length)]
+            if digits and rng.random() < 0.3:
+                digits[rng.randrange(length)] = rng.randrange(top + 1)
+            if digits and rng.random() < 0.5:
+                digits[-1] = rng.randrange(1, top // p + 1) * p
+            x.append(_plane(kernel, digits))
+        x = tuple(x)
+        want = not any(kernel.normalize(x))
+        assert kernel.is_zero(x) == want, x
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", ["2", "3", "4", "9", "25", "289", "257", "F4[x]/(x^2+x+xi)"])
+def test_keep_residues_keeps_one_class_of_digits(name):
+    spec = TOWERS.get(name) or FIELDS.get(int(name)) or FieldSpec(int(name), (0, 1))
+    kernel = get_kernel(spec)
+    rng = random.Random(spec.q + 1)
+    for length in (0, 1, 5, 60, 3, 300, 2):  # the masks grow and are reused
+        codes = tuple(rng.randrange(spec.q) for _ in range(length))
+        raw = kernel.from_codes(codes)
+        for _ in range(spec.p):  # p + 1 copies: the same value, digits not reduced
+            raw = kernel.add(raw, kernel.from_codes(codes))
+        for m in (1, 2, 3, 8, spec.q - 1):
+            for r in (0, 1, m - 1, -1, 2 * m + 1):
+                want = _trim(c if k % m == r % m else 0 for k, c in enumerate(codes))
+                assert kernel.to_codes(kernel.keep_residues(raw, r, m)) == want, (length, r, m)

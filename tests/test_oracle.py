@@ -163,7 +163,7 @@ CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_power_sum_window", "_recursio
                   "_lucas_support", "prime_to_p_power_sum", "exact_L", "vadic_exact_L",
                   "reduced_power_sum", "_t_shell", "pellarin_L_series", "goss_zeta_eval",
                   "mzv_eval_inf", "twisted_L_eval", "_merge_infinite", "_OneUnitBasis",
-                  "_monomial_codes",
+                  "_monomial_codes", "keep_residues",
                   "vadic_zeta_eval", "shell_unit_inverses", "one_unit_pow", "teichmuller",
                   "padic_one_unit_pow"}
 CHECKED_MODULES = {"zeta", "vadic", "mzv"}

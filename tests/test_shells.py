@@ -8,6 +8,7 @@ at a time.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from ffzeta import zeta
 from ffzeta._kernels import get_kernel
 from ffzeta.fields import FieldSpec, ZpExp, least_p_power
 from ffzeta.mzv import MzvIndex, mzv_eval_inf
-from ffzeta.oracle import enumerated_bracket_shell, enumerated_inverse_shell
+from ffzeta.oracle import enumerated_bracket_shell, enumerated_exact_L, enumerated_inverse_shell
 from ffzeta.polyring import APoly
 from ffzeta.seriesinf import LaurentSeries, PrecisionError
 from ffzeta.zeta import (SInftyPoint, goss_zeta_eval, infty_coeff_valuation_bound,
@@ -239,3 +240,74 @@ def test_goss_shells_keep_at_most_prec_coefficients(monkeypatch):
     assert (6, 728) in windows
     assert all(L <= prec and len(kernel.to_codes(raw)) <= prec for L, raw in windows.values())
     assert zeta._memo_by_spec == {spec._key(): {}}
+
+
+F4 = FieldSpec.default(4)
+T_SHELL_FIELDS = [*(FieldSpec.default(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25)),
+                  FieldSpec.extension(F4, (2, 1, 1))]  # F_16 as a tower over F_4
+
+
+def _t_shell_field_id(spec):
+    return f"q{spec.q}" + ("-tower" if spec.base is not None else "")
+
+
+def _exponent_with_degree_bound(rng, spec, s, bound):
+    """An n <= 0 whose exact_L z-degree bound is `bound`, or None."""
+    q = spec.q
+    for _ in range(200):
+        n = -sum(rng.randrange(q) * q ** i for i in range(rng.randrange(1, bound + 3)))
+        if zeta.exact_L_degree_bound(spec, n, s) == bound:
+            return n
+    return None
+
+
+@pytest.mark.parametrize("spec", T_SHELL_FIELDS, ids=_t_shell_field_id)
+def test_t_shells_match_per_monic_enumeration(spec):
+    """exact_L and pellarin_L_series at s = 1..3 visit one monic per scaling
+    orbit; every coefficient against the oracle's sums over all q^d monics.
+    Up to q = 9 exact_L's oracle runs one degree past the bound, where it
+    must vanish; n = 0 (a^0 = 1), d = 0 and theta^d are always among the
+    cases.  The oracle's work is about q^(d+1) (d+1)^s products a shell."""
+    q = spec.q
+    rng = random.Random(2800 + q + (spec.base is not None))
+    past = int(q <= 9)
+    degrees = set()
+    for s in (1, 2, 3):
+        for bound in range(4):
+            if sum(q ** (d + 1) * (d + 1) ** s for d in range(bound + past + 1)) > 40000:
+                break
+            for n in {0, -1, _exponent_with_degree_bound(rng, spec, s, bound)} - {None}:
+                bound_n = zeta.exact_L_degree_bound(spec, n, s)
+                if bound_n <= bound:
+                    assert zeta.exact_L(spec, n, s) == \
+                        enumerated_exact_L(spec, n, s, bound_n + past), (s, n)
+                    degrees.add(bound_n)
+        zdeg = max(d for d in _degrees(q, 400) if (d + 1) ** s * q ** d <= 400)
+        for n in (1, rng.randrange(2, q + 3)):
+            prec = rng.choice((3, 7, 12))
+            expected = {js + (d,): c for d in range(zdeg + 1) for js, c in
+                        enumerated_inverse_shell(spec, d, n, prec, s).items() if c}
+            assert pellarin_L_series(spec, n, s, zdeg, prec).terms == expected, (s, n, prec)
+    assert max(degrees) >= (2 if q <= 9 else 1), degrees
+
+
+@pytest.mark.parametrize("q, degrees", [(2, 4), (3, 4), (4, 3), (5, 3), (7, 2), (9, 3), (16, 2),
+                                        (25, 2)])
+def test_t_shell_raises_one_power_per_scaling_orbit(q, degrees, monkeypatch):
+    # |R| = 1 + sum_e gcd(e, q - 1) q^(d - e) kernel powers per shell: at
+    # q = 9, d = 3 that is 101 of the 729 monics; at q = 2 every monic
+    spec = FieldSpec.default(q)
+    kernel = get_kernel(spec)
+    calls = []
+    real_pow = kernel.pow
+
+    def counting(x, n, limit=None):
+        calls.append(n)
+        return real_pow(x, n, limit)
+
+    monkeypatch.setattr(kernel, "pow", counting)
+    for d in range(degrees + 1):
+        del calls[:]
+        zeta._t_shell(spec, kernel, d, 1, 2, lambda codes: codes)
+        assert len(calls) == 1 + sum(math.gcd(e, q - 1) * q ** (d - e)
+                                     for e in range(1, d + 1)), d

@@ -799,3 +799,33 @@ def test_twist_factor_validation():
         TwistFactor("weird")
     with pytest.raises(ValueError):
         twisted_L_eval([], [TwistFactor("finite")], LaurentSeries.theta(F2, 10), 5)
+
+
+def test_twisted_L_eval_raises_when_a_symbolic_coefficient_falls_below_prec():
+    # q = 3, prec 6, x = theta + 1.  (a) A numeric factor at
+    # theta + 2 + pi + pi^2 known to relative precision 6 and an infinite
+    # factor at theta leave every coefficient known to pi^4; a symbolic
+    # factor beside them must not turn the PrecisionError into
+    # coefficients of precision 4.  (b) With the numeric point 2 + O(pi^2),
+    # hyperderivatives of order 1 and exponent 14, the t^0 sum is zero
+    # only to pi^3: it may not drop out as an exact zero, since a longer
+    # point makes it 2 pi^3 + pi^4
+    prec = 6
+    x = LaurentSeries.from_apoly(APoly(F3, (1, 1)), prec + 8)
+
+    def at_theta(n):
+        return [TwistFactor("infinite", point=LaurentSeries.theta(F3, prec + 8),
+                            zexp=ZpExp.from_int(n, 3, 6))]
+
+    numeric = TwistFactor("finite", point=LaurentSeries(F3, -1, (1, 2, 1, 1), 5))
+    short = TwistFactor("finite", hyper=1, point=LaurentSeries(F3, 0, (2,), 2))
+    cases = [([numeric], at_theta(5), 4), ([TwistFactor("finite"), numeric], at_theta(5), 4),
+             ([TwistFactor("finite", hyper=1), short], at_theta(14), 3)]
+    for finite, infinite, low in cases:
+        for fn in (twisted_L_eval, enumerated_twisted_L_eval):
+            with pytest.raises(PrecisionError, match="fell below the requested 6") as exc:
+                fn(finite, infinite, x, prec)
+            assert exc.value.precision == low, (fn.__name__, len(finite))
+    longer = TwistFactor("finite", hyper=1, point=LaurentSeries(F3, 0, (2, 0, 1, 2, 2, 1), 12))
+    value = twisted_L_eval([TwistFactor("finite", hyper=1), longer], at_theta(14), x, prec)
+    assert value.terms == {(0,): LaurentSeries(F3, 3, (2, 1), prec)}
