@@ -30,7 +30,11 @@ coefficient codes; the twisted power sum adds those products up, and
 the twisted evaluation keeps the library's per-monic loop without its
 code tables, merged factors and per-shell one-unit basis.  The v-adic
 evaluation lifts and inverts every monic's Teichmuller part itself,
-with no lift shared by a residue class.
+with no lift shared by a residue class.  The sums of a^(-n) in
+A/(P^kappa) (`enumerated_local_power_sum`) invert every unit on its own,
+by Euclid mod P and Newton steps on code lists, where the library uses
+Carlitz's closed form; `carlitz_zeta` checks that closed form at
+infinity with series arithmetic alone.
 Where the library takes one integer power, the oracle keeps the
 structural algorithms: one-units are raised by the digit product
 prod_i (1 + w^(p^i))^(y_i) (`_one_unit_digit_power`), at infinity and in
@@ -43,7 +47,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .fields import FieldSpec, FqElem, FrozenValue, ResidueChar, ZpExp, lq_digit_sum
+from .fields import (FieldSpec, FqElem, FrozenValue, ResidueChar, ZpExp, lq_digit_sum,
+                     poly_add, poly_divmod, poly_mod, poly_mul, poly_powmod, poly_scale)
 from ._kernels import RawSum, get_kernel
 from .polyring import (APoly, MPoly, enumerate_monic, frobenius_twist, hyperderivative,
                        is_irreducible, monic_coeff_vectors)
@@ -204,6 +209,50 @@ def enumerated_prime_to_p_power_sum(spec: FieldSpec, d: int, n: int, P: APoly) -
     return APoly(spec, kernel.to_codes(total.value))
 
 
+def _unit_inverse(spec: FieldSpec, a, P, modulus, kappa: int):
+    """a^(-1) mod P^kappa = modulus for a unit a, on code lists: the
+    extended Euclid algorithm gives the inverse mod P, and Newton steps
+    g -> g (2 - a g) double its P-adic digits up to kappa."""
+    r0, r1 = list(P), poly_mod(spec, a, P)
+    s0, s1 = [], [1]
+    while r1:
+        quo, rem = poly_divmod(spec, r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, poly_add(spec, s0, poly_scale(spec, poly_mul(spec, quo, s1), spec.neg_code(1)))
+    g = poly_scale(spec, s0, spec.inv_code(r0[0]))
+    two, digits = [spec.add_code(1, 1)], 1
+    while digits < kappa:
+        ag = poly_mod(spec, poly_mul(spec, a, g), modulus)
+        g = poly_mod(spec, poly_mul(spec, g, poly_add(spec, two, poly_scale(
+            spec, ag, spec.neg_code(1)))), modulus)
+        digits *= 2
+    return g
+
+
+def enumerated_local_power_sum(spec: FieldSpec, P: APoly, kappa: int, d: int, n: int,
+                               prime_to_p: bool):
+    """(e, r) with sum a^(-n) = P^e r, n >= 1, over monic degree-d a (those
+    prime to P only if asked), r mod P^kappa as an APoly: each monic is
+    split as a = P^v u, and each unit u inverted on its own.  e is -n
+    times the largest v of the summed monics."""
+    if n < 1:
+        raise ValueError("needs n >= 1")
+    modulus = list((P ** kappa).coeff_codes)
+    rows = []
+    for a in enumerate_monic(spec, d):
+        v = 0
+        while (a % P).is_zero():
+            a, v = a // P, v + 1
+        if v == 0 or not prime_to_p:
+            inverse = _unit_inverse(spec, list(a.coeff_codes), list(P.coeff_codes), modulus, kappa)
+            rows.append((v, poly_powmod(spec, inverse, n, modulus)))
+    top = max(v for v, _ in rows)
+    total = APoly.zero(spec)
+    for v, power in rows:
+        total = total + P ** ((top - v) * n) * APoly(spec, power)
+    return -top * n, total % APoly(spec, modulus)
+
+
 def _enumerated_t_shells(spec: FieldSpec, N: int, s: int, degrees, skip=None) -> MPoly:
     """sum_d z^d sum_a a(t_1)...a(t_s) a^N over the monics a of each degree
     in `degrees`, those with skip(a) left out: each t-exponent tuple
@@ -359,6 +408,28 @@ def enumerated_inverse_shell(spec: FieldSpec, d: int, n: int, prec: int, s: int 
             for j in js:
                 code = spec.mul_code(code, a.coeff_codes[j])
             total[js] = total.get(js, LaurentSeries.zero(spec, prec)) + inv.scale_code(code)
+    return total
+
+
+def carlitz_zeta(spec: FieldSpec, n: int, prec: int) -> LaurentSeries:
+    """sum_{i>=0} l_i^(-n) mod pi^prec, l_i = prod_{j=1..i} (theta - theta^(q^j)).
+
+    For 1 <= n <= q this is zeta(n) = sum_a a^(-n) over all monic a: the
+    sum over the monics of degree i is l_i^(-n) (Carlitz, Duke Math. J. 1,
+    1935; Anderson and Thakur, Ann. of Math. 132, 1990); past q it is not.
+    Each factor is taken as 1/(theta - theta^(q^j)) =
+    -pi^(q^j) sum_m pi^(m (q^j - 1)), written down coefficient by
+    coefficient, so no series is inverted and no code is shared with the
+    power sums or the shell sums.  l_i^(-n) has valuation n (q + ... + q^i),
+    and the sum stops once that reaches prec."""
+    q, total = spec.q, LaurentSeries.one(spec, prec)
+    inverse, j = LaurentSeries.one(spec, prec), 1
+    while n * (q ** (j + 1) - q) // (q - 1) < prec:  # v(l_j^(-n)) < prec
+        codes = [0] * (prec - q ** j)
+        codes[::q ** j - 1] = [spec.neg_code(1)] * len(codes[::q ** j - 1])
+        inverse = inverse * LaurentSeries(spec, q ** j, codes, prec)
+        total = total + inverse ** n
+        j += 1
     return total
 
 

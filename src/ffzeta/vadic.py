@@ -33,15 +33,16 @@ S_d(m) - P^m S_(d-1)(m) mod P^k, taken at theta (below).  At
 deg P >= 2 it takes the Teichmuller lift omega = a^(Q^j) (Q = q^deg P,
 Q^j >= k least) once per residue class mod P (it depends only on
 a mod P), and each monic's <a>^(-y) as the one power <a>^(N'), with N'
-as above.  A gap shell's units are inverted together, by one Newton
-lift of their product.
+as above.  A gap inverts no unit of a shell: its sums of a^(-n) come
+from Carlitz's closed form, which inverts one unit per degree.
 
 Gap tables live in the localized ring P^e * A/(P^kappa), the
 finite-place analogue of a truncated Laurent series, so inner indices
 divisible by P with positive exponents stay representable.  Its power
 sums S_d(n) mod P^kappa come from the degree recursion of `zeta`, its
-sums of a^(-n), n > 0, from the Euler split, and the gap is a (min, +)
-chain sum of the tables' valuations (see `interpolation_gap`).
+sums of a^(-n), n > 0, from Carlitz's closed form (`_CarlitzSums`),
+those prime to P by the Euler split, and the gap is a (min, +) chain
+sum of the tables' valuations (see `interpolation_gap`).
 
 A degree-one gap is taken at P = theta.  The automorphism
 theta -> theta + c of A permutes the monics of each degree and maps
@@ -59,7 +60,7 @@ from __future__ import annotations
 import functools
 from math import inf
 
-from ._kernels import RawSum, get_kernel, raw_to_apoly, QuotientKernel
+from ._kernels import get_kernel, raw_to_apoly, QuotientKernel
 from .fields import FieldSpec, FrozenValue, ZpExp, least_p_power, lq_digit_sum
 from .polyring import APoly, MPoly, chain_sum, enumerate_monic, is_irreducible
 from .padic import PadicCtx, PadicElem, teichmuller, padic_one_unit_pow, split_P_power, _invert_mod
@@ -250,7 +251,9 @@ class _LocalRing:
     """P^e * (A/(P^kappa)): finite-place values with an exponent shift.
 
     Relative precision kappa is fixed, and addition aligns exponents,
-    exactly as for truncated Laurent series.
+    exactly as for truncated Laurent series.  Sums of a^(-n), n >= 1,
+    over the monics of a degree come from Carlitz's closed form
+    (`_CarlitzSums`), with no unit of the shell inverted.
     """
 
     def __init__(self, spec: FieldSpec, P: APoly, kappa: int):
@@ -265,7 +268,7 @@ class _LocalRing:
         self._theta_powers: dict = {}
         self.power_sum_memo: dict = {}
         self.table_cache: dict = {}
-        self._shell_units: dict = {}
+        self._carlitz = None
 
     def times_p(self, raw, j):
         """raw * P^j in A/(P^kappa); the powers of P are cached."""
@@ -274,10 +277,13 @@ class _LocalRing:
         return self.qk.mul(raw, self._p_powers[j])
 
     def times_theta(self, raw, k):
-        """raw * theta^k in A/(P^kappa); the powers of theta are cached."""
+        """raw * theta^k for a reduced raw value, left unreduced: both
+        factors have degree < D, so the product stays within the Barrett
+        range 2D - 2 and a recursion node reduces its sum once.  The
+        reduced powers of theta are cached."""
         if k not in self._theta_powers:
             self._theta_powers[k] = self.qk.pow(self.kernel.from_codes((0, 1)), k)
-        return self.qk.mul(self._theta_powers[k], raw)
+        return self.kernel.mul(self._theta_powers[k], raw)
 
     def valuation(self, raw):
         """v_P of a reduced raw value, or None when it is zero."""
@@ -294,60 +300,179 @@ class _LocalRing:
             a = a % self.modulus
         return _LocalValue(self, 0, self.qk.reduce(self.kernel.from_codes(a.coeff_codes)))
 
+    def cut(self, raw):
+        """A normalized raw value of any degree, reduced mod P^kappa."""
+        if self.kernel.truncate(raw, self.qk.N + 1) == raw:
+            return self.qk.reduce(raw)
+        return self.from_apoly(raw_to_apoly(self.kernel, raw)).raw
+
     def zero(self):
         return _LocalValue(self, 0, self.kernel.zero())
 
-    def shell_unit_inverses(self, d: int):
-        """u^-1 mod P^kappa for every monic degree-d u prime to P, cached.
+    def carlitz(self, extra: int) -> "_CarlitzSums":
+        """The closed-form tables, known to at least `extra` digits past
+        kappa.  They start 8 digits past kappa, enough for the sums prime
+        to P of small n and d, and are rebuilt wider, in steps of 8 digits,
+        when a sum asks for more."""
+        if self._carlitz is None or self._carlitz.W < self.kappa + extra:
+            self._carlitz = _CarlitzSums(self, self.kappa + max(-(-extra // 8), 1) * 8)
+        return self._carlitz
 
-        Montgomery's batch inversion: one Euclid inverse mod P and one
-        Newton lift invert the product of the shell's units, and the walk
-        back over the prefix products peels off each inverse with two
-        products.  Inverses mod P^kappa are unique and reduced, so the
-        values are those of one Newton lift per unit.
-        """
-        if d not in self._shell_units:
-            qk = self.qk
-            units = [self.from_apoly(u).raw for u in enumerate_monic(self.spec, d) if u % self.P]
-            prefix = [units[0]]
-            for u in units[1:]:
-                prefix.append(qk.mul(prefix[-1], u))
-            total = raw_to_apoly(self.kernel, prefix[-1])
-            g = qk.inverse(prefix[-1], self.kernel.from_codes(
-                _invert_mod(self.spec, total, self.P).coeff_codes), digits=self.kappa)
-            inverses = [None] * len(units)
-            for i in range(len(units) - 1, 0, -1):
-                inverses[i] = qk.mul(g, prefix[i - 1])
-                g = qk.mul(g, units[i])
-            inverses[0] = g
-            self._shell_units[d] = inverses
-        return self._shell_units[d]
-
-    def unit_power_sum(self, d: int, n: int):
-        """sum of u^(-n), n >= 1, over the monic degree-d u prime to P, as a
-        raw value: the n-th powers of the shell's unit inverses."""
-        units = RawSum(self.kernel, self.spec.p - 1)
-        for inv_raw in self.shell_unit_inverses(d):
-            units.add(self.qk.pow(inv_raw, n))
-        return self.kernel.normalize(units.value)
+    def inverse_power_sum(self, d: int, n: int, prime_to_p: bool):
+        """sum of a^(-n), n >= 1, over monic degree-d a (prime to P only if
+        asked).  The full sum is S_d(-n) = P^(-m) r, m = n floor(d / deg P),
+        from the closed form.  The multiples of P are P*b with b monic of
+        degree d - deg P, so the sum prime to P is
+        S_d(-n) - P^(-n) S_(d - deg P)(-n) = P^(-m) (r - r'): the difference
+        is integral, and it cancels m digits, so r and r' are taken m
+        digits past kappa and r - r' is divided by P^m exactly.  The cost
+        grows with n twice: the recurrence takes n steps, and the sum
+        prime to P works m digits wider."""
+        m = n * (d // self.P.degree)
+        if not prime_to_p or not m:
+            return _LocalValue(self, -m, self.cut(self.carlitz(0).raw_sum(d, n)))
+        tables, kernel = self.carlitz(m), self.kernel
+        diff = kernel.add(tables.raw_sum(d, n), kernel.scale(
+            tables.raw_sum(d - self.P.degree, n), self.spec.neg_code(1)))
+        quo, rem = divmod(raw_to_apoly(kernel, kernel.normalize(diff)), self.P ** m)
+        if rem:
+            raise ArithmeticError(f"the sum of a^(-{n}) over the monics of degree {d} prime "
+                                  "to P is not integral")
+        return _LocalValue(self, 0, self.cut(kernel.from_codes(quo.coeff_codes)))
 
     def local_power_sum(self, d: int, n: int, prime_to_p: bool):
         """sum of a^(-n) over monic degree-d a (prime to P only if asked),
-        cached.  n >= 1 sums the unit powers u^(-n) (prime to P), n <= 0
-        takes the reduced power sum S_d(-n) (all monics); the multiples
-        of P, P*b with b monic of degree d - deg P, add P^(-n) times the
-        full sum of degree d - deg P to the first."""
+        cached.  n >= 1 is `inverse_power_sum`; n <= 0 takes the reduced
+        power sum S_d(-n) over all monics, and prime to P subtracts the
+        multiples of P, P*b with b monic of degree d - deg P: P^(-n)
+        times the full sum of degree d - deg P."""
         key = (d, n, prime_to_p)
         if key in self.table_cache:
             return self.table_cache[key]
-        raw = self.unit_power_sum(d, n) if n > 0 else self.reduced_power_sum(d, -n)
-        acc = _LocalValue(self, 0, raw)
-        if (n > 0) != prime_to_p and d >= self.P.degree:
-            rest = self.local_power_sum(d - self.P.degree, n, False)
-            rest = _LocalValue(self, rest.exp - n, rest.raw)
-            acc = acc + rest if n > 0 else acc - rest
+        if n > 0:
+            acc = self.inverse_power_sum(d, n, prime_to_p)
+        else:
+            acc = _LocalValue(self, 0, self.reduced_power_sum(d, -n))
+            if prime_to_p and d >= self.P.degree:
+                rest = self.local_power_sum(d - self.P.degree, n, False)
+                acc = acc - _LocalValue(self, rest.exp - n, rest.raw)
         self.table_cache[key] = acc
         return acc
+
+
+class _CarlitzSums:
+    """S_d(-n) = sum of a^(-n) over monic degree-d a, n >= 1, in A/(P^W).
+
+    Carlitz's closed form (Carlitz, Duke Math. J. 1, 1935; Thakur,
+    Function Field Arithmetic, 2004).  e_d(x) = prod_{deg b < d} (x - b)
+    is F_q-linear, e_d(x)/D_d = sum_{i=0..d} c_i x^(q^i) with
+
+        c_i = (-1)^(d-i) / (D_i L_(d-i)^(q^i)),
+        L_j = prod_{1<=m<=j} (theta^(q^m) - theta),
+        D_i = prod_{0<=m<i} (theta^(q^i) - theta^(q^m)),
+
+    and the monics of degree d are the roots of e_d(x) - D_d.  The
+    logarithmic derivative of that product, expanded in x, gives
+
+        sum_{k>=1} S_d(-k) z^(k-1) = c_0 / (1 - sum_{i=0..d} c_i z^(q^i)),
+
+    so S_d(-1) = c_0 and S_d(-k) = sum_{i: q^i < k} c_i S_d(-(k - q^i)).
+    For k <= q only c_0 = 1/l_d enters, l_d = prod_{j<=d} (theta - theta^(q^j)),
+    and S_d(-k) = l_d^(-k).
+
+    P is split off exactly (`split`): theta^(q^j) - theta is the product
+    of the monic irreducibles of degree dividing j, each once, so it is
+    P^(e_j) w_j with w_j a unit and e_j = 1 when deg P | j, else 0; and
+    theta^(q^i) - theta^(q^m) = (theta^(q^(i-m)) - theta)^(q^m).  So
+    c_i = P^(v_i) u_i, u_i a unit, with v_i = -(a_i + q^i f_(d-i)),
+    a_i = sum_{j<=i} e_j q^(i-j) and f_j = sum_{m<=j} e_m = floor(j / deg P).
+    Writing S_d(-k) = P^(-k f_d) r_k,
+
+        r_1 = u_0,   r_k = sum_{i: q^i < k} P^(s_i) u_i r_(k - q^i),
+        s_i = v_i + q^i f_d = q^i (f_d - f_(d-i)) - a_i >= 0,
+
+    since f_d - f_(d-i) >= floor(i / deg P) and a_i < q^i floor(i / deg P)
+    once i >= deg P (a_i = 0 below).  So every r_k is integral and the
+    recurrence loses no digit, for every n: W digits of r_n need only W
+    digits of the units.  The differences theta^(q^j) - theta are formed
+    mod P^(W+1), so that w_j keeps W digits; the tables work mod P^(W+1)
+    and their values are right mod P^W.
+    """
+
+    def __init__(self, ring: _LocalRing, W: int):
+        self.ring = ring
+        self.W = W
+        self.qk = QuotientKernel(ring.kernel, (ring.P ** (W + 1)).coeff_codes)
+        self.frobenius = [self.qk.reduce(ring.kernel.from_codes((0, 1)))]  # theta^(q^j)
+        one = ring.kernel.from_codes((1,))
+        # D_j = P^(a_j) / A_j and L_j = P^(f_j) / B_j with A_j, B_j units
+        self.parts = [((0, one), (0, one))]
+        self.coefficients: dict = {}  # (d, i) -> P^(s_i) u_i, None when s_i >= W
+        self.sums: dict = {}  # d -> [None, r_1, r_2, ...]
+
+    def split(self, j: int):
+        """(e, w) with theta^(q^j) - theta = P^e w and w a unit known mod
+        P^W, as an APoly; the difference is formed mod P^(W+1) before the
+        division by P."""
+        ring = self.ring
+        while len(self.frobenius) <= j:
+            self.frobenius.append(self.qk.pow(self.frobenius[-1], ring.spec.q))
+        diff = raw_to_apoly(ring.kernel, self.frobenius[j]) - APoly.theta(ring.spec)
+        if j % ring.P.degree:
+            return 0, diff
+        quo, rem = divmod(diff, ring.P)
+        if rem:
+            raise ArithmeticError(f"P does not divide theta^(q^{j}) - theta")
+        return 1, quo
+
+    def part(self, j: int):
+        """((a_j, A_j), (f_j, B_j)), cached: with theta^(q^j) - theta = P^e w,
+        A_j = A_(j-1)^q / w and B_j = B_(j-1) / w.  Each j takes one Euclid
+        inverse mod P and one Newton lift."""
+        ring, qk, q = self.ring, self.qk, self.ring.spec.q
+        while len(self.parts) <= j:
+            e, w = self.split(len(self.parts))
+            inverse = qk.inverse(ring.kernel.from_codes(w.coeff_codes), ring.kernel.from_codes(
+                _invert_mod(ring.spec, w, ring.P).coeff_codes), digits=self.W + 1)
+            (a, A), (f, B) = self.parts[-1]
+            self.parts.append(((q * a + e, qk.mul(qk.pow(A, q), inverse)),
+                               (f + e, qk.mul(B, inverse))))
+        return self.parts[j]
+
+    def coefficient(self, d: int, i: int):
+        """P^(s_i) u_i for degree d, cached; None when s_i >= W, as its
+        terms vanish mod P^W."""
+        key = (d, i)
+        if key not in self.coefficients:
+            ring, qk, q = self.ring, self.qk, self.ring.spec.q
+            a, A = self.part(i)[0]
+            f, B = self.part(d - i)[1]
+            s = q ** i * (self.part(d)[1][0] - f) - a
+            if s < 0:
+                raise ArithmeticError(f"closed-form shift s_{i} = {s} < 0 at degree {d}")
+            u = None
+            if s < self.W:
+                u = qk.mul(A, qk.pow(B, q ** i))
+                if s:
+                    u = qk.mul(u, ring.kernel.from_codes((ring.P ** s).coeff_codes))
+                if (d - i) % 2:
+                    u = ring.kernel.scale(u, ring.spec.neg_code(1))
+            self.coefficients[key] = u
+        return self.coefficients[key]
+
+    def raw_sum(self, d: int, n: int):
+        """r_n with S_d(-n) = P^(-n f_d) r_n, right mod P^W; r_1..r_n are kept."""
+        q, kernel = self.ring.spec.q, self.ring.kernel
+        rs = self.sums.setdefault(d, [None, self.coefficient(d, 0)])
+        while len(rs) <= n:
+            k, total = len(rs), kernel.zero()
+            for i in range(d + 1):
+                if q ** i >= k:
+                    break
+                if (u := self.coefficient(d, i)) is not None:
+                    total = kernel.add(total, self.qk.mul(u, rs[k - q ** i]))
+            rs.append(kernel.normalize(total))
+        return rs[n]
 
 
 class _ThetaRing(_LocalRing):
@@ -388,6 +513,15 @@ class _ThetaRing(_LocalRing):
         q = self.spec.q
         qj = least_p_power(q, max(self.kappa, -(-(self.kappa + n) // (q - 1))))
         return _power_sum_window(self.spec, d, (q - 1) * qj - n, self.kappa)
+
+    def inverse_power_sum(self, d: int, n: int, prime_to_p: bool):
+        """The units' sum is one window (above); a full sum adds the
+        multiples theta*b, theta^(-n) times the full sum of degree d - 1."""
+        acc = _LocalValue(self, 0, self.unit_power_sum(d, n))
+        if not prime_to_p and d >= 1:
+            rest = self.local_power_sum(d - 1, n, False)
+            acc = acc + _LocalValue(self, rest.exp - n, rest.raw)
+        return acc
 
 
 class _LocalValue:

@@ -13,7 +13,7 @@ from ffzeta.oracle import (CharsumConfig, charsum_trial, random_charsum_config,
                            ENUMERATION_BUDGET)
 from ffzeta import oracle
 from ffzeta.seriesinf import LaurentSeries, one_unit_pow
-from ffzeta.zeta import power_sum
+from ffzeta.zeta import SInftyPoint, goss_zeta_eval, power_sum
 
 F2 = FieldSpec.default(2)
 F3 = FieldSpec.default(3)
@@ -164,8 +164,9 @@ CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_power_sum_window", "_recursio
                   "reduced_power_sum", "_t_shell", "pellarin_L_series", "goss_zeta_eval",
                   "mzv_eval_inf", "twisted_L_eval", "_merge_infinite", "_OneUnitBasis",
                   "_monomial_codes", "keep_residues",
-                  "vadic_zeta_eval", "shell_unit_inverses", "one_unit_pow", "teichmuller",
-                  "padic_one_unit_pow"}
+                  "vadic_zeta_eval", "one_unit_pow", "teichmuller", "padic_one_unit_pow",
+                  "_LocalRing", "_CarlitzSums", "local_power_sum", "inverse_power_sum",
+                  "raw_sum"}
 CHECKED_MODULES = {"zeta", "vadic", "mzv"}
 
 
@@ -295,3 +296,20 @@ def test_integer_powers_in_A_mod_P_k_match_the_oracle(spec, dP):
             u = ctx.reduce(APoly.one(spec) + P ** rng.randrange(1, k + 2) * b)
             y = ZpExp(p, [rng.randrange(p) for _ in range(max(1, M + rng.randrange(4)))])
             assert padic_one_unit_pow(u, y) == oracle._padic_one_unit_power(u, y), (k, u, y)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_carlitz_zeta_matches_goss_zeta_eval(q):
+    """zeta(n) = sum_i l_i^(-n), 1 <= n <= q, against goss_zeta_eval at
+    x = theta^n and y = n, prec 40.  At n = q + 1 the closed form does not
+    hold, and the comparison tells the two apart."""
+    spec, prec = FieldSpec.default(q), 40
+    digits = next(M for M in range(1, prec) if spec.p ** M >= prec)
+
+    def zeta(n):
+        x = LaurentSeries(spec, -n, (1,), 4 * prec)
+        return goss_zeta_eval(SInftyPoint(x, ZpExp.from_int(-n, spec.p, digits)), prec)
+
+    for n in range(1, q + 1):
+        assert oracle.carlitz_zeta(spec, n, prec) == zeta(n), n
+    assert not oracle.carlitz_zeta(spec, q + 1, prec).agrees_with(zeta(q + 1))

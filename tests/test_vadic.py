@@ -7,14 +7,15 @@ import sys
 import pytest
 
 from ffzeta import vadic, zeta
-from ffzeta._kernels import QuotientKernel, get_kernel, raw_to_apoly
+from ffzeta._kernels import QuotientKernel, get_kernel
 from ffzeta.fields import FieldSpec, ZpExp, lq_digit_sum, poly_powmod
 from ffzeta.polyring import APoly, MPoly, enumerate_monic, is_irreducible
-from ffzeta.padic import PadicCtx, _invert_mod
+from ffzeta.padic import PadicCtx
 from ffzeta.seriesinf import LaurentSeries, PrecisionError
 from ffzeta.zeta import exact_L, pellarin_L_series, power_sum, _power_sum_window
-from ffzeta.oracle import (enumerated_power_sum, enumerated_prime_to_p_power_sum,
-                           enumerated_vadic_exact_L, enumerated_vadic_zeta_eval)
+from ffzeta.oracle import (enumerated_local_power_sum, enumerated_power_sum,
+                           enumerated_prime_to_p_power_sum, enumerated_vadic_exact_L,
+                           enumerated_vadic_zeta_eval)
 from ffzeta.vadic import (VadicPoint, vadic_exact_L, vadic_zeta_eval, mk_sequence,
                           interpolation_gap, interpolation_gap_bound,
                           prime_to_p_power_sum, vadic_degree_bound, _LocalRing, _ThetaRing,
@@ -363,10 +364,39 @@ def test_power_sums_past_p_251_match_enumeration(p):
     assert interpolation_gap(spec, (-2, 1), P, 0) >= interpolation_gap_bound(spec, (-2, 1), 1, 0)
 
 
-@pytest.mark.parametrize("q, dP", FINITE_PLACES, ids=str)
-def test_shell_unit_inverses_match_one_newton_lift_per_unit(q, dP, monkeypatch):
-    spec = FieldSpec.default(q)
-    P = _prime(spec, dP)
+TOWER = FieldSpec.extension(FieldSpec.default(4), (2, 1, 1))  # x^2 + x + xi over F_4
+
+
+@pytest.mark.parametrize("dP", (2, 3))
+@pytest.mark.parametrize("spec", [FieldSpec.default(q) for q in (2, 3, 4, 5, 9)] + [TOWER],
+                         ids=["2", "3", "4", "5", "9", "4^2"])
+def test_closed_form_sums_match_the_per_unit_oracle(spec, dP):
+    # Carlitz's closed form against one inverse per unit, exponent and raw
+    # value, both sides of the Euler split; n > q takes the recurrence's
+    # higher coefficients
+    q = spec.q
+    rng = random.Random(q * 10 + dP)
+    while not is_irreducible(P := APoly(spec, [rng.randrange(1, q)]
+                                        + [rng.randrange(q) for _ in range(dP - 1)] + [1])):
+        pass
+    for kappa in (1, 2, 17):
+        ring = _LocalRing(spec, P, kappa)
+        # the oracle inverts every unit on code lists, so at kappa = 17 the
+        # shells stop at 64 monics; the widest at an n > q, then a random one
+        degrees = [d for d in range(5) if q ** d <= (64 if kappa > 2 else 256)]
+        for d, n in ((degrees[-1], rng.choice((q + 1, 2 * q + 1))),
+                     (rng.choice(degrees), rng.choice((1, 2, q, q + 1, 2 * q + 1)))):
+            for prime_to_p in (False, True):
+                got = ring.local_power_sum(d, n, prime_to_p)
+                exp, want = enumerated_local_power_sum(spec, P, kappa, d, n, prime_to_p)
+                case = (kappa, d, n, prime_to_p)
+                assert got.exp == exp == -n * (0 if prime_to_p else d // dP), case
+                assert APoly(spec, ring.kernel.to_codes(got.raw)) == want, case
+
+
+def test_closed_form_inverts_one_unit_per_degree(monkeypatch):
+    # no unit of a shell is inverted: the tables invert w_j once for each
+    # j <= d, however many units the shells hold
     inverse = QuotientKernel.inverse
     calls = []
 
@@ -374,24 +404,29 @@ def test_shell_unit_inverses_match_one_newton_lift_per_unit(q, dP, monkeypatch):
         calls.append(args)
         return inverse(self, *args, **kwargs)
 
-    for kappa in (1, 2, 17):
-        ring = _LocalRing(spec, P, kappa)
-        qk, kernel = ring.qk, ring.kernel
-        for d in range(4):
-            # units past the Barrett range (d > 2 kappa dP - 2) are reduced first
-            units = [qk.reduce(kernel.from_codes((u % ring.modulus).coeff_codes))
-                     for u in enumerate_monic(spec, d) if u % P]
-            want = [inverse(qk, u, kernel.from_codes(
-                        _invert_mod(spec, raw_to_apoly(kernel, u), P).coeff_codes),
-                        digits=kappa)
-                    for u in units]
-            calls.clear()
-            monkeypatch.setattr(QuotientKernel, "inverse", counted)
-            got = ring.shell_unit_inverses(d)
-            monkeypatch.setattr(QuotientKernel, "inverse", inverse)
-            assert len(calls) == 1, (kappa, d)
-            assert got == want, (kappa, d)
-            assert all(kernel.to_codes(qk.mul(u, g)) == (1,) for u, g in zip(units, got))
+    monkeypatch.setattr(QuotientKernel, "inverse", counted)
+    ring = _LocalRing(F3, APoly(F3, (1, 0, 1)), 9)
+    for d in range(6):
+        for n in (1, 2, 4):
+            for prime_to_p in (False, True):
+                ring.local_power_sum(d, n, prime_to_p)
+    assert len(calls) == 5
+
+
+def test_a_non_integral_prime_to_p_sum_raises(monkeypatch):
+    # the unit part of theta^q - theta off by a constant factor breaks the
+    # cancellation of the Euler split, which must raise, not return
+    split = vadic._CarlitzSums.split
+
+    def off(self, j):
+        e, w = split(self, j)
+        return e, w.scale_code(2) if j == 1 else w
+
+    monkeypatch.setattr(vadic._CarlitzSums, "split", off)
+    ring = _LocalRing(F3, APoly(F3, (1, 0, 1)), 5)
+    assert ring.local_power_sum(1, 1, True).exp == 0  # d < deg P: nothing cancels
+    with pytest.raises(ArithmeticError, match="not integral"):
+        ring.local_power_sum(2, 1, True)
 
 
 # -- interpolation sequence -------------------------------------------------------
