@@ -6,7 +6,9 @@ dim W > r / (p-1), and sharpness witnesses exist right at the
 threshold.  For a field target every map lists its values on all of
 W = F_p^dim in one order, built one coordinate at a time with the
 field's add and mul tables from the target codes of its columns; the
-pointwise products are then added up with the same tables.
+pointwise products are then added up with the same tables.  For q <= 16
+these lists are byte strings, one code a byte, run through the tables
+with `bytes.translate` (`_charsum_field_bytes`).
 
 threshold_scan sweeps the concrete vanishing claims (plain, twisted
 and character power sums) against enumeration and reports any row
@@ -28,7 +30,8 @@ twisted factors is one MPoly product per factor here
 (`_symbolic_product`), where the library reads it off a table of
 coefficient codes; the twisted power sum adds those products up, and
 the twisted evaluation keeps the library's per-monic loop without its
-code tables, merged factors and per-shell one-unit basis.  The v-adic
+code tables, merged factors, per-shell one-unit basis and scaling
+orbits.  The v-adic
 evaluation lifts and inverts every monic's Teichmuller part itself,
 with no lift shared by a residue class.  The sums of a^(-n) in
 A/(P^kappa) (`enumerated_local_power_sum`) invert every unit on its own,
@@ -98,10 +101,12 @@ def charsum_trial(cfg: CharsumConfig):
             f"p^dim = {cfg.p ** cfg.dim} exceeds the enumeration budget {ENUMERATION_BUDGET}")
     if cfg.basis is not None:
         return _charsum_symbolic(cfg)
-    return _charsum_field(cfg)
+    if cfg.target.q <= 16:
+        return _charsum_field_bytes(cfg)
+    return _charsum_field_lists(cfg)
 
 
-def _charsum_field(cfg: CharsumConfig) -> FqElem:
+def _charsum_field_lists(cfg: CharsumConfig) -> FqElem:
     spec = cfg.target
     p = cfg.p
     add, mul = spec.add_table, spec.mul_table
@@ -118,6 +123,32 @@ def _charsum_field(cfg: CharsumConfig) -> FqElem:
     total = 0
     for v in prod:
         total = add[total][v]
+    return FqElem(spec, total)
+
+
+def _charsum_field_bytes(cfg: CharsumConfig) -> FqElem:
+    """`_charsum_field_lists` with one byte per code, for q <= 16: a map's
+    values take one `bytes.translate` through a row of the add table per
+    coordinate and F_p multiple, a pointwise product packs a*q + b into one
+    byte (one integer add over all of W) and translates it through the
+    flattened mul table, and the sum counts each code."""
+    spec = cfg.target
+    p, q, size = cfg.p, spec.q, cfg.p ** cfg.dim
+    add, mul = spec.add_table, spec.mul_table
+    add_rows = [bytes(row) + bytes(256 - q) for row in add]
+    mul_flat = bytes(itertools.chain.from_iterable(mul)) + bytes(256 - q * q)
+    prod = bytes([1]) * size
+    for m, x in zip(cfg.maps, cfg.offsets):
+        vals = bytes([x.code])
+        for k in range(cfg.dim):
+            col = sum(row[k] % p * p ** i for i, row in enumerate(m))
+            vals = b"".join(vals.translate(add_rows[mul[c][col]]) for c in range(p))
+        packed = int.from_bytes(prod, "big") * q + int.from_bytes(vals, "big")
+        prod = packed.to_bytes(size, "big").translate(mul_flat)
+    total = 0
+    for code in range(1, q):
+        if count := prod.count(code) % p:
+            total = add[total][mul[code][count]]  # count copies of code: code times F_p's count
     return FqElem(spec, total)
 
 

@@ -327,7 +327,13 @@ class _LocalRing:
         is integral, and it cancels m digits, so r and r' are taken m
         digits past kappa and r - r' is divided by P^m exactly.  The cost
         grows with n twice: the recurrence takes n steps, and the sum
-        prime to P works m digits wider."""
+        prime to P works m digits wider.  So the sum prime to P, whose
+        terms are units of A/(P^kappa), takes n mod E in [1, E], with
+        E = (Q - 1) p^t, Q = q^(deg P) and p^t >= kappa least, the exponent
+        of that unit group."""
+        if prime_to_p:
+            E = (self.spec.q ** self.P.degree - 1) * least_p_power(self.spec.p, self.kappa)
+            n = (n - 1) % E + 1
         m = n * (d // self.P.degree)
         if not prime_to_p or not m:
             return _LocalValue(self, -m, self.cut(self.carlitz(0).raw_sum(d, n)))

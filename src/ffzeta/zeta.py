@@ -56,6 +56,11 @@ agree mod e share the base <phi^l(a)(y) / y^d> and merge into one
 factor with the Z_p sum of their exponents.  Each remaining factor
 forms B_j = y^j y^(-d), j = 0..d, once per shell, and a monic's
 one-unit sum_j phi^l(c_j) B_j is added up with field-code arithmetic.
+With no finite factors and one merged factor at y = c theta exactly,
+the scaling by lambda multiplies the pi^k coefficient of a one-unit by
+phi^l(lambda)^(-k), and so of its power too: a shell then visits the
+t-shell's orbit members with their weights and keeps the pi^k with
+(q - 1) | k of the weighted sum (`twisted_L_eval`).
 """
 
 from __future__ import annotations
@@ -435,39 +440,45 @@ def exact_L_degree_bound(spec: FieldSpec, n: int, s: int) -> int:
     return (s + lq_digit_sum(-n, spec.q)) // (spec.q - 1)
 
 
+def _orbit_members(spec: FieldSpec, d: int):
+    """One monic per orbit of F_q^x acting by a -> lambda^(-d) a(lambda theta),
+    as (coefficient codes c_0..c_d, -1/g as an F_p code) pairs.
+
+    The members are theta^d (g = q - 1) and, for e = 1..d, the monics with
+    c_(d-1) = ... = c_(d-e+1) = 0 and c_(d-e) = gamma^i, i < g = gcd(e, q - 1),
+    gamma the field's generator, lower coefficients free: g/h members of
+    each orbit whose stabilizer has h elements, 1 + sum_e gcd(e, q - 1) q^(d-e)
+    of the q^d monics in all.  If lambda multiplies a member's term by
+    lambda^(-m), the orbit adds up to -1/h times the terms with (q - 1) | m
+    (a sum of lambda^m over F_q^x is -1 when (q - 1) | m and 0 otherwise),
+    which is the members' terms with (q - 1) | m, each times -1/g.  At
+    q = 2 these are all the monics, each with weight 1.
+    """
+    q = spec.q
+    yield (0,) * d + (1,), spec.neg_code(spec.inv_code((q - 1) % spec.p))
+    for e in range(1, d + 1):
+        g = math.gcd(e, q - 1)
+        weight = spec.neg_code(spec.inv_code(g % spec.p))
+        for i in range(g):
+            top = (spec.pow_code(spec.generator, i),) + (0,) * (e - 1) + (1,)
+            for vec in monic_coeff_vectors(spec, d - e):
+                yield vec + top, weight
+
+
 def _t_shell(spec: FieldSpec, kernel, d: int, s: int, N: int, convert) -> dict:
     """The z^d terms of sum_a a(t_1)...a(t_s) a^N over monic degree-d a,
-    from one monic per scaling orbit.
+    from one monic per scaling orbit (`_orbit_members`).
 
-    lambda in F_q^x sends a to lambda^(-d) a(lambda theta), a monic of degree
-    d, and multiplies the theta^k t^J term of a(t_1)...a(t_s) a^N by
-    lambda^(k + |J| - d(N + s)); a sum of lambda^m over F_q^x is -1 when
-    (q - 1) | m and 0 otherwise.  So an orbit adds up to -1/h times the terms
-    of one member with k + |J| = d(N + s) mod (q - 1), h its stabilizer.  The
-    members visited are theta^d (h = q - 1) and, for e = 1..d, the monics with
-    c_(d-1) = ... = c_(d-e+1) = 0 and c_(d-e) = g^i, i < gcd(e, q - 1), g the
-    field's generator, lower coefficients free: gcd(e, q - 1)/h of each orbit,
-    so each takes the weight -1/gcd(e, q - 1).  `keep_residues` keeps those
-    theta^k per t-monomial.  At q = 2 every monic is visited with weight 1.
+    lambda in F_q^x sends a to lambda^(-d) a(lambda theta) and multiplies the
+    theta^k t^J term of a(t_1)...a(t_s) a^N by lambda^(k + |J| - d(N + s)),
+    so each member's terms with k + |J| = d(N + s) mod (q - 1) count, times
+    its weight; `keep_residues` keeps those theta^k per t-monomial.
 
     All arrangements of one multiset of t-exponents share a coefficient,
     so each is summed once, its codes go through `convert` and the
     result is shared; zero coefficients are left out."""
-    q = spec.q
-
-    def orbit_members():
-        """(codes, -1/g as an F_p code) per member visited."""
-        yield (0,) * d + (1,), spec.neg_code(spec.inv_code((q - 1) % spec.p))
-        for e in range(1, d + 1):
-            g = math.gcd(e, q - 1)
-            weight = spec.neg_code(spec.inv_code(g % spec.p))
-            for i in range(g):
-                top = (spec.pow_code(spec.generator, i),) + (0,) * (e - 1) + (1,)
-                for vec in monic_coeff_vectors(spec, d - e):
-                    yield vec + top, weight
-
     shell = {}
-    for codes, weight in orbit_members():
+    for codes, weight in _orbit_members(spec, d):
         apow = kernel.pow(kernel.from_codes(codes), N)
         support = [(j, c) for j, c in enumerate(codes) if c]
         for ms in itertools.combinations_with_replacement(support, s):
@@ -480,7 +491,7 @@ def _t_shell(spec: FieldSpec, kernel, d: int, s: int, N: int, convert) -> dict:
             shell[key].add(kernel.scale(apow, prod_code))
     terms = {}
     for ms_key, acc in shell.items():
-        kept = kernel.keep_residues(acc.value, d * (N + s) - sum(ms_key), q - 1)
+        kept = kernel.keep_residues(acc.value, d * (N + s) - sum(ms_key), spec.q - 1)
         coeff = convert(kernel.to_codes(kept))
         if coeff:
             for perm in set(itertools.permutations(ms_key)):
@@ -757,11 +768,25 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     table of codes (`_monomial_codes`); otherwise the value is a
     LaurentSeries.  The shells run to `twisted_stop_shell`.  Infinite
     factors at one point whose Frobenius orders agree mod e merge into one
-    factor with the Z_p sum of their exponents.  Each remaining factor builds its one-units from
-    the per-shell basis y^j y^(-d) (`_OneUnitBasis`) and raises them with
-    one `one_unit_pow` per monic.  A value known to less than prec raises
-    PrecisionError; for a symbolic value that is any coefficient, also one
-    whose sum is zero at its precision and so left out of the MPoly.
+    factor with the Z_p sum of their exponents.  Each remaining factor
+    builds its one-units from the per-shell basis y^j y^(-d)
+    (`_OneUnitBasis`) and raises them with one `one_unit_pow` per monic
+    visited.
+
+    With no finite factors and one merged factor at y = c theta exactly,
+    a shell visits one monic per F_q^x scaling orbit (`_orbit_members`):
+    the member lambda^(-d) a(lambda theta) has the one-unit sigma(<phi^l(a)(y)
+    / y^d>), where sigma multiplies the pi^k coefficient by mu^(-k),
+    mu = phi^l(lambda).  sigma is a ring map, so it commutes with the
+    power, and the sum over mu of mu^(-k) is -1 when (q - 1) | k and 0
+    otherwise: the shell keeps the pi^k, (q - 1) | k, of the members'
+    powers times their weights.  An orbit's members share v(w) and the
+    basis precision, so the shell's precision is that of all monics.
+    Every other case visits every monic with weight 1.
+
+    A value known to less than prec raises PrecisionError; for a
+    symbolic value that is any coefficient, also one whose sum is zero at
+    its precision and so left out of the MPoly.
     """
     finite = list(finite)
     infinite = list(infinite)
@@ -772,6 +797,8 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     x_inv = x.inverse()
     bases = [(_OneUnitBasis(point, frob), zexp)
              for point, frob, zexp in _merge_infinite(spec, infinite)]
+    orbits = (not finite and len(bases) == 1 and bases[0][0].point.val == -1
+              and len(bases[0][0].point.coeff_codes) == 1)
 
     def times(value, f):
         """value * f, where None is the exact 1 that starts a monic's product."""
@@ -783,7 +810,10 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
         terms = {}
         for basis, _ in bases:
             basis.start_shell(d)
-        for a in enumerate_monic(spec, d):
+        members = (_orbit_members(spec, d) if orbits
+                   else ((vec + (1,), 1) for vec in monic_coeff_vectors(spec, d)))
+        for codes, weight in members:
+            a = APoly(spec, codes) if finite else None
             twists = [frobenius_twist(hyperderivative(a, f.hyper), f.frob) for f in finite]
             table = _monomial_codes(spec, [b.coeff_codes for f, b in zip(finite, twists)
                                            if f.point is None])
@@ -794,11 +824,18 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
                 if f.point is not None:
                     value = times(value, b.eval(f.point))
             for basis, zexp in bases:
-                value = times(value, one_unit_pow(basis.one_unit(a.coeff_codes), zexp))
+                value = times(value, one_unit_pow(basis.one_unit(codes), zexp))
             value = LaurentSeries.one(spec, prec) if value is None else value
+            if weight != 1:
+                value = value.scale_code(weight)
             for key, code in table.items():
                 term = LaurentSeries.constant(spec, code, prec) * value if symbolic else value
                 terms[key] = terms[key] + term if key in terms else term
+        if orbits:  # keep the pi^k with (q - 1) | k
+            c = terms[()]
+            kept = [code if (c.val + i) % (spec.q - 1) == 0 else 0
+                    for i, code in enumerate(c.coeff_codes)]
+            terms[()] = LaurentSeries(spec, c.val, kept, c.prec)
         return terms
 
     # one series per t-monomial (the key () without symbolic factors); a

@@ -85,6 +85,25 @@ def test_charsum_exact_value_against_direct_loop():
         assert nonzero, q
 
 
+@pytest.mark.parametrize("q", (4, 8, 9, 16, "4^2"))
+def test_charsum_bytes_and_list_enumerations_agree(q):
+    """The byte-string enumeration of q <= 16 against the list loop that
+    q > 16 keeps, on extension-field targets (F_16 as F_16 and as a tower
+    over F_4), with r up to past the threshold so that nonzero sums occur."""
+    target = FieldSpec.extension(F4, (2, 1, 1)) if q == "4^2" else FieldSpec.default(q)
+    p = target.p
+    rng = random.Random(f"charsum-bytes-{q}")
+    nonzero = 0
+    for _ in range(40):
+        dim = rng.randrange(1, 7)
+        r = rng.randrange(0, dim * (p - 1) + 3)
+        cfg = random_charsum_config(rng, p, dim, r, target)
+        value = oracle._charsum_field_bytes(cfg)
+        assert value == oracle._charsum_field_lists(cfg) == charsum_trial(cfg), (dim, r)
+        nonzero += bool(value)
+    assert nonzero >= 5
+
+
 def test_charsum_symbolic_target():
     # symbolic offsets and basis: the vanishing law holds verbatim
     names = ("u",)

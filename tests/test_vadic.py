@@ -8,7 +8,7 @@ import pytest
 
 from ffzeta import vadic, zeta
 from ffzeta._kernels import QuotientKernel, get_kernel
-from ffzeta.fields import FieldSpec, ZpExp, lq_digit_sum, poly_powmod
+from ffzeta.fields import FieldSpec, ZpExp, least_p_power, lq_digit_sum, poly_powmod
 from ffzeta.polyring import APoly, MPoly, enumerate_monic, is_irreducible
 from ffzeta.padic import PadicCtx
 from ffzeta.seriesinf import LaurentSeries, PrecisionError
@@ -392,6 +392,32 @@ def test_closed_form_sums_match_the_per_unit_oracle(spec, dP):
                 case = (kappa, d, n, prime_to_p)
                 assert got.exp == exp == -n * (0 if prime_to_p else d // dP), case
                 assert APoly(spec, ring.kernel.to_codes(got.raw)) == want, case
+
+
+@pytest.mark.parametrize("q, P, kappa", [(2, (1, 1, 1), 5), (3, (1, 0, 1), 3)])
+def test_prime_to_p_sums_take_n_mod_the_unit_group_exponent(monkeypatch, q, P, kappa):
+    # the terms prime to P are units of A/(P^kappa), whose group has
+    # exponent E = (Q - 1) p^t, p^t >= kappa least: n and n + E give the same
+    # sum, and the closed form runs no further than E steps
+    spec = FieldSpec.default(q)
+    P = APoly(spec, P)
+    E = (q ** P.degree - 1) * least_p_power(spec.p, kappa)
+    raw_sum, asked = vadic._CarlitzSums.raw_sum, []
+
+    def recorded(self, d, n):
+        asked.append(n)
+        return raw_sum(self, d, n)
+
+    monkeypatch.setattr(vadic._CarlitzSums, "raw_sum", recorded)
+    ring = _LocalRing(spec, P, kappa)
+    for d in range(4):
+        for n in (1, 5, E):
+            sums = [ring.local_power_sum(d, n + i * E, True) for i in range(3)]
+            exp, want = enumerated_local_power_sum(spec, P, kappa, d, n + E, True)
+            for got in sums:
+                assert got.exp == exp == 0, (d, n)
+                assert APoly(spec, ring.kernel.to_codes(got.raw)) == want, (d, n)
+    assert max(asked) == E
 
 
 def test_closed_form_inverts_one_unit_per_degree(monkeypatch):

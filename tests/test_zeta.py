@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -748,6 +749,75 @@ def test_twisted_L_eval_builds_one_units_without_series_evaluation(monkeypatch):
     assert calls["eval"] == 0
     assert calls["pow"] == sum(spec.q ** d for d in range(stop))
     assert calls["mul"] <= 9172
+
+
+ORBIT_FIELDS = {f"F{q}": FieldSpec.default(q) for q in (2, 3, 4, 5, 9)}
+ORBIT_FIELDS["F16/F4"] = FieldSpec.extension(F4, (2, 1, 1))  # x^2 + x + xi over F_4
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_FIELDS))
+def test_twisted_L_eval_over_scaling_orbits_matches_the_per_monic_oracle(name):
+    """No finite factors and one merged infinite factor at c theta exactly:
+    the shells visit one monic per scaling orbit, and values, precisions
+    and PrecisionErrors equal the per-monic oracle's, with c != 1 where
+    q > 2, two factors whose orders agree mod e, and points known to low
+    precision."""
+    spec = ORBIT_FIELDS[name]
+    q, p, e = spec.q, spec.p, spec.e
+    rng = random.Random(3000 + q)
+    prec = max(8, q + 3)  # past q - 1, where the terms of a shell past 0 start
+    digits = next(m for m in range(1, prec + 1) if p ** m >= prec)
+    outcomes = []
+
+    def exponent(digits):
+        # most base-p digits p - 1, so that shells past 0 survive mod pi^prec
+        return ZpExp.from_int(p ** digits - 1 - rng.randrange(2 * p), p, digits)
+
+    for trial in range(8):
+        c = rng.randrange(2, q) if q > 2 else 1
+        point = LaurentSeries(spec, -1, (c,), (prec + 8, prec + 1, 3)[trial % 3])
+        frob = rng.randrange(2 * e)
+        infinite = [TwistFactor("infinite", frob=frob, point=point,
+                                zexp=exponent(digits + trial % 2))]
+        if trial % 2:  # a second factor at the same point, order frob + e: they merge
+            infinite.append(TwistFactor("infinite", frob=frob + e, point=point,
+                                        zexp=exponent(digits)))
+        x = LaurentSeries.from_apoly(APoly(spec, (rng.randrange(q), 1)), prec + 8)
+        got = _outcome(twisted_L_eval, [], infinite, x, prec)
+        assert got == _outcome(enumerated_twisted_L_eval, [], infinite, x, prec), (trial, infinite)
+        outcomes.append(got)
+    assert sum(isinstance(v, LaurentSeries) and len(v.coeff_codes) > 1 for v in outcomes) >= 2
+    assert any(isinstance(v, tuple) for v in outcomes)  # a low-precision point raised
+
+
+def test_twisted_L_eval_at_c_theta_raises_one_one_unit_per_orbit_member(monkeypatch):
+    # q = 5, prec 30: shells 0..3, and shell d raises 1 + sum_e gcd(e, 4) 5^(d - e)
+    # one-units (37 of the 125 monics at d = 3)
+    spec, prec = FieldSpec.default(5), 30
+    point = LaurentSeries(spec, -1, (3,), prec + 8)
+    infinite = [TwistFactor("infinite", frob=0, point=point, zexp=ZpExp.from_int(7, 5, 3))]
+    x = LaurentSeries.from_apoly(APoly(spec, (2, 1)), prec + 8)
+    shell, calls = [None], {}
+    start_shell, power = zeta._OneUnitBasis.start_shell, zeta.one_unit_pow
+
+    def started(self, d):
+        shell[0] = d
+        return start_shell(self, d)
+
+    def counted(u, y):
+        calls[shell[0]] = calls.get(shell[0], 0) + 1
+        return power(u, y)
+
+    monkeypatch.setattr(zeta._OneUnitBasis, "start_shell", started)
+    monkeypatch.setattr(zeta, "one_unit_pow", counted)
+    value = twisted_L_eval([], infinite, x, prec)
+    stop = twisted_stop_shell([], infinite, x, prec)
+    assert stop == 4
+    assert calls == {d: 1 + sum(math.gcd(e, 4) * 5 ** (d - e) for e in range(1, d + 1))
+                     for d in range(stop)}
+    assert calls[3] == 37
+    monkeypatch.undo()
+    assert value == enumerated_twisted_L_eval([], infinite, x, prec)
 
 
 # sha256 of the canonical JSON of twisted_L_eval over q = 3 (prec 10) and
