@@ -13,9 +13,9 @@ with `bytes.translate` (`_charsum_field_bytes`).
 threshold_scan sweeps the concrete vanishing claims (plain, twisted
 and character power sums) against enumeration and reports any row
 where a bound predicts zero but the value is not: such a row is a
-failure of the build, not of the scan.  The plain and twisted scans
-also list every cell where the library's value differs from the
-enumerated one (`fast_path_mismatches`).
+failure of the build, not of the scan.  Every scan also lists each
+cell where the library's value differs from the enumerated one
+(`fast_path_mismatches`).
 
 The enumerated power sums, prime-to-P sums and infinite-place shells
 here are the independent side of the dual routes: the library computes
@@ -25,13 +25,14 @@ t-weights (`enumerated_exact_L`) visit every monic, where the library's
 t-shell visits one per scaling orbit.  The enumerated sums raise
 each monic to its power with `_digit_power` here, not with the
 kernels' `pow`, and the one-units at infinity with `_one_unit_power`,
-not with `seriesinf.one_unit_pow`.  A monic's product of symbolic
-twisted factors is one MPoly product per factor here
-(`_symbolic_product`), where the library reads it off a table of
-coefficient codes; the twisted power sum adds those products up, and
-the twisted evaluation keeps the library's per-monic loop without its
-code tables, merged factors, per-shell one-unit basis and scaling
-orbits.  The v-adic
+not with `seriesinf.one_unit_pow`.  The twisted and character power
+sums add up every monic's terms here, where the library sums over
+slot assignments of linear forms and visits no monic: a monic's
+product of symbolic twisted factors is one MPoly product per factor
+(`_symbolic_product`), and `enumerated_char_power_sum` scales each
+monic's power by its character value.  The twisted evaluation keeps
+the library's per-monic loop without its code tables, merged factors,
+per-shell one-unit basis and scaling orbits.  The v-adic
 evaluation lifts and inverts every monic's Teichmuller part itself,
 with no lift shared by a residue class.  The sums of a^(-n) in
 A/(P^kappa) (`enumerated_local_power_sum`) invert every unit on its own,
@@ -495,6 +496,26 @@ def enumerated_twisted_power_sum(spec: FieldSpec, d: int, factors,
     return total
 
 
+def enumerated_char_power_sum(spec: FieldSpec, d: int, chi: ResidueChar, n: int):
+    """char_power_sum monic by monic: each monic prime to P is raised to n
+    with `_digit_power` and scaled by its character value."""
+    if n < 0:
+        raise ValueError("needs n >= 0")
+    rspec = chi.residue_field
+    kernel = get_kernel(spec) if n else None  # n = 0 reads only character values
+    acc = []
+    for vec in monic_coeff_vectors(spec, d):
+        codes = vec + (1,)
+        chi_code = chi.eval_codes(codes)
+        if chi_code:
+            apow = kernel.to_codes(_digit_power(kernel, kernel.from_codes(codes), n)) if n else (1,)
+            # F_q coefficients keep their code in the residue extension
+            acc = poly_add(rspec, acc, poly_scale(rspec, list(apow), chi_code))
+    if n == 0:
+        return FqElem(rspec, acc[0] if acc else 0)
+    return APoly(rspec, acc)
+
+
 def enumerated_twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     """twisted_L_eval's sum over the same shells, monic by monic: every
     factor is evaluated by Horner's rule at its point, and every infinite
@@ -627,6 +648,7 @@ def _scan_char(spec, P, delta, d_max, budget):
     chi = ResidueChar(spec, P.coeff_codes, delta)
     rows = []
     violations = []
+    mismatches = []
     complete = True
     q = spec.q
     bound = P.degree + 1
@@ -634,16 +656,19 @@ def _scan_char(spec, P, delta, d_max, budget):
         if q ** d > budget:
             complete = False
             continue
-        value = char_power_sum(spec, d, chi, 0)
+        value = enumerated_char_power_sum(spec, d, chi, 0)
         zero = not value
         predicted = d >= bound
         rows.append({"q": q, "dP": P.degree, "delta": chi.delta, "d": d,
                      "zero": zero, "predicted": predicted})
         if predicted and not zero:
             violations.append(rows[-1])
+        if char_power_sum(spec, d, chi, 0) != value:
+            mismatches.append({"q": q, "dP": P.degree, "delta": chi.delta, "d": d})
     observed = max((r["d"] for r in rows if not r["zero"]), default=-1) + 1
     return {"kind": "char", "q": q, "rows": rows, "violations": violations,
-            "complete": complete, "observed_threshold": observed, "bound": bound}
+            "fast_path_mismatches": mismatches, "complete": complete,
+            "observed_threshold": observed, "bound": bound}
 
 
 def _sharp_thresholds(rows, key):

@@ -425,14 +425,6 @@ class MPoly:
             out[rest] = out[rest] + c if rest in out else c
         return MPoly(self.vars[:i] + self.vars[i + 1:], out)
 
-    def map_coefficients(self, fn) -> "MPoly":
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[e] = v
-        return MPoly(self.vars, out)
-
     def gauss_valuation(self):
         """Minimum coefficient valuation, or None for the zero polynomial."""
         vals = [c.valuation() for c in self.terms.values()]

@@ -43,12 +43,15 @@ F_q^x acting by a -> lambda^(-d) a(lambda theta): an orbit's terms add up
 to -1/(stabilizer size) times those of one member whose theta- and
 t-degrees satisfy k + |J| = d(N + s) mod (q - 1) (`_t_shell`).
 
-Every finite twisted factor phi^(e_i)(a^(m_i)) is linear in a's
-coefficients, so a monic's product of symbolic factors is a table of
-field codes, one per t-monomial (`_monomial_codes`): twisted_power_sum
-adds the tables up with field-code arithmetic, and the twisted
-evaluation adds each table times a monic's numeric value into one series
-per t-monomial, zero sums kept for their precision.  That evaluation
+Every finite twisted factor phi^(e_i)(a^(m_i)) is a linear form in a's
+coefficients c_j, and so are a residue character's a(zeta^(q^i)) and
+a^(p^k).  twisted_power_sum and char_power_sum pick one slot j per form
+and keep, as sum_(c in F_q) c^W is -1 or 0, the choices where every slot
+j < d collects a positive multiple of q - 1 (`_slot_sum`), with no monic
+visited.  The twisted evaluation reads a monic's product of symbolic
+factors off a table of field codes, one per t-monomial
+(`_monomial_codes`), and adds each table times the monic's numeric value
+into one series per t-monomial, zero sums kept for their precision.  It
 visits the monics of each shell, with no series product before a
 monic's one-unit power, and a monic's product starts at its first
 factor, not at 1.  Infinite factors at one point whose Frobenius orders
@@ -76,7 +79,7 @@ from . import fields
 from ._kernels import RawSum, get_kernel, raw_to_apoly
 from .fields import (FieldSpec, FqElem, FrozenValue, ZpExp, ResidueChar, least_p_power,
                      lq_digit_sum)
-from .polyring import APoly, MPoly, enumerate_monic, monic_coeff_vectors, frobenius_twist, hyperderivative
+from .polyring import APoly, MPoly, monic_coeff_vectors, frobenius_twist, hyperderivative
 from .seriesinf import LaurentSeries, PrecisionError, one_unit_pow
 
 
@@ -377,14 +380,68 @@ def _monomial_codes(spec: FieldSpec, rows) -> dict:
     return table
 
 
+def _slot_sum(spec: FieldSpec, target: FieldSpec, d: int, forms, start) -> dict:
+    """{key: code} of the sum over monic degree-d a = sum_j c_j theta^j of a
+    product of linear forms in the c_j, c_d = 1; zero codes left out.
+
+    A form (w, row) is sum_j code * c_j^w over its row's (j, code, part),
+    w a power of p below q, and a choice of j adds its part to the key,
+    from `start`.  Expanding the product picks one slot j per form, and
+    sum_(c in F_q) c^W is -1 when W is a positive multiple of q - 1 and 0
+    otherwise: the q^d monics keep the choices where every slot j < d
+    collects such a weight, each times (-1)^d.  A state is each slot's
+    weight mod q - 1 in [1, q - 1], 0 for an empty slot, with the key so
+    far; slot d takes any forms.  A state is cut once sum_j (q - 1 - w_j)
+    exceeds the weight still to place (the vanishing law as a
+    certificate), so every slot of the states left at the end is full.
+    """
+    q1 = spec.q - 1
+    add, mul = target.add_table, target.mul_table
+    rest = sum(w for w, _ in forms)
+    if d * q1 > rest:
+        return {}
+    states = {((0,) * d, start): 1}
+    for w, row in forms:
+        rest -= w
+        nxt = {}
+        for (slots, key), code in states.items():
+            for j, c, part in row:
+                if j < d:
+                    slots_j = slots[:j] + ((slots[j] + w - 1) % q1 + 1,) + slots[j + 1:]
+                else:
+                    slots_j = slots
+                if d * q1 - sum(slots_j) > rest:
+                    continue
+                state = (slots_j, key + part)
+                nxt[state] = add[nxt.get(state, 0)][mul[code][c]]
+        states = nxt
+    sign = target.neg_code(1) if d % 2 else 1
+    return {key: mul[sign][code] for (_, key), code in states.items() if code}
+
+
+def _char_forms(chi: ResidueChar, d: int, part) -> list:
+    """chi(a) = a(zeta)^delta' as `_slot_sum` forms, zeta the class of theta
+    in F_Q = A/(P) and delta' = delta mod (Q - 1) in [1, Q - 1], so that P | a
+    gives 0: base-q digit delta'_i of delta' gives delta'_i copies of
+    a(zeta^(q^i)) = sum_j zeta^(j q^i) c_j, of weight 1."""
+    rspec, q = chi.residue_field, chi.field.q
+    zeta = rspec.from_digits((0, 1)) if chi.dP > 1 else rspec.neg_code(chi.P_codes[0])
+    forms = []
+    for i, digit in enumerate(fields.base_digits(chi.delta or chi.order, q)):
+        row = [(j, rspec.pow_code(zeta, j * q ** i), part) for j in range(d + 1)]
+        forms += [(1, [r for r in row if r[1]])] * digit
+    return forms
+
+
 def twisted_power_sum(spec: FieldSpec, d: int, factors, char: ResidueChar | None = None) -> MPoly:
     """Sum over monic degree-d a of chi(a) * prod phi^e_i(a^(m_i))(t_i).
 
     All factor points are symbolic.  Without a character, the sum is
     exactly zero once d(q-1) > twist_degree_weight(factors); for equal
     Frobenius orders that is d > s/(q-1), and mixed orders vanish later.
-    Each factor is linear in a's coefficients, so a monic's product is
-    the table of `_monomial_codes`, added up with field-code arithmetic.
+    Factor i is the form sum_(j >= m_i) C(j, m_i) c_j^(p^e_i) t_i^(j - m_i)
+    of weight p^(e_i mod e), and the character adds `_char_forms`: the
+    sum is `_slot_sum`'s, keyed by the t-exponents, with no monic visited.
     """
     factors = list(factors)
     for f in factors:
@@ -392,14 +449,11 @@ def twisted_power_sum(spec: FieldSpec, d: int, factors, char: ResidueChar | None
             raise ValueError("twisted_power_sum takes symbolic finite factors only")
     target = char.residue_field if char is not None else spec
     names = tuple(f"t{i + 1}" for i in range(len(factors)))
-    total = {}
-    for a in enumerate_monic(spec, d):
-        chi_code = char.eval_codes(a.coeff_codes) if char is not None else 1
-        if chi_code == 0:
-            continue
-        rows = [frobenius_twist(hyperderivative(a, f.hyper), f.frob).coeff_codes for f in factors]
-        for key, code in _monomial_codes(target, rows).items():
-            total[key] = target.add_code(total.get(key, 0), target.mul_code(chi_code, code))
+    forms = _char_forms(char, d, ()) if char is not None else []
+    forms += [(spec.p ** (f.frob % spec.e), [(j, b, (j - f.hyper,)) for j in range(f.hyper, d + 1)
+                                             if (b := fields.binom_mod_p(j, f.hyper, spec.p))])
+              for f in factors]
+    total = _slot_sum(spec, target, d, forms, ())
     return MPoly(names, {key: FqElem(target, code) for key, code in total.items()})
 
 
@@ -408,28 +462,20 @@ def char_power_sum(spec: FieldSpec, d: int, chi: ResidueChar, n: int):
 
     Returns an FqElem of the residue field for n = 0, otherwise an APoly
     over the residue field.  For n = 0 the sum vanishes for all
-    d >= deg(P) + 1.
+    d >= deg(P) + 1.  Base-p digit n_k of n gives n_k copies of the form
+    a^(p^k) = sum_j c_j^(p^k) theta^(j p^k), of weight p^(k mod e), to go
+    with `_char_forms`: the sum is `_slot_sum`'s, keyed by the theta-exponent.
     """
     if n < 0:
         raise ValueError("char_power_sum needs n >= 0")
     rspec = chi.residue_field
-    kernel = get_kernel(spec)
-    acc = []
-    for vec in monic_coeff_vectors(spec, d):
-        codes = vec + (1,)
-        chi_code = chi.eval_codes(codes)
-        if chi_code == 0:
-            continue
-        if n == 0:
-            apow_codes = (1,)
-        else:
-            apow_codes = kernel.to_codes(kernel.pow(kernel.from_codes(codes), n))
-        # F_q coefficients keep their code in the residue extension
-        scaled = fields.poly_scale(rspec, list(apow_codes), chi_code)
-        acc = fields.poly_add(rspec, acc, scaled)
+    forms = _char_forms(chi, d, 0)
+    for k, digit in enumerate(fields.base_digits(n, spec.p)):
+        forms += [(spec.p ** (k % spec.e), [(j, 1, j * spec.p ** k) for j in range(d + 1)])] * digit
+    total = _slot_sum(spec, rspec, d, forms, 0)
     if n == 0:
-        return FqElem(rspec, acc[0] if acc else 0)
-    return APoly(rspec, acc)
+        return FqElem(rspec, total.get(0, 0))
+    return APoly(rspec, [total.get(k, 0) for k in range(d * n + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,7 @@ def test_only_the_kernels_know_the_digit_width():
 
 # The only library functions that visit the q^d monics of a degree; the
 # list may only shrink.  oracle.py enumerates freely: that is its job.
-MONIC_LOOPS = {"zeta.twisted_power_sum", "zeta.char_power_sum", "zeta._orbit_members",
-               "zeta.twisted_L_eval", "vadic.vadic_zeta_eval"}
+MONIC_LOOPS = {"zeta._orbit_members", "zeta.twisted_L_eval", "vadic.vadic_zeta_eval"}
 ENUMERATORS = {"enumerate_monic", "monic_coeff_vectors"}
 
 

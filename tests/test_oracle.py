@@ -168,8 +168,18 @@ def test_threshold_scan_twisted_sweeps_mixed_orders():
 
 def test_threshold_scan_char_observes_sharp_bound():
     report = threshold_scan("char", spec=F3, P=APoly.theta(F3), delta=2, d_max=4)
-    assert report["violations"] == []
+    assert report["violations"] == [] and report["fast_path_mismatches"] == []
     assert report["observed_threshold"] == report["bound"] == 2
+
+
+def test_threshold_scan_char_lists_fast_path_mismatches(monkeypatch):
+    # the rows come from enumeration, so a wrong library sum shows only here
+    real = oracle.char_power_sum
+    monkeypatch.setattr(oracle, "char_power_sum",
+                        lambda spec, d, chi, n: real(spec, d, chi, n) + FqElem(spec, d == 3))
+    report = threshold_scan("char", spec=F3, P=APoly.theta(F3), delta=2, d_max=4)
+    assert report["violations"] == [] and report["observed_threshold"] == 2
+    assert report["fast_path_mismatches"] == [{"q": 3, "dP": 1, "delta": 0, "d": 3}]  # 2 mod 2
 
 
 def test_threshold_scan_budget_flag():
@@ -182,7 +192,7 @@ CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_power_sum_window", "_recursio
                   "_lucas_support", "prime_to_p_power_sum", "exact_L", "vadic_exact_L",
                   "reduced_power_sum", "_t_shell", "pellarin_L_series", "goss_zeta_eval",
                   "mzv_eval_inf", "twisted_L_eval", "_merge_infinite", "_OneUnitBasis",
-                  "_monomial_codes", "keep_residues",
+                  "_monomial_codes", "keep_residues", "_slot_sum", "_char_forms",
                   "vadic_zeta_eval", "one_unit_pow", "teichmuller", "padic_one_unit_pow",
                   "_LocalRing", "_CarlitzSums", "local_power_sum", "inverse_power_sum",
                   "raw_sum"}

@@ -10,8 +10,9 @@ from ffzeta.fields import FieldSpec, FqElem, ZpExp, ResidueChar, least_p_power
 from ffzeta.polyring import APoly, MPoly, enumerate_monic, is_irreducible
 from ffzeta.seriesinf import LaurentSeries, PrecisionError, one_unit_pow
 from ffzeta._kernels import get_kernel
-from ffzeta.oracle import (enumerated_bracket_shell, enumerated_power_sum,
-                           enumerated_twisted_L_eval, enumerated_twisted_power_sum)
+from ffzeta.oracle import (enumerated_bracket_shell, enumerated_char_power_sum,
+                           enumerated_power_sum, enumerated_twisted_L_eval,
+                           enumerated_twisted_power_sum)
 from ffzeta import polyring, seriesinf, zeta
 from ffzeta.zeta import (PowerSumCache, SInftyPoint, TwistFactor, power_sum,
                          power_sum_vanishes, twisted_power_sum, char_power_sum,
@@ -349,6 +350,104 @@ def test_char_power_sum_vanishing_bound():
             chi = ResidueChar(spec, Pc, delta)
             for d in range(dP + 1, dP + 4):
                 assert not char_power_sum(spec, d, chi, 0)
+
+
+# -- slot-assignment sums against the per-monic oracles --------------------------
+
+
+TOWER = FieldSpec.extension(F4, (2, 1, 1))  # x^2 + x + xi over F_4
+SLOT_FIELDS = {f"F{q}": FieldSpec.default(q) for q in (2, 3, 4, 5, 7, 8, 9)}
+SLOT_FIELDS["F16/F4"] = TOWER
+
+
+def _random_char(rng, spec, max_dP):
+    """A character of a random irreducible P of degree <= max_dP, its
+    exponent 0, a multiple of Q - 1 or any residue, in turn at random."""
+    dP = rng.randrange(1, max_dP + 1)
+    while not is_irreducible(P := APoly(spec, [rng.randrange(spec.q) for _ in range(dP)] + [1])):
+        pass
+    order = spec.q ** dP - 1
+    delta = rng.choice((0, order * rng.randrange(1, 3), rng.randrange(1, 3 * order + 2)))
+    return ResidueChar(spec, P.coeff_codes, delta)
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_FIELDS))
+def test_twisted_power_sum_matches_the_per_monic_oracle(name):
+    """Mixed Frobenius orders and hyperderivatives up to 2, 40 % of the
+    draws with a character of deg P <= 2: over F_4 and the tower F_16/F_4
+    its residue field is a tower in turn.  Up to five factors for q <= 5;
+    past that a slot needs weight q - 1, so six to eight."""
+    spec = SLOT_FIELDS[name]
+    rng = random.Random(3100 + spec.q)
+    nonzero = 0
+    for _ in range(20):
+        s = rng.randrange(6) if spec.q <= 5 else rng.randrange(6, 9)
+        hypers = (0, 0, 0, 1, 2) if spec.q <= 5 else (0,) * 8 + (1, 2)
+        factors = [TwistFactor("finite", frob=rng.randrange(2 * spec.e), hyper=rng.choice(hypers))
+                   for _ in range(s)]
+        char = _random_char(rng, spec, 1 if spec.q > 9 else 2) if rng.random() < 0.4 else None
+        for d in range(4):
+            if spec.q ** d * (d + 1) ** s > 5000:
+                break
+            value = twisted_power_sum(spec, d, factors, char)
+            assert value == enumerated_twisted_power_sum(spec, d, factors, char), (factors, char, d)
+            nonzero += d > 0 and bool(value)
+    assert nonzero >= 4
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5", "F9", "F16/F4"])
+def test_char_power_sum_matches_the_per_monic_oracle(name):
+    """deg P <= 3, n <= 11 and n = 40, exponents 0 and multiples of Q - 1
+    among the characters."""
+    spec = SLOT_FIELDS[name]
+    rng = random.Random(3200 + spec.q)
+    nonzero = 0
+    for i in range(16):
+        chi = _random_char(rng, spec, 3 if spec.q <= 5 else 2 if spec.q <= 9 else 1)
+        n = 40 if i % 4 == 0 else rng.randrange(12)
+        for d in range(5):
+            if spec.q ** d > 300:
+                break
+            value = char_power_sum(spec, d, chi, n)
+            assert value == enumerated_char_power_sum(spec, d, chi, n), (chi, d, n)
+            nonzero += bool(value)
+    assert nonzero >= 8
+
+
+def test_slot_sums_at_q_257_match_the_oracle():
+    """The 256 weight-1 forms of a(zeta)^256 fill one slot of q - 1 = 256 at
+    d = 1 and cannot fill two at d = 2, where no state is made."""
+    spec = FieldSpec(257, (0, 1))
+    for delta, d, n in ((256, 2, 0), (0, 1, 0), (5, 1, 3), (256, 1, 300)):
+        chi = ResidueChar(spec, (3, 1), delta)
+        assert char_power_sum(spec, d, chi, n) == enumerated_char_power_sum(spec, d, chi, n)
+
+
+def test_twisted_power_sum_reaches_past_enumeration():
+    """q = 16, d = 3, s = 12 (orders 0-3, three times each): the slot sum
+    has 1,296 terms; a few of them, and a few keys that must be absent,
+    are checked against sum_a prod_i c_(J_i)^(2^(e_i)) over the 4,096
+    monics."""
+    spec = FieldSpec.default(16)
+    orders = [i % 4 for i in range(12)]
+    value = twisted_power_sum(spec, 3, [TwistFactor("finite", frob=f) for f in orders])
+    assert len(value.terms) == 1296
+    rng = random.Random(3300)
+    present = rng.sample(sorted(value.terms), 3) + [(0, 1, 2) * 4]
+    absent = [(0,) * 12, (0, 1, 2, 3) * 3, (3,) + (0,) * 11]  # slot 0 takes 45 (1, 2 empty), 3, 44
+    assert not set(absent) & set(value.terms)
+    mul, add = spec.mul_table, spec.add_table
+    powers = [[spec.frob_code(c, f) for c in range(16)] for f in range(4)]
+    for key in present + absent:
+        total = 0
+        for vec in itertools.product(range(16), repeat=3):
+            codes = vec + (1,)
+            term = 1
+            for j, f in zip(key, orders):
+                term = mul[term][powers[f][codes[j]]]
+            total = add[total][term]
+        expected = value.terms[key].code if key in value.terms else 0
+        assert total == expected, key
 
 
 # -- exact zeta polynomials ------------------------------------------------------
