@@ -133,17 +133,16 @@ def _emit(args, value) -> None:
         print(json.dumps(doc, sort_keys=True))
 
 
-def _emit_csv(doc) -> None:
-    if isinstance(doc, dict) and "terms" in doc and "vars" in doc:
+def _emit_csv(doc: dict) -> None:
+    """An MPoly as one row per term, any other document (every subcommand
+    emits a dict) as one key,value row per key."""
+    if "terms" in doc and "vars" in doc:
         print(",".join(doc["vars"] + ["coeff"]))
         for term in doc["terms"]:
             print(",".join([str(e) for e in term["exp"]] + [json.dumps(term["coeff"])]))
         return
-    if isinstance(doc, dict):
-        for key, value in sorted(doc.items()):
-            print(f"{key},{json.dumps(value)}")
-        return
-    print(json.dumps(doc))
+    for key, value in sorted(doc.items()):
+        print(f"{key},{json.dumps(value)}")
 
 
 def _zeta_eval(args, spec):
@@ -223,7 +222,9 @@ def _verify(args, spec) -> dict:
                                              n_max=3 * (spec.q - 1) * spec.q,
                                              budget=args.budget),
                    oracle_mod.threshold_scan("twisted", spec=spec, d_max=3, s_max=4,
-                                             budget=args.budget)]
+                                             budget=args.budget),
+                   oracle_mod.threshold_scan("char", spec=spec, P=APoly.theta(spec), delta=1,
+                                             d_max=4, budget=args.budget)]
         if not reports[0]["rows"]:
             raise ValueError(f"--budget {args.budget} admits no power-sum cell")
         violations = [v for r in reports for v in r["violations"]]

@@ -13,8 +13,9 @@ restricts only the first index to be prime to P and is congruent to
 the full sum modulo P^(-n_1): every omitted chain carries a_1^(-n_1)
 with P | a_1.  Positive exponents are evaluated numerically at the
 infinite place with the shell cutoff certified by the valuation bound
-v(S_d(-n)) >= n d + q^(d-2); each numeric shell sum_a a^(-n) is the
-power sum pi^(d p^M) S_d(p^M - n) mod pi^prec, for p^M >= max(prec, n).
+v(S_d(-n)) >= n d + q^(d-1) for q >= 3 and n d + 2^(d-2) at q = 2
+(`zeta.infty_coeff_valuation_bound`); each numeric shell sum_a a^(-n) is
+the power sum pi^(d p^M) S_d(p^M - n) mod pi^prec, for p^M >= max(prec, n).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from .fields import FieldSpec, FrozenValue, least_p_power
 from .polyring import APoly, MPoly, chain_sum, is_irreducible
 from .seriesinf import LaurentSeries
-from .zeta import exact_L_degree_bound, power_sum, shell_sum
+from .zeta import exact_L_degree_bound, infty_coeff_valuation_bound, power_sum, shell_sum
 from .vadic import prime_to_p_power_sum
 
 
@@ -86,10 +87,10 @@ def mzv_vadic_exact(spec: FieldSpec, idx: MzvIndex, P: APoly) -> MPoly:
 
 def _numeric_shell_cutoff(q: int, n1: int, prec: int) -> int:
     """Exclusive top-degree cutoff: chains with d_1 >= cutoff sit below
-    pi^prec, since v(S_d(-n)) >= n d + q^(d-2)."""
+    pi^prec, since v(S_d(-n)) >= n d + infty_coeff_valuation_bound(q, d),
+    which is q^(d-1) for q >= 3 and 2^(d-2) at q = 2."""
     for d in range(4000):
-        cert = q ** (d - 2) if d >= 2 else 0
-        if n1 * d + cert >= prec:
+        if n1 * d + infty_coeff_valuation_bound(q, d) >= prec:
             return d
     raise ValueError("no shell cutoff found; precision too large")
 

@@ -30,9 +30,12 @@ sums add up every monic's terms here, where the library sums over
 slot assignments of linear forms and visits no monic: a monic's
 product of symbolic twisted factors is one MPoly product per factor
 (`_symbolic_product`), and `enumerated_char_power_sum` scales each
-monic's power by its character value.  The twisted evaluation keeps
-the library's per-monic loop without its code tables, merged factors,
-per-shell one-unit basis and scaling orbits.  The v-adic
+monic's power by its character value.  The twisted evaluation visits
+every monic, as the library does away from c theta, but forms each
+factor as a polynomial (`hyperderivative`, `frobenius_twist`) evaluated
+by Horner's rule, where the library reads factors off per-shell rows
+with field-code arithmetic; it has no code tables, merged factors or
+scaling orbits.  The v-adic
 evaluation lifts and inverts every monic's Teichmuller part itself,
 with no lift shared by a residue class.  The sums of a^(-n) in
 A/(P^kappa) (`enumerated_local_power_sum`) invert every unit on its own,

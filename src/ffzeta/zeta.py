@@ -21,9 +21,10 @@ Evaluation at a p-adic exponent y truncates the shell sum using the
 digit certificate: cutting the base-q digits of the exponent at level
 l changes one-unit powers by at most pi^(q^(l+1)), and the truncated
 exponent has digit sum at most (l+1)(q-1)+1, so the inner sum vanishes
-once d(q-1) > (l+1)(q-1)+1.  Taking l+1 = d-2 certifies
-v(c_d) >= q^(d-2) for d >= 2; the test suite re-validates this bound
-against brute force before it is trusted.
+once d(q-1) > (l+1)(q-1)+1.  The largest such l+1 is d-1 for q >= 3
+and d-2 for q = 2, which certifies v(c_d) >= q^(d-1), respectively
+2^(d-2) (`infty_coeff_valuation_bound`); the test suite re-validates
+this bound against brute force before it is trusted.
 
 The shells themselves come from the same recursion, not from the q^d
 monics.  Let M' be least with p^M' >= prec and N the integer spelled
@@ -48,17 +49,20 @@ coefficients c_j, and so are a residue character's a(zeta^(q^i)) and
 a^(p^k).  twisted_power_sum and char_power_sum pick one slot j per form
 and keep, as sum_(c in F_q) c^W is -1 or 0, the choices where every slot
 j < d collects a positive multiple of q - 1 (`_slot_sum`), with no monic
-visited.  The twisted evaluation reads a monic's product of symbolic
-factors off a table of field codes, one per t-monomial
-(`_monomial_codes`), and adds each table times the monic's numeric value
-into one series per t-monomial, zero sums kept for their precision.  It
-visits the monics of each shell, with no series product before a
-monic's one-unit power, and a monic's product starts at its first
-factor, not at 1.  Infinite factors at one point whose Frobenius orders
+visited.  The twisted evaluation visits the monics of each shell and
+reads every factor off rows built once per shell, with field-code
+arithmetic per monic.  Finite factor i has the coefficients
+C(j, m_i) phi^(e_i)(c_j), j >= m_i, the forms above: the symbolic ones
+multiply into a table of field codes, one per t-monomial
+(`_monomial_codes`), and a numeric one is evaluated at its point by
+Horner's rule.  Infinite factors at one point whose Frobenius orders
 agree mod e share the base <phi^l(a)(y) / y^d> and merge into one
 factor with the Z_p sum of their exponents.  Each remaining factor
 forms B_j = y^j y^(-d), j = 0..d, once per shell, and a monic's
-one-unit sum_j phi^l(c_j) B_j is added up with field-code arithmetic.
+one-unit sum_j phi^l(c_j) B_j is added up with the field's add and mul
+tables, with no series product before its one-unit power.  A monic's
+product starts at its first factor, not at 1, and each table times it
+goes into one series per t-monomial, zero sums kept for their precision.
 With no finite factors and one merged factor at y = c theta exactly,
 the scaling by lambda multiplies the pi^k coefficient of a one-unit by
 phi^l(lambda)^(-k), and so of its power too: a shell then visits the
@@ -79,7 +83,7 @@ from . import fields
 from ._kernels import RawSum, get_kernel, raw_to_apoly
 from .fields import (FieldSpec, FqElem, FrozenValue, ZpExp, ResidueChar, least_p_power,
                      lq_digit_sum)
-from .polyring import APoly, MPoly, monic_coeff_vectors, frobenius_twist, hyperderivative
+from .polyring import APoly, MPoly, monic_coeff_vectors
 from .seriesinf import LaurentSeries, PrecisionError, one_unit_pow
 
 
@@ -631,7 +635,8 @@ def infty_coeff_valuation_bound(q: int, d: int, s: int = 0, n_inf: int = 1) -> i
     truncation at level l leaves exponents of digit sum at most
     (l+1)(q-1)+1 each, and the truncated sum vanishes once
     d(q-1) > s + n_inf((l+1)(q-1)+1); the bound is q^(l+1) for the
-    largest admissible l.  Plain case (s=0, n_inf=1): q^(d-2) for d >= 2.
+    largest admissible l.  Plain case (s=0, n_inf=1): q^(d-1) for q >= 3
+    and 2^(d-2) at q = 2.
     """
     if n_inf < 1:
         raise ValueError("certificate applies to sums with exponent factors")
@@ -665,7 +670,8 @@ def goss_zeta_eval(pt: SInftyPoint, prec: int) -> LaurentSeries:
     """Evaluate sum_d x^(-d) sum_a <a>^(-y) to the requested precision.
 
     The point stores the digits of -y; the shell sum stops once the
-    certified bound v(c_d) >= q^(d-2) pushes the tail below pi^prec.
+    certified bound v(c_d) >= infty_coeff_valuation_bound(q, d) (q^(d-1)
+    for q >= 3, 2^(d-2) at q = 2) pushes the tail below pi^prec.
     Needs p^M >= prec digits and x known to relative precision >= prec.
     Shell d is pi^(dN) S_d(N) with N the digits of -y mod the least
     p^M' >= prec (see the module docstring).
@@ -757,52 +763,6 @@ def _merge_infinite(spec: FieldSpec, infinite):
             for (point, frob), (total, digits) in groups.items()]
 
 
-class _OneUnitBasis:
-    """The one-units <phi^l(a)(y) / y^d> of one infinite factor, shell by shell.
-
-    `start_shell(d)` forms B_j = y^j y^(-d) for j = 0..d, with the powers
-    y^j kept across shells, and scales each B_j by every phi^l(c).  The
-    one-unit of a monic a = sum_j c_j theta^j is then sum_j phi^l(c_j) B_j,
-    added up with code arithmetic and no series product.  It is known mod
-    pi^N, N = min(prec(y) + v(y), d v(y) + prec(y^(-d))): the precision
-    that Horner's rule at y followed by the product by y^(-d) tracks.
-    Every B_j is known at least that far, so the value is that of the
-    per-monic evaluation (`oracle.enumerated_twisted_L_eval`) byte for
-    byte.
-    """
-
-    def __init__(self, point: LaurentSeries, frob: int):
-        self.spec = point.spec
-        self.point = point
-        self.frob_codes = [self.spec.frob_code(c, frob) for c in range(self.spec.q)]
-        self.y_inv = point.inverse()
-        self.y_pows = [None, point]  # y^j for j >= 1; B_0 is y^(-d) itself
-        self.prec = 0
-        self.rows = []
-
-    def start_shell(self, d: int):
-        y = self.point
-        while len(self.y_pows) <= d:
-            self.y_pows.append(self.y_pows[-1] * y)
-        y_inv_d = self.y_inv ** d
-        self.prec = min(d * y.val + y_inv_d.prec, y.prec + y.val)
-        self.rows = []
-        for j in range(d + 1):
-            b = y_inv_d if j == 0 else self.y_pows[j] * y_inv_d
-            coeffs = b.coeff_codes[:max(self.prec - b.val, 0)]
-            self.rows.append((b.val, [fields.poly_scale(self.spec, coeffs, fc)
-                                      for fc in self.frob_codes]))
-
-    def one_unit(self, codes) -> LaurentSeries:
-        add = self.spec.add_table
-        out = [0] * max(self.prec, 0)
-        for (offset, scaled), c in zip(self.rows, codes):
-            if c:
-                for i, b in enumerate(scaled[c], offset):
-                    out[i] = add[out[i]][b]
-        return LaurentSeries(self.spec, 0, out, self.prec)
-
-
 def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     """General twisted evaluation over monic polynomials.
 
@@ -812,12 +772,14 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     Finite factors with symbolic points produce an MPoly with Laurent
     coefficients, one series per t-monomial added up from each monic's
     table of codes (`_monomial_codes`); otherwise the value is a
-    LaurentSeries.  The shells run to `twisted_stop_shell`.  Infinite
+    LaurentSeries.  The shells run to `twisted_stop_shell`.
+
+    Each factor of a monic a = sum_j c_j theta^j is read off rows built
+    per shell.  Finite factor i has the coefficients C(j, m_i) phi^(e_i)(c_j),
+    j >= m_i, evaluated by Horner's rule at a numeric point.  Infinite
     factors at one point whose Frobenius orders agree mod e merge into one
-    factor with the Z_p sum of their exponents.  Each remaining factor
-    builds its one-units from the per-shell basis y^j y^(-d)
-    (`_OneUnitBasis`) and raises them with one `one_unit_pow` per monic
-    visited.
+    with the Z_p sum of their exponents; each one-unit is sum_j phi^l(c_j)
+    B_j, B_j = y^j y^(-d), raised with one `one_unit_pow` per monic visited.
 
     With no finite factors and one merged factor at y = c theta exactly,
     a shell visits one monic per F_q^x scaling orbit (`_orbit_members`):
@@ -827,7 +789,7 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     power, and the sum over mu of mu^(-k) is -1 when (q - 1) | k and 0
     otherwise: the shell keeps the pi^k, (q - 1) | k, of the members'
     powers times their weights.  An orbit's members share v(w) and the
-    basis precision, so the shell's precision is that of all monics.
+    rows' precision, so the shell's precision is that of all monics.
     Every other case visits every monic with weight 1.
 
     A value known to less than prec raises PrecisionError; for a
@@ -838,13 +800,16 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     infinite = list(infinite)
     stop = twisted_stop_shell(finite, infinite, x, prec)
     spec = x.spec
+    add, mul = spec.add_table, spec.mul_table
     sym_names = tuple(f"t{i + 1}" for i, f in enumerate(finite) if f.point is None)
     symbolic = bool(sym_names)
     x_inv = x.inverse()
-    bases = [(_OneUnitBasis(point, frob), zexp)
-             for point, frob, zexp in _merge_infinite(spec, infinite)]
-    orbits = (not finite and len(bases) == 1 and bases[0][0].point.val == -1
-              and len(bases[0][0].point.coeff_codes) == 1)
+    frob_tables = {l: [spec.frob_code(c, l) for c in range(spec.q)]
+                   for l in {f.frob % spec.e for f in finite + infinite}}
+    bases = [(y, y.inverse(), frob_tables[l], zexp)
+             for y, l, zexp in _merge_infinite(spec, infinite)]
+    orbits = (not finite and len(bases) == 1 and bases[0][0].val == -1
+              and len(bases[0][0].coeff_codes) == 1)
 
     def times(value, f):
         """value * f, where None is the exact 1 that starts a monic's product."""
@@ -854,23 +819,41 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
 
     def shell_value(d):
         terms = {}
-        for basis, _ in bases:
-            basis.start_shell(d)
+        # finite factor i: the rows C(j, m_i), j = m_i..d, times phi^(e_i)(c_j)
+        forms = [(f, frob_tables[f.frob % spec.e],
+                  [fields.binom_mod_p(j, f.hyper, spec.p) for j in range(f.hyper, d + 1)])
+                 for f in finite]
+        # B_j cut at N = min(prec(y) + v(y), d v(y) + prec(y^(-d))), the
+        # precision of Horner's rule at y times y^(-d): each B_j keeps y's
+        # relative precision, so it is known that far, and the one-units are
+        # the per-monic evaluation's (`oracle.enumerated_twisted_L_eval`)
+        rows = []
+        for y, y_inv, _, _ in bases:
+            powers = [y_inv ** d]
+            for _ in range(d):
+                powers.append(powers[-1] * y)
+            N = min(d * y.val + powers[0].prec, y.prec + y.val)
+            rows.append((N, [(b.val, b.coeff_codes[:max(N - b.val, 0)]) for b in powers]))
         members = (_orbit_members(spec, d) if orbits
                    else ((vec + (1,), 1) for vec in monic_coeff_vectors(spec, d)))
         for codes, weight in members:
-            a = APoly(spec, codes) if finite else None
-            twists = [frobenius_twist(hyperderivative(a, f.hyper), f.frob) for f in finite]
-            table = _monomial_codes(spec, [b.coeff_codes for f, b in zip(finite, twists)
-                                           if f.point is None])
+            twists = [[mul[b][frob[c]] for b, c in zip(binoms, codes[f.hyper:])]
+                      for f, frob, binoms in forms]
+            table = _monomial_codes(spec, [t for f, t in zip(finite, twists) if f.point is None])
             if not table:
                 continue  # an exactly-zero hyperderivative factor
             value = None
-            for f, b in zip(finite, twists):
+            for f, t in zip(finite, twists):
                 if f.point is not None:
-                    value = times(value, b.eval(f.point))
-            for basis, zexp in bases:
-                value = times(value, one_unit_pow(basis.one_unit(codes), zexp))
+                    value = times(value, APoly(spec, t).eval(f.point))
+            for (_, _, frob, zexp), (N, shell_rows) in zip(bases, rows):
+                out = [0] * max(N, 0)
+                for (offset, row), c in zip(shell_rows, codes):
+                    if frob[c]:
+                        scale = mul[frob[c]]
+                        for i, b in enumerate(row, offset):
+                            out[i] = add[out[i]][scale[b]]
+                value = times(value, one_unit_pow(LaurentSeries(spec, 0, out, N), zexp))
             value = LaurentSeries.one(spec, prec) if value is None else value
             if weight != 1:
                 value = value.scale_code(weight)

@@ -164,6 +164,16 @@ def test_csv_format(capsys):
     assert len(lines) == 3
 
 
+def test_csv_format_of_a_plain_document_is_one_row_per_key(capsys):
+    code, out, _ = run_cli(capsys, "mk", "--p", "2", "--n1", "-3", "--k", "1", "--P", "[0,1]",
+                           "--format", "csv")
+    _, doc, _ = run_cli(capsys, "mk", "--p", "2", "--n1", "-3", "--k", "1", "--P", "[0,1]")
+    doc = json.loads(doc)
+    assert code == 0
+    assert out.splitlines() == [f"{key},{json.dumps(doc[key])}" for key in sorted(doc)]
+    assert [line.split(",")[0] for line in out.splitlines()] == ["dP", "k", "mk", "n1"]
+
+
 def test_vadic_subcommands(capsys):
     P = json.dumps([0, 1])
     code, out, _ = run_cli(capsys, "vadic", "--p", "2", "--P", P, "--n", "-1")
@@ -288,6 +298,65 @@ def test_verify_thresholds_exits_3_on_a_twisted_fast_path_mismatch(capsys, monke
     monkeypatch.setattr(ffzeta.oracle, "twisted_power_sum", real)
     code, out, _ = run_cli(capsys, "verify", "thresholds", "--p", "2", "--budget", "2000")
     assert code == 0 and not json.loads(out)["reports"][1]["fast_path_mismatches"]
+
+
+def test_verify_thresholds_exits_3_on_a_character_fast_path_mismatch(capsys, monkeypatch):
+    real = ffzeta.oracle.char_power_sum
+    monkeypatch.setattr(ffzeta.oracle, "char_power_sum",
+                        lambda spec, d, chi, n: real(spec, d, chi, n) + FqElem(spec, d == 1))
+    code, out, _ = run_cli(capsys, "verify", "thresholds", "--p", "2", "--budget", "2000")
+    report = json.loads(out)
+    assert report["violations"] == []
+    assert report["reports"][2]["kind"] == "char"
+    assert report["reports"][2]["fast_path_mismatches"] == [
+        {"q": 2, "dP": 1, "delta": 0, "d": 1}]
+    assert code == 3
+    monkeypatch.setattr(ffzeta.oracle, "char_power_sum", real)
+    code, out, _ = run_cli(capsys, "verify", "thresholds", "--p", "2", "--budget", "2000")
+    assert code == 0 and not json.loads(out)["reports"][2]["fast_path_mismatches"]
+
+
+VERIFY_SUITES = ("charsum", "thresholds", "trivial-zeros", "euler", "interp")
+
+
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_suite_passes_at_p_2(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--p", "2", "--seed", "1",
+                             "--trials", "25", "--budget", "2000")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["suite"] == suite and doc["violations"] == []
+
+
+def _plus_one(real):
+    """`real` plus the constant 1 of its result's ring."""
+    def broken(spec, *args):
+        value = real(spec, *args)
+        return value + (MPoly.const(value.vars, APoly.one(spec)) if isinstance(value, MPoly)
+                        else APoly.one(spec))
+    return broken
+
+
+# suite -> (module, function, its broken replacement): each breaks one value
+# the suite compares, so the suite must report it
+VERIFY_BREAKS = {
+    "charsum": ("oracle", "charsum_trial", lambda real: lambda cfg: 1),
+    "thresholds": ("oracle", "enumerated_power_sum", _plus_one),
+    "trivial-zeros": ("zeta", "exact_L", _plus_one),
+    "euler": ("oracle", "enumerated_vadic_exact_L", _plus_one),
+    "interp": ("vadic", "interpolation_gap_bound", lambda real: lambda *args: 10 ** 6),
+}
+
+
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_suite_reports_a_violation_with_exit_3(capsys, monkeypatch, suite):
+    module, name, broken = VERIFY_BREAKS[suite]
+    module = getattr(ffzeta, module)
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    code, out, err = run_cli(capsys, "verify", suite, "--p", "2", "--seed", "1",
+                             "--trials", "25", "--budget", "2000")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["violations"]
 
 
 def test_unreadable_json_file_is_a_validation_error(capsys, tmp_path):

@@ -191,9 +191,9 @@ def test_threshold_scan_budget_flag():
 CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_power_sum_window", "_recursion_children",
                   "_lucas_support", "prime_to_p_power_sum", "exact_L", "vadic_exact_L",
                   "reduced_power_sum", "_t_shell", "pellarin_L_series", "goss_zeta_eval",
-                  "mzv_eval_inf", "twisted_L_eval", "_merge_infinite", "_OneUnitBasis",
-                  "_monomial_codes", "keep_residues", "_slot_sum", "_char_forms",
-                  "vadic_zeta_eval", "one_unit_pow", "teichmuller", "padic_one_unit_pow",
+                  "mzv_eval_inf", "twisted_L_eval", "_merge_infinite", "_monomial_codes",
+                  "keep_residues", "_slot_sum", "_char_forms", "vadic_zeta_eval", "one_unit_pow",
+                  "teichmuller", "padic_one_unit_pow",
                   "_LocalRing", "_CarlitzSums", "local_power_sum", "inverse_power_sum",
                   "raw_sum"}
 CHECKED_MODULES = {"zeta", "vadic", "mzv"}

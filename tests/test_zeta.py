@@ -638,7 +638,8 @@ def test_goss_coefficient_valuations_increase():
 
 
 def test_goss_zeta_certificate_against_bruteforce():
-    # v(c_d) >= q^(d-2): the stopping rule must never overestimate
+    # v(c_d) >= q^(d-1) for q >= 3 and 2^(d-2) at q = 2: the stopping
+    # rules and the numeric multiple zeta cutoff must never overestimate
     rng = random.Random(55)
     for spec in (F2, F3):
         p = spec.p
@@ -646,7 +647,7 @@ def test_goss_zeta_certificate_against_bruteforce():
         for _ in range(4):
             digits = [rng.randrange(p) for _ in range(7)]
             y = ZpExp(p, digits)
-            for d in range(2, 5):
+            for d in range(1, 5):
                 c = enumerated_bracket_shell(spec, d, y, prec)
                 v = c.valuation()
                 assert (v if v is not None else c.prec) >= \
@@ -897,17 +898,17 @@ def test_twisted_L_eval_at_c_theta_raises_one_one_unit_per_orbit_member(monkeypa
     infinite = [TwistFactor("infinite", frob=0, point=point, zexp=ZpExp.from_int(7, 5, 3))]
     x = LaurentSeries.from_apoly(APoly(spec, (2, 1)), prec + 8)
     shell, calls = [None], {}
-    start_shell, power = zeta._OneUnitBasis.start_shell, zeta.one_unit_pow
+    members, power = zeta._orbit_members, zeta.one_unit_pow
 
-    def started(self, d):
+    def started(spec, d):
         shell[0] = d
-        return start_shell(self, d)
+        return members(spec, d)
 
     def counted(u, y):
         calls[shell[0]] = calls.get(shell[0], 0) + 1
         return power(u, y)
 
-    monkeypatch.setattr(zeta._OneUnitBasis, "start_shell", started)
+    monkeypatch.setattr(zeta, "_orbit_members", started)
     monkeypatch.setattr(zeta, "one_unit_pow", counted)
     value = twisted_L_eval([], infinite, x, prec)
     stop = twisted_stop_shell([], infinite, x, prec)
@@ -917,6 +918,23 @@ def test_twisted_L_eval_at_c_theta_raises_one_one_unit_per_orbit_member(monkeypa
     assert calls[3] == 37
     monkeypatch.undo()
     assert value == enumerated_twisted_L_eval([], infinite, x, prec)
+
+
+def test_twisted_L_eval_is_unchanged_by_two_more_shells(monkeypatch):
+    """Shells past `twisted_stop_shell` change no outcome, PrecisionError
+    included.  At q = 4 the numeric point theta^2 (valuation -2) and
+    x = 1 + 2 pi (valuation 0) lose 2 digits a shell; a stop rule that
+    forgets the point's loss stops one shell early and returns a value
+    where the library raises at precision 10."""
+    spec, prec = F4, 12
+    finite = [TwistFactor("finite", hyper=2, point=LaurentSeries(spec, -2, (1,), prec + 8))]
+    infinite = [TwistFactor("infinite", point=LaurentSeries.theta(spec, prec + 8),
+                            zexp=ZpExp.from_int(7, 2, 4))]
+    x = LaurentSeries(spec, 0, (1, 2), prec + 8)
+    value = _outcome(twisted_L_eval, finite, infinite, x, prec)
+    stop = zeta.twisted_stop_shell
+    monkeypatch.setattr(zeta, "twisted_stop_shell", lambda *args: stop(*args) + 2)
+    assert _outcome(twisted_L_eval, finite, infinite, x, prec) == value
 
 
 # sha256 of the canonical JSON of twisted_L_eval over q = 3 (prec 10) and
