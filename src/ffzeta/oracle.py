@@ -35,7 +35,8 @@ every monic, as the library does away from c theta, but forms each
 factor as a polynomial (`hyperderivative`, `frobenius_twist`) evaluated
 by Horner's rule, where the library reads factors off per-shell rows
 with field-code arithmetic; it has no code tables, merged factors or
-scaling orbits.  The v-adic
+scaling orbits, and it cuts no factor to a precision of its own, where
+the library cuts each to its shell's target.  The v-adic
 evaluation lifts and inverts every monic's Teichmuller part itself,
 with no lift shared by a residue class.  The sums of a^(-n) in
 A/(P^kappa) (`enumerated_local_power_sum`) invert every unit on its own,
@@ -522,7 +523,13 @@ def enumerated_char_power_sum(spec: FieldSpec, d: int, chi: ResidueChar, n: int)
 def enumerated_twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     """twisted_L_eval's sum over the same shells, monic by monic: every
     factor is evaluated by Horner's rule at its point, and every infinite
-    factor takes its own one-unit power, merged with no other factor."""
+    factor takes its own one-unit power, merged with no other factor.
+    Nothing is cut: a monic's product starts at its first factor and keeps
+    the precision its factors carry, and a symbolic part scales it by its
+    code.  A monic with no numeric or infinite factor contributes the
+    exact 1, written as 1 known to the relative precision of x^(-d), so its
+    product with x^(-d) loses nothing; at d = 0 the weight x^0 = 1 is
+    needed only to pi^prec."""
     finite = list(finite)
     infinite = list(infinite)
     stop = twisted_stop_shell(finite, infinite, x, prec)
@@ -532,7 +539,7 @@ def enumerated_twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     x_inv = x.inverse()
     y_inv = [f.point.inverse() for f in infinite]
 
-    def shell_value(d):
+    def shell_value(d, one):
         acc = {}  # t-exponents -> series, zero sums kept for their precision
         y_inv_d = [yi ** d for yi in y_inv]
         for a in enumerate_monic(spec, d):
@@ -540,26 +547,23 @@ def enumerated_twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
                                          sym_names, spec)
             if sym_part.is_zero():
                 continue
-            value = LaurentSeries.one(spec, prec)
-            for f in finite:
-                if f.point is not None:
-                    b = frobenius_twist(hyperderivative(a, f.hyper), f.frob)
-                    value = value * b.eval(f.point)
-            for f, yid in zip(infinite, y_inv_d):
-                u = frobenius_twist(a, f.frob).eval(f.point) * yid
-                value = value * _one_unit_power(u, f.zexp)
+            factors = [frobenius_twist(hyperderivative(a, f.hyper), f.frob).eval(f.point)
+                       for f in finite if f.point is not None]
+            factors += [_one_unit_power(frobenius_twist(a, f.frob).eval(f.point) * yid, f.zexp)
+                        for f, yid in zip(infinite, y_inv_d)]
+            value = factors[0] if factors else one
+            for factor in factors[1:]:
+                value = value * factor
             for key, c in sym_part.terms.items():
-                piece = LaurentSeries.constant(spec, c.code, prec) * value if symbolic else value
+                piece = value.scale_code(c.code) if symbolic else value
                 acc[key] = acc[key] + piece if key in acc else piece
         return acc
 
-    x_pow = LaurentSeries.one(spec, prec + stop * (abs(x.valuation()) + 1))
     total = {}
     for d in range(stop):
-        if d:
-            x_pow = x_pow * x_inv
-        for key, c in shell_value(d).items():
-            total[key] = total[key] + c * x_pow if key in total else c * x_pow
+        weight = x_inv ** d if d else LaurentSeries.one(spec, prec)
+        for key, c in shell_value(d, weight.ring_one()).items():
+            total[key] = total[key] + c * weight if key in total else c * weight
     # every coefficient counts, also one whose sum is zero at its precision
     low = min((c.prec for c in total.values()), default=prec)
     if low < prec:

@@ -26,16 +26,25 @@ and d-2 for q = 2, which certifies v(c_d) >= q^(d-1), respectively
 2^(d-2) (`infty_coeff_valuation_bound`); the test suite re-validates
 this bound against brute force before it is trusted.
 
-The shells themselves come from the same recursion, not from the q^d
-monics.  Let M' be least with p^M' >= prec and N the integer spelled
-by the digits of -y reduced mod p^M'; higher digits multiply each
-term by <a>^(p^M') = 1 mod pi^prec.  Every term is then exactly
-<a>^N mod pi^prec, and <a> = a / theta^d gives
+`goss_zeta_eval` and `twisted_L_eval` sum their shells in one place
+(`_sum_shells`): shell d is computed to pi^(prec + d L), L the
+per-shell loss the stop rule charged (v(x), plus the loss of numeric
+points of negative valuation in a twisted sum), and weighted by x^(-d);
+a shell whose target is <= 0 lies at or above pi^prec and is skipped.
+So x of positive valuation and numeric points of negative valuation
+return values once their inputs are known that far.
 
-    c_d = sum_{a in A_{+,d}} <a>^N = pi^(dN) S_d(N)   (mod pi^prec),
+The goss shells themselves come from the same recursion, not from the
+q^d monics.  For shell d's target T, let M' be least with p^M' >= T and
+N the integer spelled by the digits of -y reduced mod p^M'; higher
+digits multiply each term by <a>^(p^M') = 1 mod pi^T.  Every term is
+then exactly <a>^N mod pi^T, and <a> = a / theta^d gives
 
-the top window of S_d(N).  The numeric multiple zeta shells and the
-Pellarin series use a^(-n) = pi^(d p^M') a^(p^M' - n), p^M' >= max(prec, n).
+    c_d = sum_{a in A_{+,d}} <a>^N = pi^(dN) S_d(N)   (mod pi^T),
+
+the top window of S_d(N); with digits of -y short of T it is known only
+to pi^(p^M).  The numeric multiple zeta shells and the Pellarin series
+use a^(-n) = pi^(d p^M') a^(p^M' - n), p^M' >= max(prec, n).
 These evaluations never touch the disk cache; `oracle.py` keeps the
 per-monic sums as checks.  With t-weights a(t_1)...a(t_s), s >= 1, one
 t-shell sums them times a^N in A, for exact_L at N = -n and for the
@@ -60,9 +69,10 @@ agree mod e share the base <phi^l(a)(y) / y^d> and merge into one
 factor with the Z_p sum of their exponents.  Each remaining factor
 forms B_j = y^j y^(-d), j = 0..d, once per shell, and a monic's
 one-unit sum_j phi^l(c_j) B_j is added up with the field's add and mul
-tables, with no series product before its one-unit power.  A monic's
-product starts at its first factor, not at 1, and each table times it
-goes into one series per t-monomial, zero sums kept for their precision.
+tables, with no series product before its one-unit power.  Every factor
+is cut to the shell's target; a monic's product starts at its first
+factor, and each code of its table scales it into one series per
+t-monomial, zero sums kept for their precision.
 With no finite factors and one merged factor at y = c theta exactly,
 the scaling by lambda multiplies the pi^k coefficient of a one-unit by
 phi^l(lambda)^(-k), and so of its power too: a shell then visits the
@@ -666,6 +676,42 @@ def _stop_shell(q, prec, s, n_inf, loss_rate):
     raise PrecisionError("no certified stopping shell found", precision=prec)
 
 
+def _sum_shells(x: LaurentSeries, prec: int, stop: int, loss_rate: int, shell) -> dict:
+    """sum_(d < stop) x^(-d) shell(d, prec + d L) per key, cut to pi^prec.
+
+    L = loss_rate is the rate `_stop_shell` charged, v(x) plus the loss
+    of the numeric points (`_loss_rate`): x^(-d) and the other factors of
+    a term have valuation >= -d L together, so a factor known to
+    pi^(prec + d L) leaves the weighted term known to pi^prec.
+    `shell(d, target)` returns shell d's terms {key: series}, every factor
+    cut to that target.  A shell whose target is <= 0 has every weighted
+    term at valuation >= -d L >= prec and is skipped, as is a term zero to
+    its target once its key is present.  x^(-d) is needed to relative
+    precision prec + d L at most, so its powers start from 1 known that
+    far.  Any sum known to less than prec, also one that is zero at its
+    precision, raises PrecisionError.
+    """
+    x_inv = x.inverse()
+    x_pow = LaurentSeries.one(x.spec, prec + (stop - 1) * max(loss_rate, 0))  # x^(-d)
+    total = {}
+    for d in range(stop):
+        if d:
+            x_pow = x_pow * x_inv
+        target = prec + d * loss_rate
+        if target <= 0:
+            break  # targets fall with d, so every later shell is skipped too
+        for key, c in shell(d, target).items():
+            if key in total and c.is_zero() and c.prec >= target:
+                continue
+            term = c * x_pow if d else c
+            total[key] = total[key] + term if key in total else term
+    low = min((c.prec for c in total.values()), default=prec)
+    if low < prec:
+        raise PrecisionError(
+            f"propagated precision {low} fell below the requested {prec}", precision=low)
+    return {key: c.truncate(prec) for key, c in total.items()}
+
+
 def goss_zeta_eval(pt: SInftyPoint, prec: int) -> LaurentSeries:
     """Evaluate sum_d x^(-d) sum_a <a>^(-y) to the requested precision.
 
@@ -673,38 +719,34 @@ def goss_zeta_eval(pt: SInftyPoint, prec: int) -> LaurentSeries:
     certified bound v(c_d) >= infty_coeff_valuation_bound(q, d) (q^(d-1)
     for q >= 3, 2^(d-2) at q = 2) pushes the tail below pi^prec.
     Needs p^M >= prec digits and x known to relative precision >= prec.
-    Shell d is pi^(dN) S_d(N) with N the digits of -y mod the least
-    p^M' >= prec (see the module docstring).
+    Shell d is wanted to pi^(prec + d v(x)), the target of `_sum_shells`,
+    and is pi^(dN) S_d(N) there, with N the digits of -y mod the least
+    p-power >= that target (see the module docstring).  Digits of -y
+    short of the target make the shell known only to pi^(p^M), so x of
+    positive valuation returns a value or raises, never a value cut
+    short.
     """
     if prec < 1:
         raise ValueError("need prec >= 1")
     x = pt.x
     spec = x.spec
-    q, p = spec.q, spec.p
-    if p ** pt.neg_y.precision < prec:
+    p, digits, neg_y = spec.p, spec.p ** pt.neg_y.precision, pt.neg_y.as_int()
+    if digits < prec:
         raise PrecisionError(
-            f"need p^M >= prec = {prec}; supply more exponent digits",
-            precision=p ** pt.neg_y.precision)
+            f"need p^M >= prec = {prec}; supply more exponent digits", precision=digits)
     if x.rel_prec() < prec:
         raise PrecisionError(
             f"x must be known to relative precision >= {prec}", precision=x.rel_prec())
+
+    def shell(d, target):
+        target = min(target, digits)
+        if not d:  # the single monic 1
+            return {(): LaurentSeries.one(spec, target)}
+        N = neg_y % least_p_power(p, target)
+        return {(): shell_sum(spec, d, N, d * N, target)}
+
     vx = x.valuation()
-    stop = _stop_shell(q, prec, 0, 1, vx)
-    x_inv = x.inverse()
-    N = pt.neg_y.as_int() % least_p_power(p, prec)
-    total = LaurentSeries.one(spec, prec)  # d = 0 shell: the single a = 1
-    x_pow = LaurentSeries.one(spec, prec + stop * max(-vx, vx) + stop)
-    for d in range(1, stop):
-        x_pow = x_pow * x_inv
-        c_d = shell_sum(spec, d, N, d * N, prec)
-        if c_d.is_zero():
-            continue
-        total = total + c_d * x_pow
-    if total.prec < prec:
-        raise PrecisionError(
-            f"propagated precision {total.prec} fell below the requested {prec}",
-            precision=total.prec)
-    return total.truncate(prec)
+    return _sum_shells(x, prec, _stop_shell(spec.q, prec, 0, 1, vx), vx, shell)[()]
 
 
 def twist_degree_weight(spec: FieldSpec, finite) -> int:
@@ -743,10 +785,15 @@ def twisted_stop_shell(finite, infinite, x: LaurentSeries, prec: int) -> int:
     weight = twist_degree_weight(spec, finite)
     if not infinite:
         return weight // (q - 1) + 1
-    point_loss = sum(-f.point.valuation() for f in finite
-                     if f.point is not None and f.point.valuation() is not None
-                     and f.point.valuation() < 0)
-    return _stop_shell(q, prec, weight, len(_merge_infinite(spec, infinite)), vx + point_loss)
+    return _stop_shell(q, prec, weight, len(_merge_infinite(spec, infinite)), _loss_rate(finite, x))
+
+
+def _loss_rate(finite, x: LaurentSeries) -> int:
+    """v(x) plus -v(point) over the numeric finite points of negative
+    valuation: a degree-d monic's numeric factors have valuation at least
+    -d times the latter, and x^(-d) has valuation -d v(x)."""
+    return x.valuation() + sum(-f.point.valuation() for f in finite
+                               if f.point is not None and (f.point.valuation() or 0) < 0)
 
 
 def _merge_infinite(spec: FieldSpec, infinite):
@@ -780,6 +827,9 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     factors at one point whose Frobenius orders agree mod e merge into one
     with the Z_p sum of their exponents; each one-unit is sum_j phi^l(c_j)
     B_j, B_j = y^j y^(-d), raised with one `one_unit_pow` per monic visited.
+    Shell d cuts the rows and every numeric finite value to its target
+    pi^(prec + d L) (`_sum_shells`, L = `_loss_rate`): a numeric point of
+    valuation -k costs k digits a shell, so such points return values.
 
     With no finite factors and one merged factor at y = c theta exactly,
     a shell visits one monic per F_q^x scaling orbit (`_orbit_members`):
@@ -803,7 +853,6 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     add, mul = spec.add_table, spec.mul_table
     sym_names = tuple(f"t{i + 1}" for i, f in enumerate(finite) if f.point is None)
     symbolic = bool(sym_names)
-    x_inv = x.inverse()
     frob_tables = {l: [spec.frob_code(c, l) for c in range(spec.q)]
                    for l in {f.frob % spec.e for f in finite + infinite}}
     bases = [(y, y.inverse(), frob_tables[l], zexp)
@@ -813,26 +862,23 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
 
     def times(value, f):
         """value * f, where None is the exact 1 that starts a monic's product."""
-        if value is None:
-            return f.truncate(min(f.prec, f.val + prec))
-        return value * f
+        return f if value is None else value * f
 
-    def shell_value(d):
+    def shell_value(d, target):
         terms = {}
         # finite factor i: the rows C(j, m_i), j = m_i..d, times phi^(e_i)(c_j)
         forms = [(f, frob_tables[f.frob % spec.e],
                   [fields.binom_mod_p(j, f.hyper, spec.p) for j in range(f.hyper, d + 1)])
                  for f in finite]
         # B_j cut at N = min(prec(y) + v(y), d v(y) + prec(y^(-d))), the
-        # precision of Horner's rule at y times y^(-d): each B_j keeps y's
-        # relative precision, so it is known that far, and the one-units are
-        # the per-monic evaluation's (`oracle.enumerated_twisted_L_eval`)
+        # precision of Horner's rule at y times y^(-d) (each B_j keeps y's
+        # relative precision, so it is known that far), or at the target
         rows = []
         for y, y_inv, _, _ in bases:
             powers = [y_inv ** d]
             for _ in range(d):
                 powers.append(powers[-1] * y)
-            N = min(d * y.val + powers[0].prec, y.prec + y.val)
+            N = min(d * y.val + powers[0].prec, y.prec + y.val, target)
             rows.append((N, [(b.val, b.coeff_codes[:max(N - b.val, 0)]) for b in powers]))
         members = (_orbit_members(spec, d) if orbits
                    else ((vec + (1,), 1) for vec in monic_coeff_vectors(spec, d)))
@@ -845,7 +891,8 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
             value = None
             for f, t in zip(finite, twists):
                 if f.point is not None:
-                    value = times(value, APoly(spec, t).eval(f.point))
+                    at = APoly(spec, t).eval(f.point)
+                    value = times(value, at.truncate(min(at.prec, target)))
             for (_, _, frob, zexp), (N, shell_rows) in zip(bases, rows):
                 out = [0] * max(N, 0)
                 for (offset, row), c in zip(shell_rows, codes):
@@ -854,11 +901,11 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
                         for i, b in enumerate(row, offset):
                             out[i] = add[out[i]][scale[b]]
                 value = times(value, one_unit_pow(LaurentSeries(spec, 0, out, N), zexp))
-            value = LaurentSeries.one(spec, prec) if value is None else value
+            value = LaurentSeries.one(spec, target) if value is None else value
             if weight != 1:
                 value = value.scale_code(weight)
             for key, code in table.items():
-                term = LaurentSeries.constant(spec, code, prec) * value if symbolic else value
+                term = value.scale_code(code) if symbolic else value
                 terms[key] = terms[key] + term if key in terms else term
         if orbits:  # keep the pi^k with (q - 1) | k
             c = terms[()]
@@ -867,20 +914,6 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
             terms[()] = LaurentSeries(spec, c.val, kept, c.prec)
         return terms
 
-    # one series per t-monomial (the key () without symbolic factors); a
-    # sum that is zero at its precision stays, so that precision is checked
-    x_pow = LaurentSeries.one(spec, prec + stop * (abs(x.valuation()) + 1))
-    total = {}
-    for d in range(stop):
-        if d:
-            x_pow = x_pow * x_inv
-        for key, c in shell_value(d).items():
-            term = c * x_pow
-            total[key] = total[key] + term if key in total else term
-    low = min((c.prec for c in total.values()), default=prec)
-    if low < prec:
-        raise PrecisionError(
-            f"propagated precision {low} fell below the requested {prec}", precision=low)
-    if symbolic:
-        return MPoly(sym_names, {key: c.truncate(prec) for key, c in total.items()})
-    return total[()].truncate(prec)
+    # one series per t-monomial (the key () without symbolic factors)
+    total = _sum_shells(x, prec, stop, _loss_rate(finite, x), shell_value)
+    return MPoly(sym_names, total) if symbolic else total[()]

@@ -79,6 +79,15 @@ def test_zeta_eval_smoke(capsys):
     assert value.coefficient(0).code == 1
 
 
+def test_zeta_eval_at_x_of_positive_valuation_keeps_the_digits_x_moves_up(capsys):
+    # q = 3, x = pi^2: shell 1 is 2 pi^6 + O(pi^8), and x^(-1) moves it to 2 pi^4
+    code, out, err = run_cli(capsys, "zeta-eval", "--p", "3",
+                             "--x", json.dumps({"val": 2, "prec": 40, "coeffs": [[1]]}),
+                             "--neg-y-digits", "0,2,1", "--prec", "6")
+    assert code == 0 and not err
+    assert json.loads(out)["coeffs"] == [[1], [0], [0], [0], [2]]
+
+
 # a run of each subcommand whose schema is `-> {keys}`; one missing here
 # fails collection
 KEYED_RUNS = {

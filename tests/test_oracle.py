@@ -193,7 +193,7 @@ CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_power_sum_window", "_recursio
                   "reduced_power_sum", "_t_shell", "pellarin_L_series", "goss_zeta_eval",
                   "mzv_eval_inf", "twisted_L_eval", "_merge_infinite", "_monomial_codes",
                   "keep_residues", "_slot_sum", "_char_forms", "vadic_zeta_eval", "one_unit_pow",
-                  "teichmuller", "padic_one_unit_pow",
+                  "teichmuller", "padic_one_unit_pow", "_sum_shells", "_loss_rate",
                   "_LocalRing", "_CarlitzSums", "local_power_sum", "inverse_power_sum",
                   "raw_sum"}
 CHECKED_MODULES = {"zeta", "vadic", "mzv"}

@@ -616,6 +616,48 @@ def test_goss_zeta_needs_digits():
         goss_zeta_eval(SInftyPoint(x, ZpExp(2, (1, 1))), 30)
 
 
+def test_goss_zeta_eval_computes_shell_d_to_pi_to_prec_plus_d_v_x():
+    # q = 3, x = pi^2, -y digits 0, 2, 1, prec 6: shell 1 is 2 pi^6 + O(pi^8),
+    # zero to pi^6, and x^(-1) = pi^(-2) moves it to 2 pi^4
+    x = LaurentSeries(F3, 2, (1,), 40)
+    neg_y = ZpExp(3, (0, 2, 1))
+    value = goss_zeta_eval(SInftyPoint(x, neg_y), 6)
+    assert value == LaurentSeries(F3, 0, (1, 0, 0, 0, 2), 6)
+    enumerated = LaurentSeries.zero(F3, 6)
+    for d in range(7):
+        enumerated = enumerated + enumerated_bracket_shell(F3, d, neg_y, 6 + 2 * d) * x ** -d
+    assert enumerated == value
+
+
+def test_goss_zeta_eval_at_x_of_positive_valuation_matches_enumerated_shells():
+    """q <= 5, prec 6-15, v(x) in {1, 2}, x known to relative precision
+    prec + 20: wherever sum_d x^(-d) enumerated_bracket_shell(d) over the
+    shells before the stop is known to pi^prec, goss_zeta_eval returns it,
+    and where too few digits of -y leave it short, goss raises.  A shell cut
+    to pi^prec raised or dropped digits here."""
+    rng = random.Random(61)
+    outcomes = []
+    for _ in range(60):
+        spec = FieldSpec.default(rng.choice((2, 3, 4, 5)))
+        q, p = spec.q, spec.p
+        prec, v = rng.randrange(6, 16), rng.choice((1, 2))
+        codes = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(prec + 19)]
+        x = LaurentSeries(spec, v, codes, v + prec + 20)
+        digits = next(m for m in range(1, 40) if p ** m >= prec) + rng.randrange(3)
+        neg_y = ZpExp(p, [rng.randrange(p) for _ in range(digits)])
+        enumerated = LaurentSeries.zero(spec, prec)
+        for d in range(zeta._stop_shell(q, prec, 0, 1, v)):
+            shell = enumerated_bracket_shell(spec, d, neg_y, prec + d * v)
+            enumerated = enumerated + shell * x ** -d
+        got = _outcome(goss_zeta_eval, SInftyPoint(x, neg_y), prec)
+        if enumerated.prec < prec:
+            assert got == ("PrecisionError", enumerated.prec)
+        else:
+            assert got == enumerated.truncate(prec)
+        outcomes.append(isinstance(got, tuple))
+    assert 3 <= sum(outcomes) <= 15
+
+
 def test_goss_coefficient_valuations_increase():
     # shell coefficient valuations grow strictly beyond d = 2 for
     # generic p-adic exponents, ahead of the certified floor q^(d-2)
@@ -923,9 +965,8 @@ def test_twisted_L_eval_at_c_theta_raises_one_one_unit_per_orbit_member(monkeypa
 def test_twisted_L_eval_is_unchanged_by_two_more_shells(monkeypatch):
     """Shells past `twisted_stop_shell` change no outcome, PrecisionError
     included.  At q = 4 the numeric point theta^2 (valuation -2) and
-    x = 1 + 2 pi (valuation 0) lose 2 digits a shell; a stop rule that
-    forgets the point's loss stops one shell early and returns a value
-    where the library raises at precision 10."""
+    x = 1 + 2 pi (valuation 0) lose 2 digits a shell, so shell d is
+    computed to pi^(12 + 2d)."""
     spec, prec = F4, 12
     finite = [TwistFactor("finite", hyper=2, point=LaurentSeries(spec, -2, (1,), prec + 8))]
     infinite = [TwistFactor("infinite", point=LaurentSeries.theta(spec, prec + 8),
@@ -935,6 +976,30 @@ def test_twisted_L_eval_is_unchanged_by_two_more_shells(monkeypatch):
     stop = zeta.twisted_stop_shell
     monkeypatch.setattr(zeta, "twisted_stop_shell", lambda *args: stop(*args) + 2)
     assert _outcome(twisted_L_eval, finite, infinite, x, prec) == value
+
+
+def test_twisted_L_eval_at_a_point_of_negative_valuation_returns_the_oracle_value():
+    """q <= 5, prec 6-12, one numeric point of valuation -1 or -2 and one
+    infinite factor at theta, everything known to prec + 60: every input
+    returns the per-monic oracle's value.  A monic's first factor cut to
+    relative precision prec left a term of valuation -k known only to
+    pi^(prec - k), and most of these inputs raised."""
+    rng = random.Random(32)
+    for _ in range(60):
+        spec = FieldSpec.default(rng.choice((2, 3, 4, 5)))
+        q, p, e = spec.q, spec.p, spec.e
+        prec, v = rng.randrange(6, 13), rng.choice((-1, -2))
+        known = prec + 60
+        codes = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(known - v - 1)]
+        finite = [TwistFactor("finite", frob=rng.randrange(2 * e), hyper=rng.choice((0, 0, 1, p)),
+                              point=LaurentSeries(spec, v, codes, known))]
+        digits = next(m for m in range(1, 40) if p ** m >= known)
+        infinite = [TwistFactor("infinite", frob=rng.randrange(2 * e),
+                                point=LaurentSeries.theta(spec, known),
+                                zexp=ZpExp(p, [rng.randrange(p) for _ in range(digits)]))]
+        x = LaurentSeries.from_apoly(APoly(spec, (rng.randrange(q), 1)), known)
+        value = twisted_L_eval(finite, infinite, x, prec)
+        assert value == enumerated_twisted_L_eval(finite, infinite, x, prec), (finite, infinite)
 
 
 # sha256 of the canonical JSON of twisted_L_eval over q = 3 (prec 10) and
