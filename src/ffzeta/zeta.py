@@ -77,7 +77,10 @@ With no finite factors and one merged factor at y = c theta exactly,
 the scaling by lambda multiplies the pi^k coefficient of a one-unit by
 phi^l(lambda)^(-k), and so of its power too: a shell then visits the
 t-shell's orbit members with their weights and keeps the pi^k with
-(q - 1) | k of the weighted sum (`twisted_L_eval`).
+(q - 1) | k of the weighted sum (`twisted_L_eval`).  With no finite
+factors, the same slot law over the base-p digits of the exponents
+bounds a shell's valuation from below (`_digit_valuation_bound`), and a
+shell that bound puts at or above its target is not computed.
 """
 
 from __future__ import annotations
@@ -810,6 +813,57 @@ def _merge_infinite(spec: FieldSpec, infinite):
             for (point, frob), (total, digits) in groups.items()]
 
 
+def _digit_valuation_bound(spec: FieldSpec, d: int, bases):
+    """V_d, a lower bound on v(sum_a prod_b u_b^(N_b)) over monic degree-d
+    a = sum_j c_j theta^j, for one-units u_b = sum_j phi^(l_b)(c_j) B_j with
+    v(B_j) >= (d - j) k_b; `bases` holds (k_b, l_b, base-p digits of N_b).
+
+    Digit n_i of N gives n_i copies of u^(p^i) = sum_j c_j^(p^(l+i)) B_j^(p^i),
+    and expanding the product picks one slot j per copy, of weight
+    p^((l+i) mod e) in c_j and valuation >= (d - j) k p^i.  As
+    sum_(c in F_q) c^W is nonzero only for W a positive multiple of q - 1,
+    a choice survives the sum over the monics only if every slot j < d
+    collects weight >= q - 1.  Split each copy into units of weight, each
+    costing k p^i / p^((l+i) mod e): the q - 1 cheapest units go to slot
+    d - j = d, the next q - 1 to d - 1, and so on down to 1, which bounds
+    every surviving choice from below (exactly when e = 1), and so does
+    that bound rounded up, as valuations are integers.  With too little
+    weight for the d slots no choice survives and the sum is 0: inf.
+    """
+    p, e, q1 = spec.p, spec.e, spec.q - 1
+    scale = p ** (e - 1)  # makes every cost per unit an integer
+    picks = []  # (scaled cost per unit of weight, units) of the copies of each u^(p^i)
+    for k, l, digits in bases:
+        for i, n in enumerate(digits):
+            weight = p ** ((l + i) % e)
+            picks.append((k * p ** i * scale // weight, n * weight))
+    picks.sort()
+    bound, m, need = 0, d, q1  # the slot d - j being filled, the weight it still needs
+    for rate, units in picks:
+        while units and m:
+            take = min(units, need)
+            bound += m * take * rate
+            units, need = units - take, need - take
+            if not need:
+                m, need = m - 1, q1
+    return math.inf if m else -(-bound // scale)
+
+
+def _digit_certificate(spec: FieldSpec, d: int, target: int, bases) -> bool:
+    """Whether shell d of a twisted sum without finite factors would be,
+    as `twisted_L_eval` computes it, zero known to exactly pi^target;
+    `bases` holds (k, l, digits of N, known) per merged base, known the
+    precision of its rows.  Rows known to the target and k p^M >= target
+    make every monic's term u^z = u^N mod pi^target, N the M known digits
+    (v(u - 1) >= k), so V_d >= target (`_digit_valuation_bound`) makes the
+    shell's sum zero there, and `_sum_shells` would drop it.  A shell of
+    V_d = inf whose rows fall short is still computed, so its
+    PrecisionError stays."""
+    return (all(known >= target and k * spec.p ** len(digits) >= target
+                for k, _, digits, known in bases)
+            and _digit_valuation_bound(spec, d, [b[:3] for b in bases]) >= target)
+
+
 def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     """General twisted evaluation over monic polynomials.
 
@@ -842,6 +896,17 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     rows' precision, so the shell's precision is that of all monics.
     Every other case visits every monic with weight 1.
 
+    Without finite factors a shell is skipped, not computed, when the
+    exponents' digits prove it zero to its target (`_digit_certificate`):
+    with N = sum n_i p^i the known digits of z, u^N is the product of n_i
+    copies of u^(p^i) = sum_j c_j^(p^(l+i)) B_j^(p^i), v(B_j) = (d - j) k,
+    k = -v(y), and the copies' slot choices that survive the sum over the
+    monics fill every slot j < d with a positive multiple of q - 1, at
+    valuation >= V_d (`_digit_valuation_bound`).  V_d >= target, k p^M >=
+    target and rows known to the target leave the computed shell zero
+    known to exactly its target, which `_sum_shells` drops, so skipping it
+    changes no value, precision or PrecisionError.
+
     A value known to less than prec raises PrecisionError; for a
     symbolic value that is any coefficient, also one whose sum is zero at
     its precision and so left out of the MPoly.
@@ -855,8 +920,8 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
     symbolic = bool(sym_names)
     frob_tables = {l: [spec.frob_code(c, l) for c in range(spec.q)]
                    for l in {f.frob % spec.e for f in finite + infinite}}
-    bases = [(y, y.inverse(), frob_tables[l], zexp)
-             for y, l, zexp in _merge_infinite(spec, infinite)]
+    merged = _merge_infinite(spec, infinite)
+    bases = [(y, y.inverse(), frob_tables[l], zexp) for y, l, zexp in merged]
     orbits = (not finite and len(bases) == 1 and bases[0][0].val == -1
               and len(bases[0][0].coeff_codes) == 1)
 
@@ -873,12 +938,17 @@ def twisted_L_eval(finite, infinite, x: LaurentSeries, prec: int):
         # B_j cut at N = min(prec(y) + v(y), d v(y) + prec(y^(-d))), the
         # precision of Horner's rule at y times y^(-d) (each B_j keeps y's
         # relative precision, so it is known that far), or at the target
+        y_ds = [y_inv ** d for _, y_inv, _, _ in bases]
+        known = [min(d * y.val + y_d.prec, y.prec + y.val) for (y, *_), y_d in zip(bases, y_ds)]
+        if not finite and _digit_certificate(spec, d, target, [
+                (-y.valuation(), l, zexp.digits, n) for (y, l, zexp), n in zip(merged, known)]):
+            return {}  # as computed, the shell would be zero to pi^target and dropped
         rows = []
-        for y, y_inv, _, _ in bases:
-            powers = [y_inv ** d]
+        for (y, *_), y_d, n in zip(bases, y_ds, known):
+            powers = [y_d]
             for _ in range(d):
                 powers.append(powers[-1] * y)
-            N = min(d * y.val + powers[0].prec, y.prec + y.val, target)
+            N = min(n, target)
             rows.append((N, [(b.val, b.coeff_codes[:max(N - b.val, 0)]) for b in powers]))
         members = (_orbit_members(spec, d) if orbits
                    else ((vec + (1,), 1) for vec in monic_coeff_vectors(spec, d)))

@@ -195,7 +195,7 @@ CHECKED_ROUTES = {"shell_sum", "_power_sum_raw", "_power_sum_window", "_recursio
                   "keep_residues", "_slot_sum", "_char_forms", "vadic_zeta_eval", "one_unit_pow",
                   "teichmuller", "padic_one_unit_pow", "_sum_shells", "_loss_rate",
                   "_LocalRing", "_CarlitzSums", "local_power_sum", "inverse_power_sum",
-                  "raw_sum"}
+                  "raw_sum", "_digit_valuation_bound", "_digit_certificate"}
 CHECKED_MODULES = {"zeta", "vadic", "mzv"}
 
 

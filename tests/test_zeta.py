@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -867,14 +868,20 @@ def test_coefficient_tables_match_the_per_monic_mpoly_products(q):
 
 def test_twisted_L_eval_builds_one_units_without_series_evaluation(monkeypatch):
     # q = 3, prec 20, two factors at theta + 1 + pi with orders 0 and 1:
-    # they merge, so one one-unit power per monic, no APoly.eval, and
-    # 9,172 series products where the per-monic loop took 81,647
+    # they merge, so one one-unit power per monic of a computed shell, no
+    # APoly.eval and at most 9,172 series products (the per-monic loop took
+    # 81,647).  Their exponent 7 + 11 = 18 = 2 * 3^2 has digit weight 2,
+    # so from shell 2 on the slots j < d cannot each collect weight 2 and
+    # the shells are exactly zero: the digit certificate skips them, and
+    # only the 1 + 3 monics of shells 0 and 1 raise a one-unit
     spec, prec = F3, 20
     point = LaurentSeries(spec, -1, (1, 1, 1), prec + 8)
     infinite = [TwistFactor("infinite", point=point, zexp=ZpExp.from_int(7, 3, 3)),
                 TwistFactor("infinite", frob=1, point=point, zexp=ZpExp.from_int(11, 3, 4))]
     x = LaurentSeries.from_apoly(APoly(spec, (1, 1)), prec + 8)
-    calls = {"mul": 0, "eval": 0, "pow": 0}
+    calls = {"mul": 0, "eval": 0}
+    shell, pows = [None], {}
+    monics, power = zeta.monic_coeff_vectors, zeta.one_unit_pow
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -882,15 +889,26 @@ def test_twisted_L_eval_builds_one_units_without_series_evaluation(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
+    def started(spec, d):
+        shell[0] = d
+        return monics(spec, d)
+
+    def counted(u, y):
+        pows[shell[0]] = pows.get(shell[0], 0) + 1
+        return power(u, y)
+
     monkeypatch.setattr(seriesinf.LaurentSeries, "__mul__",
                         counting("mul", seriesinf.LaurentSeries.__mul__))
     monkeypatch.setattr(polyring.APoly, "eval", counting("eval", polyring.APoly.eval))
-    monkeypatch.setattr(zeta, "one_unit_pow", counting("pow", zeta.one_unit_pow))
-    twisted_L_eval([], infinite, x, prec)
-    stop = twisted_stop_shell([], infinite, x, prec)
+    monkeypatch.setattr(zeta, "monic_coeff_vectors", started)
+    monkeypatch.setattr(zeta, "one_unit_pow", counted)
+    value = twisted_L_eval([], infinite, x, prec)
+    assert twisted_stop_shell([], infinite, x, prec) == 4
     assert calls["eval"] == 0
-    assert calls["pow"] == sum(spec.q ** d for d in range(stop))
+    assert pows == {0: 1, 1: 3}
     assert calls["mul"] <= 9172
+    monkeypatch.undo()
+    assert value == enumerated_twisted_L_eval([], infinite, x, prec)
 
 
 ORBIT_FIELDS = {f"F{q}": FieldSpec.default(q) for q in (2, 3, 4, 5, 9)}
@@ -933,33 +951,220 @@ def test_twisted_L_eval_over_scaling_orbits_matches_the_per_monic_oracle(name):
 
 
 def test_twisted_L_eval_at_c_theta_raises_one_one_unit_per_orbit_member(monkeypatch):
-    # q = 5, prec 30: shells 0..3, and shell d raises 1 + sum_e gcd(e, 4) 5^(d - e)
-    # one-units (37 of the 125 monics at d = 3)
-    spec, prec = FieldSpec.default(5), 30
-    point = LaurentSeries(spec, -1, (3,), prec + 8)
-    infinite = [TwistFactor("infinite", frob=0, point=point, zexp=ZpExp.from_int(7, 5, 3))]
-    x = LaurentSeries.from_apoly(APoly(spec, (2, 1)), prec + 8)
-    shell, calls = [None], {}
-    members, power = zeta._orbit_members, zeta.one_unit_pow
+    """Shell d of the orbit route raises 1 + sum_e gcd(e, q - 1) q^(d - e)
+    one-units, one per orbit member, when it is computed, and none when
+    the digit certificate proves it zero to its target.
+    (a) q = 5, prec 30, x = theta + 2: the exponent 7 has digits 2, 1, of
+    weight 3 < q - 1, so shells 1-3 are exactly zero.  (b) q = 3, prec 40,
+    x = 1 + pi: the digits 2, 2, 2, 2 of 80 fill d slots with two units
+    each, the cheapest at cost 1, 3, 9, 27 per unit, so V_3 =
+    2(3 + 2 * 3 + 9) = 36 < 40 and V_4 = 2(4 + 3 * 3 + 2 * 9 + 27) = 116:
+    shells 0-3 are computed (17 of the 27 monics at d = 3), shell 4 is not."""
+    F5 = FieldSpec.default(5)
+    cases = [(F5, 30, 3, ZpExp.from_int(7, 5, 3), LaurentSeries.from_apoly(APoly(F5, (2, 1)), 38),
+              4, {0: 1}),
+             (F3, 40, 2, ZpExp.from_int(80, 3, 4), LaurentSeries(F3, 0, (1, 1), 48),
+              5, {0: 1, 1: 2, 2: 6, 3: 17})]
+    for spec, prec, c, zexp, x, stop, expected in cases:
+        q = spec.q
+        infinite = [TwistFactor("infinite", point=LaurentSeries(spec, -1, (c,), prec + 8),
+                                zexp=zexp)]
+        shell, calls = [None], {}
+        members, power = zeta._orbit_members, zeta.one_unit_pow
 
-    def started(spec, d):
-        shell[0] = d
-        return members(spec, d)
+        def started(spec, d):
+            shell[0] = d
+            return members(spec, d)
 
-    def counted(u, y):
-        calls[shell[0]] = calls.get(shell[0], 0) + 1
-        return power(u, y)
+        def counted(u, y):
+            calls[shell[0]] = calls.get(shell[0], 0) + 1
+            return power(u, y)
 
-    monkeypatch.setattr(zeta, "_orbit_members", started)
-    monkeypatch.setattr(zeta, "one_unit_pow", counted)
+        monkeypatch.setattr(zeta, "_orbit_members", started)
+        monkeypatch.setattr(zeta, "one_unit_pow", counted)
+        value = twisted_L_eval([], infinite, x, prec)
+        monkeypatch.undo()
+        assert twisted_stop_shell([], infinite, x, prec) == stop
+        assert calls == expected
+        assert expected == {d: 1 + sum(math.gcd(e, q - 1) * q ** (d - e) for e in range(1, d + 1))
+                            for d in expected}
+        assert value == enumerated_twisted_L_eval([], infinite, x, prec)
+
+
+def _digit_bases(rng, spec, count):
+    """(k, l, base-p digits) per base: v(y) = -k, k in 1..3, up to 5 digits."""
+    return [(rng.randrange(1, 4), rng.randrange(spec.e),
+             tuple(rng.randrange(spec.p) for _ in range(rng.randrange(1, 6))))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_FIELDS))
+def test_digit_valuation_bound_is_inf_exactly_below_the_slot_weight(name):
+    # inf exactly when the digits' weight sum_i n_i p^((l+i) mod e) cannot
+    # give each of the d slots j < d its q - 1
+    spec = ORBIT_FIELDS[name]
+    q, p, e = spec.q, spec.p, spec.e
+    rng = random.Random(3400 + q)
+    infinite = 0
+    for _ in range(200):
+        d, bases = rng.randrange(6), _digit_bases(rng, spec, rng.randrange(1, 3))
+        weight = sum(n * p ** ((l + i) % e) for _, l, digits in bases for i, n in enumerate(digits))
+        bound = zeta._digit_valuation_bound(spec, d, bases)
+        assert (bound == math.inf) == (weight < d * (q - 1)), (d, bases)
+        infinite += bound == math.inf
+    assert 20 <= infinite <= 180
+
+
+def _assignment_minimum(spec, d, bases):
+    """min over the choices of one slot j per copy of u^(p^i) (e = 1, so
+    every copy has weight 1) that leave every slot j < d a positive
+    multiple of q - 1 copies, of sum (d - j) k p^i; inf if there is none."""
+    picks = [k * spec.p ** i for k, _, digits in bases for i, n in enumerate(digits)
+             for _ in range(n)]
+    best = math.inf
+    for slots in itertools.product(range(d + 1), repeat=len(picks)):
+        counts = [slots.count(j) for j in range(d)]
+        if all(c and c % (spec.q - 1) == 0 for c in counts):
+            best = min(best, sum((d - j) * cost for j, cost in zip(slots, picks)))
+    return best
+
+
+def test_digit_valuation_bound_is_the_assignment_minimum_at_e_1():
+    rng = random.Random(3401)
+    finite = 0
+    for _ in range(150):
+        spec = FieldSpec.default(rng.choice((2, 3, 5, 7)))
+        d, bases = rng.randrange(4), _digit_bases(rng, spec, rng.randrange(1, 3))
+        if sum(n for _, _, digits in bases for n in digits) > 7:
+            continue
+        bound = zeta._digit_valuation_bound(spec, d, bases)
+        assert bound == _assignment_minimum(spec, d, bases), (spec.q, d, bases)
+        finite += 0 < bound < math.inf
+    assert finite >= 15
+
+
+DIGIT_FIELDS = [FieldSpec.default(q) for q in (2, 3, 4, 5, 7, 8, 9)] + [ORBIT_FIELDS["F16/F4"]]
+
+
+def test_digit_certificate_skips_only_shells_that_compute_to_zero(monkeypatch):
+    """Every shell the digit certificate skips, computed anyway, is zero to
+    a precision of at least its target, and twisted_L_eval's outcome equals
+    the per-monic oracle's.  No finite factors, one or two infinite factors
+    at c theta, theta + c or a point of degree 2, known to prec + 1 to
+    prec + 20, and x of valuation -2 to 2, over q <= 9 and F_16 / F_4."""
+    rng = random.Random(3402)
+    bounds, skipped, real_bound = [], [], zeta._digit_valuation_bound
+    sum_shells = zeta._sum_shells
+
+    def bound(spec, d, bases):
+        bounds.append(real_bound(spec, d, bases))
+        return bounds[-1]
+
+    def checked(x, prec, stop, loss_rate, shell):
+        shells = {}
+        for d in range(stop):
+            target = prec + d * loss_rate
+            if target <= 0:
+                break
+            shells[d, target] = shell(d, target)
+            if not shells[d, target]:
+                with monkeypatch.context() as m:
+                    m.setattr(zeta, "_digit_certificate", lambda *args: False)
+                    value = shell(d, target)[()]
+                assert value.is_zero() and value.prec >= target, (d, target, value)
+                skipped.append(bounds[-1])
+        return sum_shells(x, prec, stop, loss_rate, lambda d, target: shells[d, target])
+
+    monkeypatch.setattr(zeta, "_digit_valuation_bound", bound)
+    monkeypatch.setattr(zeta, "_sum_shells", checked)
+    outcomes = []
+    for trial in range(120):
+        spec = rng.choice(DIGIT_FIELDS)
+        q, p, e = spec.q, spec.p, spec.e
+        prec = rng.randrange(4, 13 if q <= 4 else 8)
+
+        def point():
+            known = prec + rng.choice((1, 4, 20))
+            top = (rng.randrange(1, q),)
+            return LaurentSeries.from_apoly(APoly(spec, rng.choice((
+                (0,) + top, (rng.randrange(q), 1), (rng.randrange(q), rng.randrange(q)) + top))),
+                known)
+
+        digits = next(m for m in range(1, 40) if p ** m >= prec)
+        infinite = [TwistFactor("infinite", frob=rng.randrange(2 * e), point=point(),
+                                zexp=ZpExp(p, [rng.randrange(p) for _ in range(
+                                    digits + rng.randrange(3))]))
+                    for _ in range(rng.choice((1, 1, 2)))]
+        vx = rng.randrange(-2, 3)
+        x = LaurentSeries(spec, vx, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(
+            prec + 20)], vx + prec + 20)
+        if sum(q ** d for d in range(twisted_stop_shell([], infinite, x, prec))) > 400:
+            continue
+        got = _outcome(twisted_L_eval, [], infinite, x, prec)
+        with monkeypatch.context() as m:
+            m.setattr(zeta, "_sum_shells", sum_shells)
+            assert got == _outcome(enumerated_twisted_L_eval, [], infinite, x, prec), \
+                (trial, infinite, x, prec)
+        outcomes.append(isinstance(got, LaurentSeries))
+    # shells skipped on a finite bound as well as on too little weight
+    assert len(skipped) >= 80 and sum(b < math.inf for b in skipped) >= 20
+    assert 40 <= sum(outcomes) < len(outcomes)  # values and PrecisionErrors
+
+
+def test_twisted_L_eval_computes_a_shell_at_its_digit_bound(monkeypatch):
+    """q = 4 (e = 2), prec 20, x = 1 + pi, one factor at theta with exponent
+    15: its binary digits 1, 1, 1, 1 weigh 1, 2, 1, 2, so shell 2 has the
+    weight 6 = 2(q - 1) its two slots need, and V_2 = 2 * 3 * 1 + 3 * 4 = 18.
+    The shell is computed, adds exactly pi^18 times a unit, and the value
+    is the oracle's."""
+    prec = 20
+    infinite = [TwistFactor("infinite", point=LaurentSeries.theta(F4, prec + 8),
+                            zexp=ZpExp.from_int(15, 2, 5))]
+    x = LaurentSeries(F4, 0, (1, 1), prec + 8)
     value = twisted_L_eval([], infinite, x, prec)
-    stop = twisted_stop_shell([], infinite, x, prec)
-    assert stop == 4
-    assert calls == {d: 1 + sum(math.gcd(e, 4) * 5 ** (d - e) for e in range(1, d + 1))
-                     for d in range(stop)}
-    assert calls[3] == 37
-    monkeypatch.undo()
     assert value == enumerated_twisted_L_eval([], infinite, x, prec)
+    monkeypatch.setattr(zeta, "twisted_stop_shell", lambda *args: 2)
+    assert (value - twisted_L_eval([], infinite, x, prec)).valuation() == 18
+    assert zeta._digit_valuation_bound(F4, 2, [(1, 0, (1, 1, 1, 1, 0))]) == 18
+
+
+def test_twisted_L_eval_computes_a_zero_shell_whose_rows_fall_short():
+    """q = 3, prec 8, x = pi, one factor at theta + O(pi^10) with exponent
+    1: every shell d >= 1 is exactly zero (weight 1 < q - 1 = 2), but
+    shell d is wanted to pi^(8 + d) and its rows are known to pi^9 only,
+    so shells 2 and 3 are computed and raise, as in the per-monic oracle."""
+    prec = 8
+    infinite = [TwistFactor("infinite", point=LaurentSeries(F3, -1, (1,), prec + 2),
+                            zexp=ZpExp.from_int(1, 3, 3))]
+    x = LaurentSeries.pi(F3, prec + 20)
+    assert twisted_stop_shell([], infinite, x, prec) == 4
+    for fn in (twisted_L_eval, enumerated_twisted_L_eval):
+        assert _outcome(fn, [], infinite, x, prec) == ("PrecisionError", 6)
+
+
+def _mutant(monkeypatch, name, old, new):
+    """Replace zeta.<name> by its source with `old` turned into `new`."""
+    source = inspect.getsource(getattr(zeta, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(zeta))
+    exec(compile(source.replace(old, new), zeta.__file__, "exec"), namespace)
+    monkeypatch.setattr(zeta, name, namespace[name])
+
+
+@pytest.mark.parametrize("name, old, new, witness", [
+    ("_digit_valuation_bound", "weight = p ** ((l + i) % e)", "weight = 1",
+     test_twisted_L_eval_computes_a_shell_at_its_digit_bound),
+    ("_digit_valuation_bound", "k * p ** i * scale // weight", "k * scale // weight",
+     test_twisted_L_eval_at_c_theta_raises_one_one_unit_per_orbit_member),
+    ("_digit_certificate", "known >= target and ", "",
+     test_twisted_L_eval_computes_a_zero_shell_whose_rows_fall_short),
+])
+def test_digit_certificate_mutants_fail_a_test(monkeypatch, name, old, new, witness):
+    # (a) the weight p^((l+i) mod e) as 1, (b) the cost k p^i as k, (c) the
+    # rows' precision condition dropped: each makes its witness test fail
+    _mutant(monkeypatch, name, old, new)
+    with pytest.raises((AssertionError, pytest.fail.Exception)), pytest.MonkeyPatch.context() as m:
+        witness(m) if inspect.signature(witness).parameters else witness()
 
 
 def test_twisted_L_eval_is_unchanged_by_two_more_shells(monkeypatch):
